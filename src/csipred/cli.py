@@ -40,9 +40,9 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # Compact `dumps` is the one form CPython encodes in C; `json.dump` and
+    # any `indent` fall back to the pure-Python encoder.
+    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _write_text(path, text):
@@ -101,8 +101,8 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     checkpoint = _load_checkpoint(args.checkpoint)
-    out = _out_dir(args)
     reports = experiment.evaluate_checkpoint(checkpoint, split=args.split)
+    out = _out_dir(args)
     write_reports(reports, out / "metrics.csv", out / "metrics.json")
     for r in reports:
         _log(f"{r.model_id} {r.antenna}: nmse={r.nmse:.6g} "

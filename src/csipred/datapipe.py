@@ -7,14 +7,24 @@ must cover one contiguous range (gaps are repaired by `clean` up to a limit).
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ContractViolation, DataError, DegenerateScaleError,
                      ParseError, UnrecoverableGapError)
 
 MAX_INTERP_GAP = 10
+CSV_HEADER = "t,antenna,re,im"
+_CSV_ROW = np.dtype([("t", np.int64), ("antenna", np.int64),
+                     ("re", np.float64), ("im", np.float64)])
+_NEWLINE = re.compile(rb"\r\n|\r|\n")  # the line ends the CSV reader splits on
+_CR_BLANK = re.compile(rb"(?<![^\n\r])\r")  # a CR that starts a line
 
 
 @dataclass
@@ -96,65 +106,140 @@ class SupervisedWindowSet:
 
 
 def load_csi(path, sample_interval=5e-4, track=None) -> CsiSeries:
-    """Parse the CSI CSV format into a (possibly gap-containing) series."""
-    per_antenna: dict[int, dict[int, complex]] = {}
-    duplicates = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "t,antenna,re,im":
-            raise ParseError(f"{path}: bad header {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"{path}: line {ln}: expected 4 fields")
-            try:
-                t = int(parts[0])
-                ant = int(parts[1])
-                re = float(parts[2])
-                im = float(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from None
-            for col, v in (("re", re), ("im", im)):
-                if not np.isfinite(v):
-                    raise ParseError(
-                        f"{path}: line {ln}: non-finite value in column {col!r}")
-            row = per_antenna.setdefault(ant, {})
-            if t in row:
-                if row[t] == complex(re, im):
-                    duplicates.append((ant, t))
-                else:
-                    raise ParseError(
-                        f"{path}: line {ln}: conflicting duplicate for t={t}, "
-                        f"antenna={ant}")
-            else:
-                row[t] = complex(re, im)
-    if not per_antenna:
-        raise ParseError(f"{path}: no data rows")
-    antennas = sorted(per_antenna)
-    t_min = min(min(r) for r in per_antenna.values())
-    t_max = max(max(r) for r in per_antenna.values())
-    for ant in antennas:
-        r = per_antenna[ant]
-        if min(r) != t_min or max(r) != t_max:
-            raise ParseError(
-                f"{path}: antenna {ant} does not cover the common index range "
-                f"[{t_min}, {t_max}]")
-    n = t_max - t_min + 1
-    values = np.full((len(antennas), n), np.nan + 0j, dtype=complex)
-    for k, ant in enumerate(antennas):
-        for t, v in per_antenna[ant].items():
-            values[k, t - t_min] = v
+    """Parse the CSI CSV format into a (possibly gap-containing) series.
+
+    Lines end in LF, CR or CRLF. A line that is empty before its LF is
+    skipped; any other line must hold four comma-separated fields that
+    Python's `int` (t, antenna) and `float` (re, im) accept, with finite
+    values, and t and antenna must fit in int64. There is no comment syntax.
+    Exact duplicates of a (t, antenna) row are collapsed and recorded in
+    `duplicate_rows` in file order; a duplicate with other values is an error.
+    Every antenna must cover the same first and last index; missing samples
+    in between become NaN. Each `ParseError` names the file and the line.
+    """
+    rows = _read_rows(path)
+    t, ant, re_, im = rows["t"], rows["antenna"], rows["re"], rows["im"]
+    # Rows sorted by (antenna, t); the stable sort keeps repeats in file order.
+    order = np.lexsort((t, ant))
+    s_t, s_ant = t[order], ant[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (s_t[1:] != s_t[:-1]) | (s_ant[1:] != s_ant[:-1])
+    origin = np.empty_like(order)  # file row -> file row of its first occurrence
+    origin[order] = order[np.maximum.accumulate(
+        np.where(first, np.arange(len(rows)), 0))]
+    repeat = origin != np.arange(len(rows))
+    conflict = repeat & ((re_ != re_[origin]) | (im != im[origin]))
+    finite = np.isfinite(re_) & np.isfinite(im)
+    bad = np.flatnonzero(~finite | conflict)
+    if bad.size:  # report the first bad row in file order, as a line number
+        row = int(bad[0])
+        col = next((c for c, v in (("re", re_), ("im", im))
+                    if not np.isfinite(v[row])), None)
+        raise ParseError(
+            f"{path}: line {_data_line(path, row)}: " + (
+                f"non-finite value in column {col!r}" if col else
+                f"conflicting duplicate for t={t[row]}, antenna={ant[row]}"))
+    duplicates = list(zip(ant[repeat].tolist(), t[repeat].tolist()))
+
+    u_t, u_ant = s_t[first], s_ant[first]
+    ant_first = np.ones(len(u_ant), dtype=bool)
+    ant_first[1:] = u_ant[1:] != u_ant[:-1]
+    ant_last = np.roll(ant_first, -1)
+    antennas = u_ant[ant_first]
+    t_min, t_max = int(u_t.min()), int(u_t.max())
+    uncovered = (u_t[ant_first] != t_min) | (u_t[ant_last] != t_max)
+    if uncovered.any():
+        raise ParseError(
+            f"{path}: antenna {antennas[uncovered][0]} does not cover the common "
+            f"index range [{t_min}, {t_max}]")
+    values = np.full((len(antennas), t_max - t_min + 1), np.nan + 0j,
+                     dtype=complex)
+    ant_row = np.cumsum(ant_first) - 1
+    kept = order[first]
+    values.real[ant_row, u_t - t_min] = re_[kept]
+    values.imag[ant_row, u_t - t_min] = im[kept]
     return CsiSeries(sample_interval=sample_interval, start_index=t_min,
                      values=values, track=track or str(path),
                      duplicate_rows=duplicates)
 
 
+def _read_rows(path):
+    """Check the header and parse every data line in one `np.loadtxt` call.
+
+    Returns the rows as a structured array.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline(len(CSV_HEADER) + 2)
+        data = fh.read()
+    if header.rstrip(b"\n") != CSV_HEADER.encode():
+        header = header.decode("utf-8", "replace").rstrip("\n")
+        raise ParseError(f"{path}: bad header {header!r}")
+    _check_lines(path, data)
+    if data.isascii() and b"_" not in data:
+        # Decoded line by line: a whole-body str stream would hold 4 bytes
+        # per character.
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: line {_line_at(data, exc.start)}: "
+                             f"{exc}") from None
+        lines = io.StringIO(_python_number_syntax(text), newline="")
+    # loadtxt pulls one line at a time, so after an error the counter has
+    # passed every line up to the bad one.
+    line_no = itertools.count(2)
+    try:
+        return np.loadtxt(map(itemgetter(1), zip(line_no, lines)),
+                          dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ParseError(f"{path}: line {next(line_no) - 1}: "
+                         f"{str(exc).split(' at row ')[0]}") from None
+
+
+def _check_lines(path, data):
+    """Reject the lines np.loadtxt accepts and Python's int/float do not."""
+    # A line empty before a CR or CRLF end: loadtxt skips it, Python splits
+    # it into one field.
+    cr_blank = _CR_BLANK.search(data) if b"\r" in data else None
+    if cr_blank:
+        raise ParseError(f"{path}: line {_line_at(data, cr_blank.start())}: "
+                         "expected 4 fields")
+    # U+001C..U+001F: whitespace to loadtxt, not to Python.
+    control = min((i for i in map(data.find, (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+                   if i >= 0), default=None)
+    if control is not None:
+        raise ParseError(f"{path}: line {_line_at(data, control)}: control "
+                         f"character U+{data[control]:04X} in a field")
+    if re.fullmatch(rb"\n*", data):
+        raise ParseError(f"{path}: no data rows")
+
+
+def _python_number_syntax(text):
+    """Rewrite the number spellings Python's int/float accept into ones
+    `np.loadtxt` parses to the same value: non-ASCII decimal digits become
+    ASCII, and underscores between two digits go. Any other underscore is
+    kept, and both parsers reject the field that holds it."""
+    text = text.translate({ord(c): str(int(c)) for c in set(text)
+                           if c.isdecimal() and not c.isascii()})
+    return re.sub(r"(?<=[0-9])_(?=[0-9])", "", text)
+
+
+def _line_at(data, pos):
+    """File line number of byte `pos` of the data after the header."""
+    return len(_NEWLINE.split(data[:pos])) + 1
+
+
+def _data_line(path, row):
+    """File line number of data row `row`; blank lines hold no row."""
+    with open(path, "rb") as fh:
+        lines = _NEWLINE.split(fh.read())
+    return [ln for ln, text in enumerate(lines[1:], start=2) if text][row]
+
+
 def save_csi(series: CsiSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,antenna,re,im\n")
+        fh.write(CSV_HEADER + "\n")
         for t in range(series.length):
             for ant in range(series.antenna_count):
                 v = series.values[ant, t]
@@ -255,8 +340,9 @@ def make_windows(values, d, D, start_index=0, feature_id="", stride=1
         raise ContractViolation(
             f"series of length {n} too short for d={d}, D={D}")
     origins = np.arange(d, n - D, stride)
-    X = np.stack([v[t - d:t] for t in origins])
-    Y = np.stack([v[t + 1:t + 1 + D] for t in origins])
+    # Fancy indexing copies, so the windows share no memory with `values`.
+    X = sliding_window_view(v, d)[origins - d]
+    Y = sliding_window_view(v, D)[origins + 1]
     return SupervisedWindowSet(d=d, D=D, feature_id=feature_id,
                                t=origins + start_index, X=X, Y=Y)
 
@@ -280,15 +366,15 @@ def prepare_dataset(series: CsiSeries, d, D, fractions=(0.8, 0.1, 0.1),
     min_seg = d + D + 3
     splits = dict(zip(("train", "val", "test"),
                       split_chronological(cleaned, fractions, min_segment=min_seg)))
-    train_feats = {f.feature_id: f for f in complex_to_features(splits["train"])}
+    split_feats = {name: complex_to_features(seg) for name, seg in splits.items()}
     prepared = []
     digest = hashlib.sha256()
-    for feat_id, train_feat in train_feats.items():
+    for k, train_feat in enumerate(split_feats["train"]):
+        feat_id = train_feat.feature_id
         scaler = fit_scaler(train_feat.values)
         windows = {}
-        for split_name, seg in splits.items():
-            feat = next(f for f in complex_to_features(seg)
-                        if f.feature_id == feat_id)
+        for split_name, feats in split_feats.items():
+            feat = feats[k]
             norm = scaler.transform(feat.values)
             windows[split_name] = make_windows(
                 norm, d, D, start_index=feat.start_index, feature_id=feat_id,

@@ -25,6 +25,10 @@ class UnrecoverableGapError(DataError):
     """A gap of more than the interpolation limit was found while cleaning."""
 
 
+class CheckpointMismatch(DataError, ContractViolation):
+    """A checkpoint is not an experiment checkpoint, or was trained on other data."""
+
+
 class DegenerateScaleError(DataError):
     """A feature is constant over the training split and cannot be min-max scaled."""
 

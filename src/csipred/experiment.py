@@ -10,7 +10,7 @@ import numpy as np
 
 from . import datapipe, synthchan
 from .config import config_digest, parse_seasonalities
-from .errors import ConfigError, ContractViolation
+from .errors import CheckpointMismatch, ConfigError
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
 from .hybrid import HybridModel, build_hybrid, hybrid_predict_batch
@@ -144,32 +144,42 @@ def _model_from_payload(kind, payload):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def _predict_split(checkpoint, split, series):
+    """Re-prepare a checkpoint's dataset and predict one split per feature.
+
+    Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
+    a checkpoint whose format, dataset digest or features do not match.
+    """
+    if checkpoint.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointMismatch("not an experiment checkpoint")
+    kind = checkpoint["kind"]
+    prepared, digest = prepare(checkpoint["config"], series)
+    if digest != checkpoint["dataset_digest"]:
+        raise CheckpointMismatch(
+            "dataset digest mismatch: checkpoint was trained on different windows")
+    by_feature = {}
+    for pf in prepared:
+        feat_id = pf.feature.feature_id
+        if feat_id not in checkpoint["features"]:
+            raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
+        entry = checkpoint["features"][feat_id]
+        model = _model_from_payload(kind, entry["model"])
+        scaler = datapipe.Scaler(**entry["scaler"])
+        ws = pf.windows[split]
+        by_feature[feat_id] = (ws, scaler.inverse(predict_windows(kind, model, ws)),
+                               scaler.inverse(ws.Y))
+    return by_feature
+
+
 def evaluate_checkpoint(checkpoint, split="test", series=None):
     """Per-antenna and aggregate NMSE / cosine similarity on one split.
 
     Predictions are de-normalized before real/imag recombination so metrics
     are computed on original-scale complex values.
     """
-    if checkpoint.get("format") != CHECKPOINT_FORMAT:
-        raise ContractViolation("not an experiment checkpoint")
+    by_feature = _predict_split(checkpoint, split, series)
     cfg = checkpoint["config"]
     kind = checkpoint["kind"]
-    prepared, digest = prepare(cfg, series)
-    if digest != checkpoint["dataset_digest"]:
-        raise ContractViolation(
-            "dataset digest mismatch: checkpoint was trained on different windows")
-    by_feature = {}
-    for pf in prepared:
-        feat_id = pf.feature.feature_id
-        if feat_id not in checkpoint["features"]:
-            raise ContractViolation(f"checkpoint lacks feature {feat_id}")
-        entry = checkpoint["features"][feat_id]
-        model = _model_from_payload(kind, entry["model"])
-        scaler = datapipe.Scaler(**entry["scaler"])
-        ws = pf.windows[split]
-        pred = scaler.inverse(predict_windows(kind, model, ws))
-        truth = scaler.inverse(ws.Y)
-        by_feature[feat_id] = (pred, truth, len(ws))
     reports = []
     parts = []
     cos_parts = []
@@ -177,11 +187,11 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
     track = cfg["dataset"] if cfg["dataset"] != "synth" else f"synth-{cfg['data_seed']}"
     digest16 = config_digest(cfg)
     for ant in antennas:
-        pred_c = assemble_complex(by_feature[f"{ant}_re"][0],
-                                  by_feature[f"{ant}_im"][0])
-        truth_c = assemble_complex(by_feature[f"{ant}_re"][1],
-                                   by_feature[f"{ant}_im"][1])
-        count = by_feature[f"{ant}_re"][2]
+        ws, pred_re, truth_re = by_feature[f"{ant}_re"]
+        _, pred_im, truth_im = by_feature[f"{ant}_im"]
+        pred_c = assemble_complex(pred_re, pred_im)
+        truth_c = assemble_complex(truth_re, truth_im)
+        count = len(ws)
         v_nmse = nmse(pred_c, truth_c)
         v_cos = cosine_similarity(pred_c, truth_c)
         reports.append(MetricReport(model_id=kind, track=track, seed=cfg["seed"],
@@ -200,20 +210,10 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
 
 def predictions_table(checkpoint, split="test", series=None):
     """Rows (feature, origin t, horizon step, prediction, truth), de-normalized."""
-    cfg = checkpoint["config"]
-    kind = checkpoint["kind"]
-    prepared, _ = prepare(cfg, series)
     rows = []
-    for pf in prepared:
-        feat_id = pf.feature.feature_id
-        entry = checkpoint["features"][feat_id]
-        model = _model_from_payload(kind, entry["model"])
-        scaler = datapipe.Scaler(**entry["scaler"])
-        ws = pf.windows[split]
-        pred = scaler.inverse(predict_windows(kind, model, ws))
-        truth = scaler.inverse(ws.Y)
-        for i, t in enumerate(ws.t):
-            for h in range(ws.D):
-                rows.append((feat_id, int(t), h + 1,
-                             float(pred[i, h]), float(truth[i, h])))
+    for feat_id, (ws, pred, truth) in _predict_split(checkpoint, split,
+                                                     series).items():
+        for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist()):
+            rows.extend((feat_id, t, h, p, y)
+                        for h, (p, y) in enumerate(zip(p_row, y_row), start=1))
     return rows

@@ -212,6 +212,24 @@ class TestPredictEvaluate:
             evaluate_checkpoint(payload, split="test")
 
 
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_tampered_digest_exits_2(self, trained_dir, tmp_path, capsys,
+                                     command, out):
+        _, _, run = trained_dir
+        payload = json.loads((run / "checkpoint.json").read_text())
+        payload["dataset_digest"] = "0" * 64
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([command, "--checkpoint", str(stale),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == ("data error: dataset digest mismatch: checkpoint "
+                               "was trained on different windows")
+        assert not (tmp_path / out).exists()
+
+
 class TestTune:
     def test_grid_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {"epochs": "1"})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csipred.datapipe import (CsiSeries, Scaler, clean, complex_to_features,
                               fit_scaler, load_csi, make_windows,
@@ -35,6 +36,141 @@ class TestCsvRoundTrip:
         loaded = load_csi(path)
         assert loaded.start_index == 100
         assert loaded.length == 5
+
+
+def reference_load_csi(path):
+    """Line-by-line reference parser: the loader's contract, one row at a time
+    (Python's int/float, with t and antenna inside int64).
+
+    Returns (start_index, values, duplicate_rows) or raises ParseError.
+    """
+    per_antenna = {}
+    duplicates = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != "t,antenna,re,im":
+            raise ParseError(f"{path}: bad header {header!r}")
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ParseError(f"{path}: line {ln}: expected 4 fields")
+            try:
+                t, ant = int(parts[0]), int(parts[1])
+                re, im = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {ln}: {exc}") from None
+            if not -2**63 <= min(t, ant) <= max(t, ant) < 2**63:
+                raise ParseError(f"{path}: line {ln}: index beyond int64")
+            if not (np.isfinite(re) and np.isfinite(im)):
+                raise ParseError(f"{path}: line {ln}: non-finite value")
+            row = per_antenna.setdefault(ant, {})
+            if t not in row:
+                row[t] = complex(re, im)
+            elif row[t] == complex(re, im):
+                duplicates.append((ant, t))
+            else:
+                raise ParseError(f"{path}: line {ln}: conflicting duplicate")
+    if not per_antenna:
+        raise ParseError(f"{path}: no data rows")
+    t_min = min(min(r) for r in per_antenna.values())
+    t_max = max(max(r) for r in per_antenna.values())
+    if any(min(r) != t_min or max(r) != t_max for r in per_antenna.values()):
+        raise ParseError(f"{path}: antennas cover different index ranges")
+    values = np.full((len(per_antenna), t_max - t_min + 1), np.nan + 0j)
+    for k, ant in enumerate(sorted(per_antenna)):
+        for t, v in per_antenna[ant].items():
+            values[k, t - t_min] = v
+    return t_min, values, duplicates
+
+
+def assert_loads_like_reference(path):
+    try:
+        expected = reference_load_csi(path)
+    except ParseError:
+        with pytest.raises(ParseError):
+            load_csi(path)
+        return
+    series = load_csi(path)
+    start, values, duplicates = expected
+    assert series.start_index == start
+    assert series.values.shape == values.shape
+    # bit for bit, so NaN gaps and the sign of zeros must match too
+    assert series.values.tobytes() == values.tobytes()
+    assert series.duplicate_rows == duplicates
+
+
+FIELD_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324])
+
+
+@st.composite
+def csv_texts(draw):
+    """A multi-antenna series as CSV text: random start index and antenna
+    ids, NaN gaps, exact duplicates and blank lines, rows in random order."""
+    antennas = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=4,
+                             unique=True))
+    n = draw(st.integers(1, 12))
+    start = draw(st.integers(-10**6, 10**6))
+    rows = []
+    for ant in antennas:
+        for t in range(start, start + n):
+            # the first and last index stay, so every antenna covers the range
+            if start < t < start + n - 1 and draw(st.booleans()):
+                continue  # a gap, which loads as NaN
+            rows.append(f"{t},{ant},{draw(FIELD_FLOAT)!r},{draw(FIELD_FLOAT)!r}")
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(rows)))  # exact duplicate
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), "")  # blank line
+    return "t,antenna,re,im\n" + "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+
+
+# Pieces whose spelling the two parsers could read differently: Python's
+# int/float take underscores between digits, any Unicode decimal digit and
+# Unicode spaces; line ends are LF, CR or CRLF.
+JUNK = st.lists(st.sampled_from([
+    "0", "1", "7", "-", "+", ".", "e", "_", ",", ",", ",", "\n", "\n", "\r",
+    "\r\n", " ", "\t", "\x0b", "\x1c", "\xa0", "\u3000", "\u0661", "\u00b2",
+    "inf", "nan", "#", "x", "0.5", "1_0", "2.5e-3"]), max_size=40).map("".join)
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts())
+    def test_valid_series(self, tmp_path, text):
+        path = tmp_path / "chan.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_loads_like_reference(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(JUNK, st.sampled_from([
+        "0,0,1.0,2.0", "1,0,1.0,2.0", "1,1,-0.0,0.5", "1,1,0.0,0.5",
+        "0,1,0.0,0.5"])),
+        max_size=6).map("\n".join))
+    def test_arbitrary_text(self, tmp_path, body):
+        path = tmp_path / "chan.csv"
+        path.write_text("t,antenna,re,im\n" + body, encoding="utf-8", newline="")
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("body", [
+        "1_0,0,1_0.5,2.0\n11,0,1e1_0,2\n",  # digit-group underscores
+        "\u0661,0,\u0661.\u0665,2.0\n2,0,1,\u30002\n",  # Arabic-Indic digits
+        "0,0,1.0,2.0\r\n1,0,1.0,2.0\r2,0,1.0,2.0",  # CRLF, CR, no final LF
+        "0,0,1.0,2.0\n\n\n1,0,1.0,2.0\n",  # blank lines
+        "0,0,0.0,1.0\n0,0,-0.0,1.0\n1,0,1,1\n",  # equal repeat, first zero kept
+    ])
+    def test_edge_cases_accepted(self, tmp_path, body):
+        path = tmp_path / "chan.csv"
+        path.write_text("t,antenna,re,im\n" + body, encoding="utf-8", newline="")
+        assert_loads_like_reference(path)
+        assert load_csi(path).length >= 2
 
 
 class TestLoadErrors:
@@ -73,6 +209,28 @@ class TestLoadErrors:
         series = load_csi(self.write(tmp_path, text))
         assert series.length == 2
         assert series.duplicate_rows == [(0, 0)]
+
+    @pytest.mark.parametrize("body,line", [
+        ("0,0,1.0,2.0\n# comment\n1,0,1.0,2.0\n", 3),
+        ("0,0,1.0,2.0\n\n0.5,0,1.0,2.0\n", 4),
+        ("0,0,1.0,2.0\n1,0,1.0,2.0,\n", 3),
+        ("0,0,1.0,2.0\n1,0,1.0,2.0\n0,0,1.0,2.5\n", 4),
+        ("0,0,1.0,2.0\n1,0,inf,2.0\n", 3),
+        ("0,0,1.0,2.0\n\r\n1,0,1.0,2.0\n", 3),  # blank CRLF line
+        ("\r\n0,0,1.0,2.0\n", 2),
+        ("0,0,1.0,2.0\r\r1,0,1.0,2.0\n", 3),  # blank CR line
+        ("0,0,1.0,2.0\r1,0,\x1c1.0,2.0\n", 3),  # not whitespace to Python
+        ("0,0,1.0,2.0\n1,0,1__0,2.0\n", 3),
+        ("0,0,1.0,2.0\n9223372036854775808,0,1.0,2.0\n", 3),  # beyond int64
+    ])
+    def test_rejection_names_path_and_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,antenna,re,im\n" + body, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as info:
+            load_csi(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        with pytest.raises(ParseError):
+            reference_load_csi(path)
 
     def test_antenna_range_mismatch(self, tmp_path):
         text = ("t,antenna,re,im\n0,0,1.0,2.0\n1,0,1.0,2.0\n"
@@ -230,6 +388,11 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(ContractViolation):
             make_windows(np.zeros(6), 4, 2)
+
+    def test_windows_are_copies(self):
+        v = np.arange(20.0)
+        w = make_windows(v, 4, 3, stride=2)
+        assert not np.shares_memory(w.X, v) and not np.shares_memory(w.Y, v)
 
 
 class TestPrepareDataset:
