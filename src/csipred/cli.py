@@ -111,19 +111,12 @@ def cmd_evaluate(args):
 
 
 def _parse_grid_file(path):
+    """Grid file: `key=v1,v2,...` lines, with the syntax of a config file."""
     grid = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {ln}: expected key=v1,v2,...")
-            key, values = line.split("=", 1)
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            grid[key] = [v.strip() for v in values.split(",") if v.strip()]
+    for key, values in parse_config_file(path).items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        grid[key] = [v.strip() for v in values.split(",") if v.strip()]
     if not grid:
         raise ConfigError(f"{path}: empty grid")
     return grid
@@ -142,8 +135,7 @@ def cmd_tune(args):
                                                  series=series)
         overall = next(r for r in reports if r.antenna == "all")
         params = sum(
-            experiment._model_from_payload(cfg["model"],
-                                           f["model"]).param_count()
+            experiment.MODEL_CLASSES[cfg["model"]].from_dict(f["model"]).param_count()
             for f in checkpoint["features"].values())
         return {"nmse": overall.nmse, "param_count": params}
 

@@ -120,6 +120,11 @@ def resolve_config(file_values=None, overrides=None) -> dict:
             raise ConfigError(f"{key} must be one of {choices}, got {cfg[key]!r}")
     if abs(cfg["train_frac"] + cfg["val_frac"] + cfg["test_frac"] - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
+    for key, low in (("seed", 0), ("data_seed", 0), ("batch_size", 1)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    if not 0.0 <= cfg["dropout"] < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {cfg['dropout']}")
     parse_seasonalities(cfg["seasonalities"])  # validate early
     return cfg
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import datapipe, synthchan
-from .config import config_digest, parse_seasonalities
+from .config import DEFAULTS, config_digest, parse_seasonalities
 from .errors import CheckpointMismatch, ConfigError
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
@@ -18,6 +18,9 @@ from .nprophet import NpConfig, NpModel, np_predict_batch, np_train
 from .recurrent import RecurrentModel, TrainConfig, predict_batch, train_recurrent
 
 CHECKPOINT_FORMAT = "csipred-experiment-v1"
+# Model kind -> class whose `from_dict` reads a feature's saved model.
+MODEL_CLASSES = {"rnn": RecurrentModel, "lstm": RecurrentModel,
+                 "bilstm": RecurrentModel, "np": NpModel, "hybrid": HybridModel}
 
 
 def get_series(cfg) -> datapipe.CsiSeries:
@@ -43,10 +46,15 @@ def prepare(cfg, series=None):
                                     stride=cfg["window_stride"])
 
 
-def recurrent_config(cfg) -> TrainConfig:
-    return TrainConfig(learning_rate=cfg["rnn_learning_rate"],
-                       epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       huber_beta=cfg["huber_beta"], dropout=cfg["dropout"])
+def recurrent_model(cfg, arch, seed) -> RecurrentModel:
+    """An untrained recurrent model of the given architecture, shaped by cfg."""
+    train_cfg = TrainConfig(learning_rate=cfg["rnn_learning_rate"],
+                            epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                            huber_beta=cfg["huber_beta"], dropout=cfg["dropout"])
+    return RecurrentModel(arch, cfg["d"], cfg["D"], hidden_size=cfg["rnn_hidden"],
+                          layers=cfg["rnn_layers"],
+                          bilstm_combine=cfg["bilstm_combine"], config=train_cfg,
+                          seed=seed)
 
 
 def np_config(cfg, regressor=False) -> NpConfig:
@@ -75,24 +83,16 @@ def train_feature(cfg, kind, prepared: datapipe.PreparedFeature, seed,
     """Train one model of the given kind on one feature stream."""
     windows = prepared.windows
     if kind in ("rnn", "lstm", "bilstm"):
-        model = RecurrentModel(kind, cfg["d"], cfg["D"],
-                               hidden_size=cfg["rnn_hidden"],
-                               layers=cfg["rnn_layers"],
-                               bilstm_combine=cfg["bilstm_combine"],
-                               config=recurrent_config(cfg), seed=seed)
+        model = recurrent_model(cfg, kind, seed)
         history = train_recurrent(model, windows["train"], seed=seed)
         return model, {"train": history}
     if kind == "np":
         model, history = np_train(windows["train"], np_config(cfg), seed=seed)
         return model, {"train": history}
     if kind == "hybrid":
-        source = RecurrentModel(cfg["hybrid_source"], cfg["d"], cfg["D"],
-                                hidden_size=cfg["rnn_hidden"],
-                                layers=cfg["rnn_layers"],
-                                bilstm_combine=cfg["bilstm_combine"],
-                                config=recurrent_config(cfg), seed=seed)
         model, rnn_hist, np_hist, _ = build_hybrid(
-            windows, source, np_config(cfg, regressor=True), seed=seed,
+            windows, recurrent_model(cfg, cfg["hybrid_source"], seed),
+            np_config(cfg, regressor=True), seed=seed,
             dataset_digest=dataset_digest)
         return model, {"stage1": rnn_hist, "stage2": np_hist}
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -134,26 +134,27 @@ def train_experiment(cfg, series=None):
     return checkpoint, histories
 
 
-def _model_from_payload(kind, payload):
-    if kind in ("rnn", "lstm", "bilstm"):
-        return RecurrentModel.from_dict(payload)
-    if kind == "np":
-        return NpModel.from_dict(payload)
-    if kind == "hybrid":
-        return HybridModel.from_dict(payload)
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
 def _predict_split(checkpoint, split, series):
     """Re-prepare a checkpoint's dataset and predict one split per feature.
 
     Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
-    a checkpoint whose format, dataset digest or features do not match.
+    a checkpoint that is not an experiment object with a known model kind and
+    a full config, or whose dataset digest or features do not match.
     """
-    if checkpoint.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch("not an experiment checkpoint")
-    kind = checkpoint["kind"]
-    prepared, digest = prepare(checkpoint["config"], series)
+    missing = {"kind", "config", "dataset_digest", "features"} - checkpoint.keys()
+    if missing:
+        raise CheckpointMismatch(f"checkpoint lacks {', '.join(sorted(missing))}")
+    kind, cfg = checkpoint["kind"], checkpoint["config"]
+    if not isinstance(kind, str) or kind not in MODEL_CLASSES:
+        raise CheckpointMismatch(f"unknown model kind {kind!r}")
+    if not isinstance(cfg, dict):
+        raise CheckpointMismatch("checkpoint config is not an object")
+    missing = DEFAULTS.keys() - cfg.keys()
+    if missing:
+        raise CheckpointMismatch(f"checkpoint config lacks {', '.join(sorted(missing))}")
+    prepared, digest = prepare(cfg, series)
     if digest != checkpoint["dataset_digest"]:
         raise CheckpointMismatch(
             "dataset digest mismatch: checkpoint was trained on different windows")
@@ -163,7 +164,7 @@ def _predict_split(checkpoint, split, series):
         if feat_id not in checkpoint["features"]:
             raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
         entry = checkpoint["features"][feat_id]
-        model = _model_from_payload(kind, entry["model"])
+        model = MODEL_CLASSES[kind].from_dict(entry["model"])
         scaler = datapipe.Scaler(**entry["scaler"])
         ws = pf.windows[split]
         by_feature[feat_id] = (ws, scaler.inverse(predict_windows(kind, model, ws)),

@@ -19,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS, parse_seasonalities
 from .datapipe import SupervisedWindowSet
-from .errors import ContractViolation, DivergenceError
-from .numcore import Adam, clip_grad_norm, huber_grad, huber_loss, init_uniform, relu
+from .errors import ContractViolation
+# `fit` does the clipping; `clip_grad_norm` stays bound here because
+# perfbench/tracing.py patches it under this module's name.
+from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
+                      huber_grad, huber_loss, init_uniform, relu)
 
-DEFAULT_SEASONALITIES = ((6, 365.25), (3, 7.0), (6, 1.0))
+DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
 
 
 # ---------------------------------------------------------------------------
@@ -91,28 +95,28 @@ def ar_net_forward(z_lags, weights, biases, linear=False):
 
 @dataclass
 class NpConfig:
-    d: int = 48
-    D: int = 24
-    learning_rate: float = 0.01
+    d: int = DEFAULTS["d"]
+    D: int = DEFAULTS["D"]
+    learning_rate: float = DEFAULTS["np_learning_rate"]
     lr_decay: float = 1.0       # per-epoch multiplicative decay
-    epochs: int = 50
-    batch_size: int = 32
-    huber_beta: float = 1.0
-    grad_clip: float = 5.0
+    epochs: int = DEFAULTS["epochs"]
+    batch_size: int = DEFAULTS["batch_size"]
+    huber_beta: float = DEFAULTS["huber_beta"]
+    grad_clip: float = GRAD_CLIP_NORM
     # trend
-    trend_enabled: bool = True
-    n_changepoints: int = 30
-    changepoint_range: float = 0.9
-    discontinuous_growth: bool = True
+    trend_enabled: bool = DEFAULTS["trend_enabled"]
+    n_changepoints: int = DEFAULTS["n_changepoints"]
+    changepoint_range: float = DEFAULTS["changepoint_range"]
+    discontinuous_growth: bool = DEFAULTS["discontinuous_growth"]
     # seasonality
-    seasonality_enabled: bool = True
+    seasonality_enabled: bool = DEFAULTS["seasonality_enabled"]
     seasonalities: tuple = DEFAULT_SEASONALITIES  # ((order k, period days), ...)
-    samples_per_day: float = 2000.0
+    samples_per_day: float = DEFAULTS["samples_per_day"]
     # autoregression
-    ar_enabled: bool = True
-    ar_layers: int = 3
-    ar_hidden: int = 32
-    ar_linear: bool = False
+    ar_enabled: bool = DEFAULTS["ar_enabled"]
+    ar_layers: int = DEFAULTS["np_layers"]
+    ar_hidden: int = DEFAULTS["np_hidden"]
+    ar_linear: bool = DEFAULTS["ar_linear"]
     # exogenous future regressor
     regressor_enabled: bool = False
 
@@ -332,29 +336,14 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
     t0 = float(data.t.min() - data.d)
     t_span = float(data.t.max() + data.D - t0)
     model = NpModel(cfg, seed=seed, t0=t0, t_span=t_span)
-    rng = np.random.default_rng(seed)
-    opt = Adam()
-    history = []
-    n = len(data)
-    lr = cfg.learning_rate
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for b0 in range(0, n, cfg.batch_size):
-            idx = order[b0:b0 + cfg.batch_size]
-            reg = None if regressors is None else regressors[idx]
-            y_hat, cache = model.forward(data.t[idx], data.X[idx], reg)
-            loss = huber_loss(data.Y[idx], y_hat, cfg.huber_beta)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, b0 // cfg.batch_size, loss)
-            dY = huber_grad(data.Y[idx], y_hat, cfg.huber_beta)
-            grads = clip_grad_norm(model.grads(dY, cache), cfg.grad_clip)
-            model.params = opt.step(model.params, grads, lr)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
-        lr *= cfg.lr_decay
-    model.trained = True
-    return model, history
+
+    def batch_loss(idx):
+        reg = None if regressors is None else regressors[idx]
+        y_hat, cache = model.forward(data.t[idx], data.X[idx], reg)
+        dY = huber_grad(data.Y[idx], y_hat, cfg.huber_beta)
+        return huber_loss(data.Y[idx], y_hat, cfg.huber_beta), model.grads(dY, cache)
+
+    return model, fit(model, batch_loss, len(data), cfg, np.random.default_rng(seed))
 
 
 def np_predict_batch(model: NpModel, t_origins, X, regressors=None):

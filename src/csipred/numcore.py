@@ -1,4 +1,5 @@
-"""Minimal numeric substrate: activations, Huber loss, Adam, finite differences.
+"""Minimal numeric substrate: activations, Huber loss, Adam, finite differences,
+and the one minibatch training loop (`fit`) every model family uses.
 
 Everything works on plain float64 numpy arrays. Gradients elsewhere in the
 package are hand-derived; `finite_diff_grad` is the independent check.
@@ -9,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, OracleError
+from .errors import ContractViolation, DivergenceError, OracleError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_CLIP_NORM = 5.0
 
 
 def sigmoid(x):
@@ -145,6 +147,34 @@ def clip_grad_norm(grads: dict, max_norm: float) -> dict:
         return grads
     s = max_norm / norm
     return {k: g * s for k, g in grads.items()}
+
+
+def fit(model, loss_and_grads, n, cfg, rng):
+    """Minibatch Adam over `n` examples; returns the per-epoch mean loss.
+
+    Each epoch walks one `rng.permutation(n)` in batches of `cfg.batch_size`;
+    `loss_and_grads(idx)` returns (loss, grads keyed like `model.params`). A
+    non-finite loss raises `DivergenceError` before that batch's step; else the
+    grads are clipped to global norm `cfg.grad_clip` and Adam steps at a rate
+    that decays by `cfg.lr_decay` per epoch. Marks the model trained at the end.
+    """
+    opt = Adam()
+    history = []
+    lr = cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for b0 in range(0, n, cfg.batch_size):
+            loss, grads = loss_and_grads(order[b0:b0 + cfg.batch_size])
+            if not np.isfinite(loss):
+                raise DivergenceError(epoch, b0 // cfg.batch_size, loss)
+            grads = clip_grad_norm(grads, cfg.grad_clip)
+            model.params = opt.step(model.params, grads, lr)
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+        lr *= cfg.lr_decay
+    model.trained = True
+    return history
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in):

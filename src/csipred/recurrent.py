@@ -11,23 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .datapipe import SupervisedWindowSet
-from .errors import ContractViolation, DivergenceError
-from .numcore import (Adam, clip_grad_norm, huber_grad, huber_loss,
-                      init_uniform, sigmoid)
+from .errors import ContractViolation
+# `fit` does the clipping; `clip_grad_norm` stays bound here because
+# perfbench/tracing.py patches it under this module's name.
+from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
+                      huber_grad, huber_loss, init_uniform, sigmoid)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
-GRAD_CLIP_NORM = 5.0
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.001
+    learning_rate: float = DEFAULTS["rnn_learning_rate"]
     lr_decay: float = 1.0  # per-epoch multiplicative decay
-    epochs: int = 50
-    batch_size: int = 32
-    huber_beta: float = 1.0
-    dropout: float = 0.2
+    epochs: int = DEFAULTS["epochs"]
+    batch_size: int = DEFAULTS["batch_size"]
+    huber_beta: float = DEFAULTS["huber_beta"]
+    dropout: float = DEFAULTS["dropout"]
     grad_clip: float = GRAD_CLIP_NORM
 
 
@@ -202,8 +204,9 @@ _LSTM_KEYS = ("Wf", "Wi", "Wg", "Wo", "Vf", "Vi", "Vg", "Vo",
 class RecurrentModel:
     """Stacked recurrent predictor with a dense multi-horizon head."""
 
-    def __init__(self, arch, lag_depth, horizon, hidden_size=200, layers=3,
-                 input_size=1, bilstm_combine="hadamard",
+    def __init__(self, arch, lag_depth, horizon,
+                 hidden_size=DEFAULTS["rnn_hidden"], layers=DEFAULTS["rnn_layers"],
+                 input_size=1, bilstm_combine=DEFAULTS["bilstm_combine"],
                  config: TrainConfig | None = None, seed=0):
         if arch not in ARCHITECTURES:
             raise ContractViolation(f"unknown architecture {arch!r}")
@@ -383,27 +386,11 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
             f"window shape (d={data.d}, D={data.D}) does not match model "
             f"(d={model.d}, D={model.D})")
     rng = np.random.default_rng(seed)
-    opt = Adam()
-    cfg = model.config
-    history = []
-    n = len(data)
-    lr = cfg.learning_rate
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for b0 in range(0, n, cfg.batch_size):
-            idx = order[b0:b0 + cfg.batch_size]
-            loss, grads = model.loss_and_grads(data.X[idx], data.Y[idx],
-                                               training=True, rng=rng)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, b0 // cfg.batch_size, loss)
-            grads = clip_grad_norm(grads, cfg.grad_clip)
-            model.params = opt.step(model.params, grads, lr)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
-        lr *= cfg.lr_decay
-    model.trained = True
-    return history
+
+    def batch_loss(idx):
+        return model.loss_and_grads(data.X[idx], data.Y[idx], training=True, rng=rng)
+
+    return fit(model, batch_loss, len(data), model.config, rng)
 
 
 def predict_batch(model: RecurrentModel, X):

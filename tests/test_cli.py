@@ -95,6 +95,13 @@ class TestConfig:
         assert config_digest(a) != config_digest(c)
         assert len(config_digest(a)) == 16
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "-1"), ("data_seed", "-1"), ("batch_size", "0"),
+        ("dropout", "1.0"), ("dropout", "-0.1")])
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({key: value})
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -171,6 +178,29 @@ class TestTrain:
                 == (out2 / "checkpoint.json").read_bytes())
         assert (out / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
 
+    def test_np_divergence_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "np",
+                                      "np_learning_rate": "1e300"})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("divergence:")] == [
+            "divergence: non-finite loss inf at epoch 0, batch 1"]
+
+
+# Checkpoint bodies that are valid JSON but not a usable experiment
+# checkpoint, each built from a good trained checkpoint.
+MALFORMED = {
+    "list": lambda ckpt: [1, 2],
+    "string": lambda ckpt: "x",
+    "format-only": lambda ckpt: {"format": ckpt["format"]},
+    "config-lacks-dataset": lambda ckpt: {
+        **ckpt, "config": {k: v for k, v in ckpt["config"].items()
+                           if k != "dataset"}},
+    "unknown-kind": lambda ckpt: {**ckpt, "kind": "gru"},
+}
+
 
 class TestPredictEvaluate:
     def test_predict_rows(self, trained_dir):
@@ -227,6 +257,23 @@ class TestPredictEvaluate:
         assert "Traceback" not in err
         assert err.strip() == ("data error: dataset digest mismatch: checkpoint "
                                "was trained on different windows")
+        assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("body", sorted(MALFORMED))
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_malformed_checkpoint_exits_2(self, trained_dir, tmp_path, capsys,
+                                          body, command, out):
+        _, _, run = trained_dir
+        payload = json.loads((run / "checkpoint.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED[body](payload)), encoding="utf-8")
+        assert main([command, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error: ")
         assert not (tmp_path / out).exists()
 
 

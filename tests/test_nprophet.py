@@ -6,7 +6,7 @@ import pytest
 
 from csipred import synthchan
 from csipred.datapipe import fit_scaler, make_windows
-from csipred.errors import ContractViolation
+from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import finite_diff_grad
 from csipred.nprophet import (NpConfig, NpModel, TrendParams, ar_net_forward,
                               changepoint_indicator, classic_ar_eval,
@@ -325,6 +325,17 @@ class TestTraining:
             runs.append((hist, get_flat(model)))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_nan_label_diverges_at_its_batch(self):
+        w = make_windows(synthchan.generate_sinusoid(1.0, 50.0, 300), 6, 3)
+        w.Y[7, 1] = np.nan
+        cfg = NpConfig(d=6, D=3, epochs=2, batch_size=16, ar_hidden=4,
+                       ar_layers=1, n_changepoints=2)
+        with pytest.raises(DivergenceError) as exc:
+            np_train(w, cfg, seed=4)
+        order = np.random.default_rng(4).permutation(len(w))
+        assert exc.value.epoch == 0
+        assert exc.value.batch == int(np.flatnonzero(order == 7)[0]) // 16
 
     def test_window_shape_mismatch(self):
         w = make_windows(np.linspace(0, 1, 100), 6, 3)

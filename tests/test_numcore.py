@@ -1,10 +1,14 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from csipred.errors import ContractViolation, OracleError
-from csipred.numcore import (Adam, AdamState, adam_update, finite_diff_grad,
+from csipred.errors import ContractViolation, DivergenceError, OracleError
+from csipred.numcore import (Adam, AdamState, adam_update, finite_diff_grad, fit,
                              huber_grad, huber_loss, relu, sigmoid, tanh_act)
+from csipred.recurrent import TrainConfig
 
 # Frozen with a 40-digit arbitrary-precision evaluation of 1/(1+e^-1).
 SIGMOID_AT_1 = 0.7310585786300049
@@ -157,3 +161,27 @@ class TestFiniteDiff:
     def test_non_finite_raises(self):
         with pytest.raises(OracleError):
             finite_diff_grad(lambda x: float("nan"), np.zeros(1), 1e-5)
+
+
+class TestFit:
+    def test_divergence_names_first_bad_batch_and_takes_no_step(self):
+        model = SimpleNamespace(params={"w": np.ones(3)}, trained=False)
+        seen = []
+
+        def loss_and_grads(idx):
+            w = model.params["w"]
+            seen.append(w.copy())
+            loss = np.nan if len(seen) >= 6 else float(np.sum(w * w))
+            return loss, {"w": 2.0 * w}
+
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=4)
+        with pytest.raises(DivergenceError) as exc:
+            fit(model, loss_and_grads, 10, cfg, np.random.default_rng(0))
+        # 10 examples in batches of 4 make 3 batches per epoch: call 6 is
+        # epoch 1, batch 2.
+        assert (exc.value.epoch, exc.value.batch) == (1, 2)
+        assert math.isnan(exc.value.loss)
+        assert len(seen) == 6
+        assert not np.array_equal(seen[-1], np.ones(3))  # earlier steps taken
+        assert np.array_equal(model.params["w"], seen[-1])  # none for batch 2
+        assert not model.trained

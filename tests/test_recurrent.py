@@ -5,7 +5,7 @@ import pytest
 
 from csipred import synthchan
 from csipred.datapipe import make_windows
-from csipred.errors import ContractViolation
+from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import finite_diff_grad
 from csipred.recurrent import (LstmState, RecurrentModel, TrainConfig,
                                apply_dropout, bilstm_forward, lstm_cell_forward,
@@ -287,6 +287,19 @@ class TestTraining:
             runs.append((hist, model.get_flat()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_nan_window_diverges_at_its_batch(self):
+        wtr, _ = _sinusoid_windows(n=400, d=8, D=4)
+        wtr.X[5, 3] = np.nan
+        model = RecurrentModel("rnn", 8, 4, hidden_size=4, layers=1,
+                               config=TrainConfig(epochs=2, batch_size=16,
+                                                  dropout=0.0), seed=0)
+        with pytest.raises(DivergenceError) as exc:
+            train_recurrent(model, wtr, seed=3)
+        order = np.random.default_rng(3).permutation(len(wtr))
+        assert exc.value.epoch == 0
+        assert exc.value.batch == int(np.flatnonzero(order == 5)[0]) // 16
+        assert not model.trained
 
     def test_empty_dataset(self):
         w = make_windows(np.zeros(20), 8, 4)
