@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .errors import ConfigError
 
@@ -69,6 +70,19 @@ _CHOICES = {
 }
 
 
+# Every numeric key: (keys, rule, test). Values must also be finite.
+_RANGES = (
+    ("seed data_seed n_changepoints np_layers", ">= 0", lambda v: v >= 0),
+    ("batch_size window_stride path_count antenna_count sample_count d D epochs "
+     "rnn_hidden rnn_layers np_hidden", ">= 1", lambda v: v >= 1),
+    ("sample_interval carrier_hz speed_kmph huber_beta rnn_learning_rate "
+     "np_learning_rate samples_per_day", "> 0", lambda v: v > 0),
+    ("train_frac val_frac test_frac", "in (0, 1)", lambda v: 0 < v < 1),
+    ("changepoint_range", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("dropout", "in [0, 1)", lambda v: 0 <= v < 1),
+)
+
+
 def _coerce(key, raw):
     default = DEFAULTS[key]
     if isinstance(default, bool):
@@ -118,13 +132,12 @@ def resolve_config(file_values=None, overrides=None) -> dict:
     for key, choices in _CHOICES.items():
         if cfg[key] not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {cfg[key]!r}")
+    for keys, rule, ok in _RANGES:
+        for key in keys.split():
+            if not (ok(cfg[key]) and abs(cfg[key]) < math.inf):
+                raise ConfigError(f"{key} must be finite and {rule}, got {cfg[key]!r}")
     if abs(cfg["train_frac"] + cfg["val_frac"] + cfg["test_frac"] - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    for key, low in (("seed", 0), ("data_seed", 0), ("batch_size", 1)):
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
-    if not 0.0 <= cfg["dropout"] < 1.0:
-        raise ConfigError(f"dropout must be in [0, 1), got {cfg['dropout']}")
     parse_seasonalities(cfg["seasonalities"])  # validate early
     return cfg
 

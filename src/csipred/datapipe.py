@@ -240,11 +240,10 @@ def _data_line(path, row):
 def save_csi(series: CsiSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for t in range(series.length):
-            for ant in range(series.antenna_count):
-                v = series.values[ant, t]
-                fh.write(f"{series.start_index + t},{ant},"
-                         f"{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.writelines(f"{series.start_index + t},{ant},{re!r},{im!r}\n"
+                      for t, row in enumerate(zip(series.values.real.T.tolist(),
+                                                  series.values.imag.T.tolist()))
+                      for ant, (re, im) in enumerate(zip(*row)))
 
 
 def clean(series: CsiSeries, max_gap=MAX_INTERP_GAP):

@@ -139,7 +139,8 @@ def _predict_split(checkpoint, split, series):
 
     Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
     a checkpoint that is not an experiment object with a known model kind and
-    a full config, or whose dataset digest or features do not match.
+    a full config, whose dataset digest or features do not match, or whose
+    feature entries do not hold a loadable model of that kind and a scaler.
     """
     if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch("not an experiment checkpoint")
@@ -149,8 +150,8 @@ def _predict_split(checkpoint, split, series):
     kind, cfg = checkpoint["kind"], checkpoint["config"]
     if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise CheckpointMismatch(f"unknown model kind {kind!r}")
-    if not isinstance(cfg, dict):
-        raise CheckpointMismatch("checkpoint config is not an object")
+    if not isinstance(cfg, dict) or not isinstance(checkpoint["features"], dict):
+        raise CheckpointMismatch("checkpoint config or features is not an object")
     missing = DEFAULTS.keys() - cfg.keys()
     if missing:
         raise CheckpointMismatch(f"checkpoint config lacks {', '.join(sorted(missing))}")
@@ -164,8 +165,12 @@ def _predict_split(checkpoint, split, series):
         if feat_id not in checkpoint["features"]:
             raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
         entry = checkpoint["features"][feat_id]
-        model = MODEL_CLASSES[kind].from_dict(entry["model"])
-        scaler = datapipe.Scaler(**entry["scaler"])
+        try:
+            model = MODEL_CLASSES[kind].from_dict(entry["model"])
+            scaler = datapipe.Scaler(**entry["scaler"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointMismatch(
+                f"feature {feat_id}: unusable {kind} model entry: {exc}") from None
         ws = pf.windows[split]
         by_feature[feat_id] = (ws, scaler.inverse(predict_windows(kind, model, ws)),
                                scaler.inverse(ws.Y))

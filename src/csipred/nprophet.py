@@ -25,7 +25,8 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      huber_grad, huber_loss, init_uniform, relu)
+                      huber_grad, huber_loss, init_uniform, load_params,
+                      relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
 
@@ -297,11 +298,8 @@ class NpModel:
         model = cls(NpConfig(**raw), seed=payload["seed"], t0=payload["t0"],
                     t_span=payload["t_span"])
         model.changepoints = np.asarray(payload["changepoints"], dtype=float)
-        params = {}
-        for section in payload["sections"].values():
-            for k, v in section.items():
-                params[k] = np.asarray(v, dtype=float)
-        model.params = params
+        model.params = load_params(model.params, {
+            k: v for sec in payload["sections"].values() for k, v in sec.items()})
         model.trained = payload["trained"]
         return model
 

@@ -181,3 +181,14 @@ def init_uniform(rng: np.random.Generator, shape, fan_in):
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def load_params(fresh: dict, loaded: dict) -> dict:
+    """`loaded` as float arrays, refused unless its names and shapes are those
+    of `fresh`, the parameters of a newly built model of the same config."""
+    params = {k: np.asarray(v, dtype=float) for k, v in loaded.items()}
+    shapes = {k: v.shape for k, v in fresh.items()}
+    if {k: v.shape for k, v in params.items()} != shapes:
+        raise ContractViolation("checkpoint parameter names or shapes do not "
+                                "match the model config")
+    return params

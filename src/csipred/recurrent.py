@@ -17,9 +17,11 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      huber_grad, huber_loss, init_uniform, sigmoid)
+                      huber_grad, huber_loss, init_uniform, load_params,
+                      sigmoid)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
+FORMAT = "csipred-recurrent-v2"  # v1 held 12 per-gate arrays per LSTM direction
 
 
 @dataclass
@@ -45,7 +47,20 @@ def apply_dropout(activations, p, training, rng):
 
 
 # ---------------------------------------------------------------------------
-# Elman cell
+# Scans
+#
+# A direction of a layer holds W (G*H, n_in), V (G*H, H) and b (G*H,), with
+# G = 1 for the Elman cell and G = 4 for the LSTM, whose gate rows are
+# stacked f, i, g, o. Each scan returns its states S (T+1, B, H), time-major
+# with S[0] = 0, and `step(t, ds, carry)`, which turns the state gradient at
+# step t into the pre-activation gradient da (B, G*H) and the carry for step
+# t-1. `_bptt` does the rest of the reverse pass. The scans keep per-step
+# values in arrays allocated once per scan, because per-step cache arrays
+# interleaved with (B, G*H) temporaries fragment the heap, and multiply by
+# contiguous copies of W.T and V.T, because with OpenBLAS x @ W.T on the
+# transposed view is up to 4x slower for batches of a few windows.
+# `rnn_cell_forward` and `lstm_cell_forward` compute one step gate by gate;
+# they are the independent reference the scans are tested against.
 
 
 def rnn_cell_forward(x_t, s_prev, W, V, b):
@@ -58,36 +73,14 @@ def rnn_cell_forward(x_t, s_prev, W, V, b):
 
 
 def _rnn_scan(x, p):
-    B, T, _ = x.shape
-    H = p["b"].shape[0]
-    s = np.zeros((B, H))
-    S = np.empty((B, T, H))
-    prev = [s]
-    for t in range(T):
-        s = np.tanh(x[:, t, :] @ p["W"].T + s @ p["V"].T + p["b"])
-        S[:, t, :] = s
-        prev.append(s)
-    return S, prev[:-1]
+    WT, VT = p["W"].T.copy(), p["V"].T.copy()
+    S = np.zeros((x.shape[1] + 1, x.shape[0], VT.shape[0]))
+    for t in range(x.shape[1]):
+        S[t + 1] = np.tanh(x[:, t] @ WT + S[t] @ VT + p["b"])
 
-
-def _rnn_backward(dS, x, p, S, prevs):
-    B, T, _ = x.shape
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-    dX = np.zeros_like(x)
-    ds_next = np.zeros((B, p["b"].shape[0]))
-    for t in reversed(range(T)):
-        ds = dS[:, t, :] + ds_next
-        da = ds * (1.0 - S[:, t, :] ** 2)
-        grads["W"] += da.T @ x[:, t, :]
-        grads["V"] += da.T @ prevs[t]
-        grads["b"] += da.sum(axis=0)
-        ds_next = da @ p["V"]
-        dX[:, t, :] = da @ p["W"]
-    return dX, grads
-
-
-# ---------------------------------------------------------------------------
-# LSTM cell
+    def step(t, ds, carry):
+        return ds * (1.0 - S[t + 1] ** 2), carry
+    return S, step
 
 
 @dataclass
@@ -113,92 +106,87 @@ def lstm_cell_forward(x_t, prev: LstmState, w: dict) -> LstmState:
 
 
 def _lstm_scan(x, p):
+    WT, VT = p["W"].T.copy(), p["V"].T.copy()
     B, T, _ = x.shape
-    H = p["bf"].shape[0]
-    s = np.zeros((B, H))
-    c = np.zeros((B, H))
-    S = np.empty((B, T, H))
-    cache = []
+    H = VT.shape[0]
+    S = np.zeros((T + 1, B, H))
+    C = np.zeros((T + 1, B, H))
+    Z = np.empty((T, B, 4 * H))  # gate activations f, i, g, o
+    TC = np.empty((T, B, H))     # tanh of the new cell state
     for t in range(T):
-        xt = x[:, t, :]
-        f = sigmoid(xt @ p["Wf"].T + s @ p["Vf"].T + p["bf"])
-        i = sigmoid(xt @ p["Wi"].T + s @ p["Vi"].T + p["bi"])
-        g = np.tanh(xt @ p["Wg"].T + s @ p["Vg"].T + p["bg"])
-        o = sigmoid(xt @ p["Wo"].T + s @ p["Vo"].T + p["bo"])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        cache.append((xt, s, c, f, i, g, o, tc))
-        c = c_new
-        s = o * tc
-        S[:, t, :] = s
-    return S, cache
+        a = x[:, t] @ WT + S[t] @ VT + p["b"]
+        z = Z[t]
+        z[:, :2 * H] = sigmoid(a[:, :2 * H])
+        z[:, 2 * H:3 * H] = np.tanh(a[:, 2 * H:3 * H])
+        z[:, 3 * H:] = sigmoid(a[:, 3 * H:])
+        f, i, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        C[t + 1] = f * C[t] + i * g
+        TC[t] = np.tanh(C[t + 1])
+        S[t + 1] = o * TC[t]
 
-
-def _lstm_backward(dS, x, p, cache):
-    B, T, _ = x.shape
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-    dX = np.zeros_like(x)
-    H = p["bf"].shape[0]
-    ds_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
-    for t in reversed(range(T)):
-        xt, s_prev, c_prev, f, i, g, o, tc = cache[t]
-        ds = dS[:, t, :] + ds_next
-        do = ds * tc
+    def step(t, ds, dc_next):
+        z, tc = Z[t], TC[t]
+        f, i, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
         dc = ds * o * (1.0 - tc ** 2) + dc_next
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
-        daf = df * f * (1.0 - f)
-        dai = di * i * (1.0 - i)
-        dag = dg * (1.0 - g ** 2)
-        dao = do * o * (1.0 - o)
-        ds_next = daf @ p["Vf"] + dai @ p["Vi"] + dag @ p["Vg"] + dao @ p["Vo"]
-        dX[:, t, :] = daf @ p["Wf"] + dai @ p["Wi"] + dag @ p["Wg"] + dao @ p["Wo"]
-        for da, nm in ((daf, "f"), (dai, "i"), (dag, "g"), (dao, "o")):
-            grads["W" + nm] += da.T @ xt
-            grads["V" + nm] += da.T @ s_prev
-            grads["b" + nm] += da.sum(axis=0)
+        da = np.concatenate([dc * C[t] * f * (1.0 - f), dc * g * i * (1.0 - i),
+                             dc * i * (1.0 - g ** 2), ds * tc * o * (1.0 - o)], axis=1)
+        return da, dc * f
+    return S, step
+
+
+def _bptt(dS, x, p, S, step):
+    """Reverse-time pass over one direction: (dX, grads of W, V and b)."""
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dX = np.empty(x.shape)
+    ds_next = carry = 0.0
+    for t in reversed(range(x.shape[1])):
+        da, carry = step(t, dS[:, t] + ds_next, carry)
+        grads["W"] += da.T @ x[:, t]
+        grads["V"] += da.T @ S[t]
+        grads["b"] += da.sum(axis=0)
+        ds_next = da @ p["V"]
+        dX[:, t] = da @ p["W"]
     return dX, grads
 
 
+def _direction(x, p, scan):
+    """One scan over x: its states (B, T, H) and their backward pass."""
+    S, step = scan(x, p)
+    return S[1:].transpose(1, 0, 2), lambda dS: _bptt(dS, x, p, S, step)
+
+
 def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard"):
-    """Two-direction pass; combined output per step is s_fwd (x) s_bwd."""
+    """Two-direction pass; combined output per step is s_fwd (x) s_bwd.
+
+    Returns Y and (Sf, Sb, back), where back(dY) -> (dX, grads) with the
+    grads of p_fwd and p_bwd keyed "f_" and "b_" + name.
+    """
     if x.shape[1] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
-    Sf, cache_f = _lstm_scan(x, p_fwd)
-    xr = x[:, ::-1, :].copy()
-    Sb_r, cache_b = _lstm_scan(xr, p_bwd)
-    Sb = Sb_r[:, ::-1, :].copy()
-    if combine == "hadamard":
-        Y = Sf * Sb
-    elif combine == "concat":
-        Y = np.concatenate([Sf, Sb], axis=2)
-    else:
+    if combine not in ("hadamard", "concat"):
         raise ContractViolation(f"unknown bilstm combine mode {combine!r}")
-    return Y, (Sf, Sb, cache_f, cache_b, xr)
+    Sf, back_f = _direction(x, p_fwd, _lstm_scan)
+    Sb_r, back_b = _direction(x[:, ::-1], p_bwd, _lstm_scan)
+    Sb = Sb_r[:, ::-1]
+    Y = Sf * Sb if combine == "hadamard" else np.concatenate([Sf, Sb], axis=2)
 
-
-def _bilstm_backward(dY, x, p_fwd, p_bwd, cache, combine):
-    Sf, Sb, cache_f, cache_b, xr = cache
-    H = Sf.shape[2]
-    if combine == "hadamard":
-        dSf = dY * Sb
-        dSb = dY * Sf
-    else:
-        dSf = dY[:, :, :H]
-        dSb = dY[:, :, H:]
-    dXf, gf = _lstm_backward(dSf, x, p_fwd, cache_f)
-    dXr, gb = _lstm_backward(dSb[:, ::-1, :].copy(), xr, p_bwd, cache_b)
-    return dXf + dXr[:, ::-1, :], gf, gb
+    def back(dY):
+        H = Sf.shape[2]
+        if combine == "hadamard":
+            dSf, dSb = dY * Sb, dY * Sf
+        else:
+            dSf, dSb = dY[:, :, :H], dY[:, :, H:]
+        dXf, gf = back_f(dSf)
+        dXr, gb = back_b(dSb[:, ::-1])
+        return dXf + dXr[:, ::-1], {**{"f_" + k: v for k, v in gf.items()},
+                                    **{"b_" + k: v for k, v in gb.items()}}
+    return Y, (Sf, Sb, back)
 
 
 # ---------------------------------------------------------------------------
 # Stacked model
 
-_LSTM_KEYS = ("Wf", "Wi", "Wg", "Wo", "Vf", "Vi", "Vg", "Vo",
-              "bf", "bi", "bg", "bo")
+_SCANS = {"rnn": _rnn_scan, "lstm": _lstm_scan}
 
 
 class RecurrentModel:
@@ -230,68 +218,52 @@ class RecurrentModel:
     def _init_params(self, rng):
         params = {}
         H = self.hidden_size
+        GH = H if self.arch == "rnn" else 4 * H
         for k in range(self.layers):
             n_in = self.input_size if k == 0 else self._layer_out_dim()
-            if self.arch == "rnn":
-                params[f"L{k}_W"] = init_uniform(rng, (H, n_in), n_in)
-                params[f"L{k}_V"] = init_uniform(rng, (H, H), H)
-                params[f"L{k}_b"] = init_uniform(rng, (H,), H)
-            else:
-                prefixes = ("",) if self.arch == "lstm" else ("f_", "b_")
-                for pre in prefixes:
-                    for key in _LSTM_KEYS:
-                        if key.startswith("W"):
-                            shape, fan = (H, n_in), n_in
-                        elif key.startswith("V"):
-                            shape, fan = (H, H), H
-                        else:
-                            shape, fan = (H,), H
-                        params[f"L{k}_{pre}{key}"] = init_uniform(rng, shape, fan)
+            for pre in ("f_", "b_") if self.arch == "bilstm" else ("",):
+                params[f"L{k}_{pre}W"] = init_uniform(rng, (GH, n_in), n_in)
+                params[f"L{k}_{pre}V"] = init_uniform(rng, (GH, H), H)
+                params[f"L{k}_{pre}b"] = init_uniform(rng, (GH,), H)
         out_in = self._layer_out_dim()
         params["out_W"] = init_uniform(rng, (self.D, out_in), out_in)
         params["out_b"] = init_uniform(rng, (self.D,), out_in)
         return params
 
     def _layer_params(self, k, prefix=""):
-        tag = f"L{k}_{prefix}"
-        return {key[len(tag):]: val for key, val in self.params.items()
-                if key.startswith(tag)}
+        return {n: self.params[f"L{k}_{prefix}{n}"] for n in ("W", "V", "b")}
 
     # -- forward / backward over a batch of windows ------------------------
 
     def forward(self, X, training=False, rng=None):
+        """Returns y and, per layer, its backward pass and dropout mask."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ContractViolation(
                 f"expected lag windows of shape (B, {self.d}), got {X.shape}")
         h = X[:, :, None]
-        caches = []
+        backs = []
         p_drop = self.config.dropout
         for k in range(self.layers):
-            if self.arch == "rnn":
-                seq, aux = _rnn_scan(h, self._layer_params(k))
-                cache = ("rnn", h, seq, aux)
-            elif self.arch == "lstm":
-                seq, aux = _lstm_scan(h, self._layer_params(k))
-                cache = ("lstm", h, seq, aux)
+            if self.arch == "bilstm":
+                seq, (_, _, back) = bilstm_forward(
+                    h, self._layer_params(k, "f_"), self._layer_params(k, "b_"),
+                    self.bilstm_combine)
             else:
-                seq, aux = bilstm_forward(h, self._layer_params(k, "f_"),
-                                          self._layer_params(k, "b_"),
-                                          self.bilstm_combine)
-                cache = ("bilstm", h, seq, aux)
+                seq, back = _direction(h, self._layer_params(k), _SCANS[self.arch])
             mask = None
             if training and p_drop > 0.0 and k < self.layers - 1:
                 mask = (rng.random(seq.shape) >= p_drop) / (1.0 - p_drop)
                 seq = seq * mask
-            caches.append((cache, mask))
+            backs.append((back, mask))
             h = seq
         last = h[:, -1, :]
         y = last @ self.params["out_W"].T + self.params["out_b"]
-        return y, (caches, last)
+        return y, (backs, last)
 
     def loss_and_grads(self, X, Y, training=False, rng=None):
         Y = np.asarray(Y, dtype=float)
-        y_hat, (caches, last) = self.forward(X, training=training, rng=rng)
+        y_hat, (backs, last) = self.forward(X, training=training, rng=rng)
         loss = huber_loss(Y, y_hat, self.config.huber_beta)
         dY = huber_grad(Y, y_hat, self.config.huber_beta)
         grads = {"out_W": dY.T @ last, "out_b": dY.sum(axis=0)}
@@ -299,28 +271,11 @@ class RecurrentModel:
         d_seq = np.zeros((B, T, last.shape[1]))
         d_seq[:, -1, :] = dY @ self.params["out_W"]
         for k in reversed(range(self.layers)):
-            (kind, h_in, seq, aux), mask = caches[k]
+            back, mask = backs[k]
             if mask is not None:
                 d_seq = d_seq * mask
-            if kind == "rnn":
-                p = self._layer_params(k)
-                dX, g = _rnn_backward(d_seq, h_in, p, seq, aux)
-                for name, val in g.items():
-                    grads[f"L{k}_{name}"] = val
-            elif kind == "lstm":
-                p = self._layer_params(k)
-                dX, g = _lstm_backward(d_seq, h_in, p, aux)
-                for name, val in g.items():
-                    grads[f"L{k}_{name}"] = val
-            else:
-                dX, gf, gb = _bilstm_backward(
-                    d_seq, h_in, self._layer_params(k, "f_"),
-                    self._layer_params(k, "b_"), aux, self.bilstm_combine)
-                for name, val in gf.items():
-                    grads[f"L{k}_f_{name}"] = val
-                for name, val in gb.items():
-                    grads[f"L{k}_b_{name}"] = val
-            d_seq = dX
+            d_seq, g = back(d_seq)
+            grads.update({f"L{k}_{name}": val for name, val in g.items()})
         return loss, grads
 
     # -- flat-parameter helpers (gradient verification) --------------------
@@ -349,7 +304,7 @@ class RecurrentModel:
 
     def to_dict(self):
         return {
-            "format": "csipred-recurrent-v1",
+            "format": FORMAT,
             "arch": self.arch,
             "d": self.d, "D": self.D,
             "hidden_size": self.hidden_size, "layers": self.layers,
@@ -362,17 +317,17 @@ class RecurrentModel:
 
     @classmethod
     def from_dict(cls, payload):
-        if payload.get("format") != "csipred-recurrent-v1":
+        if payload.get("format") != FORMAT:
             raise ContractViolation(
-                f"unsupported checkpoint format {payload.get('format')!r}")
+                f"unsupported checkpoint format {payload.get('format')!r}, "
+                f"expected {FORMAT!r}")
         model = cls(payload["arch"], payload["d"], payload["D"],
                     hidden_size=payload["hidden_size"], layers=payload["layers"],
                     input_size=payload["input_size"],
                     bilstm_combine=payload["bilstm_combine"],
                     config=TrainConfig(**payload["config"]),
                     seed=payload["seed"])
-        model.params = {k: np.asarray(v, dtype=float)
-                        for k, v in payload["params"].items()}
+        model.params = load_params(model.params, payload["params"])
         model.trained = payload["trained"]
         return model
 

@@ -97,7 +97,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "-1"), ("data_seed", "-1"), ("batch_size", "0"),
-        ("dropout", "1.0"), ("dropout", "-0.1")])
+        ("dropout", "1.0"), ("dropout", "-0.1"), ("rnn_layers", "0"),
+        ("window_stride", "0"), ("d", "0"), ("rnn_learning_rate", "0"),
+        ("huber_beta", "0"), ("antenna_count", "0"), ("sample_interval", "0"),
+        ("rnn_hidden", "0"), ("speed_kmph", "0"), ("val_frac", "0"),
+        ("changepoint_range", "1.5"), ("np_learning_rate", "nan"),
+        ("carrier_hz", "inf")])
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: value})
@@ -199,7 +204,24 @@ MALFORMED = {
         **ckpt, "config": {k: v for k, v in ckpt["config"].items()
                            if k != "dataset"}},
     "unknown-kind": lambda ckpt: {**ckpt, "kind": "gru"},
+    "features-string": lambda ckpt: {**ckpt, "features": "ant0_re ant0_im"},
+    "entry-lacks-model": lambda ckpt: _edit_entries(ckpt, lambda e: e.pop("model")),
+    "entry-lacks-scaler": lambda ckpt: _edit_entries(ckpt, lambda e: e.pop("scaler")),
+    "model-of-other-kind": lambda ckpt: {**ckpt, "kind": "np"},
+    "recurrent-v1": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(format="csipred-recurrent-v1")),
+    "param-shape": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["params"].update(
+            L0_W=e["model"]["params"]["L0_W"][:-1])),
 }
+
+
+def _edit_entries(ckpt, edit):
+    """A copy of ckpt with `edit` applied to every feature entry."""
+    ckpt = json.loads(json.dumps(ckpt))
+    for entry in ckpt["features"].values():
+        edit(entry)
+    return ckpt
 
 
 class TestPredictEvaluate:

@@ -8,9 +8,9 @@ from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import finite_diff_grad
 from csipred.recurrent import (LstmState, RecurrentModel, TrainConfig,
-                               apply_dropout, bilstm_forward, lstm_cell_forward,
-                               predict_batch, predict_horizon, rnn_cell_forward,
-                               train_recurrent)
+                               _lstm_scan, _rnn_scan, apply_dropout,
+                               bilstm_forward, lstm_cell_forward, predict_batch,
+                               predict_horizon, rnn_cell_forward, train_recurrent)
 
 
 def _sig(x):
@@ -47,6 +47,13 @@ def random_lstm_weights(rng, hidden, n_in):
         w["V" + gate] = rng.normal(size=(hidden, hidden))
         w["b" + gate] = rng.normal(size=hidden)
     return w
+
+
+def stacked(w):
+    """Per-gate weights as the scans' W/V/b blocks, gate rows f, i, g, o."""
+    return {"W": np.vstack([w["W" + g] for g in "figo"]),
+            "V": np.vstack([w["V" + g] for g in "figo"]),
+            "b": np.concatenate([w["b" + g] for g in "figo"])}
 
 
 class TestLstmCell:
@@ -125,7 +132,7 @@ class TestBilstm:
         rng = np.random.default_rng(2)
         w = random_lstm_weights(rng, 2, 1)
         x = np.array([0.3, -0.8, 0.5, -0.8, 0.3])[None, :, None]
-        Y, _ = bilstm_forward(x, w, w, "hadamard")
+        Y, _ = bilstm_forward(x, stacked(w), stacked(w), "hadamard")
         assert np.allclose(Y[0], Y[0, ::-1, :], atol=1e-12)
 
     def test_saturated_backward_is_identity(self):
@@ -138,7 +145,8 @@ class TestBilstm:
         wb["bg"] = np.full(2, 50.0)
         wb["bo"] = np.full(2, 50.0)
         x = rng.normal(size=(1, 6, 1)) * 0.1
-        Y, (Sf, Sb, *_rest) = bilstm_forward(x, wf, wb, "hadamard")
+        Y, (Sf, Sb, *_rest) = bilstm_forward(x, stacked(wf), stacked(wb),
+                                             "hadamard")
         # backward states approach tanh(c) with c growing by ~1 per step;
         # after several steps each is 1 within a relaxed tolerance
         assert np.allclose(Y[0, :3, :], Sf[0, :3, :], atol=2e-3)
@@ -148,7 +156,7 @@ class TestBilstm:
         wf = random_lstm_weights(rng, 1, 1)
         wb = random_lstm_weights(rng, 1, 1)
         x = rng.normal(size=(1, 2, 1))
-        Y, _ = bilstm_forward(x, wf, wb, "hadamard")
+        Y, _ = bilstm_forward(x, stacked(wf), stacked(wb), "hadamard")
 
         def run(w, seq):
             s, c = [0.0], [0.0]
@@ -168,7 +176,39 @@ class TestBilstm:
         rng = np.random.default_rng(0)
         w = random_lstm_weights(rng, 1, 1)
         with pytest.raises(ContractViolation):
-            bilstm_forward(np.zeros((1, 0, 1)), w, w, "hadamard")
+            bilstm_forward(np.zeros((1, 0, 1)), stacked(w), stacked(w),
+                           "hadamard")
+
+
+class TestStackedScans:
+    """The stacked-gate scans against the per-gate cells, step by step."""
+
+    def test_lstm_scan_matches_iterated_cell(self):
+        rng = np.random.default_rng(7)
+        H, n_in, T = 3, 2, 6
+        p = {"W": rng.normal(size=(4 * H, n_in)), "V": rng.normal(size=(4 * H, H)),
+             "b": rng.normal(size=4 * H)}
+        w = {name + gate: p[name][k * H:(k + 1) * H]
+             for name in "WVb" for k, gate in enumerate("figo")}
+        x = rng.normal(size=(5, T, n_in))
+        S, _ = _lstm_scan(x, p)
+        state = LstmState(np.zeros((5, H)), np.zeros((5, H)))
+        for t in range(T):
+            state = lstm_cell_forward(x[:, t], state, w)
+            assert np.allclose(S[t + 1], state.s, rtol=0, atol=1e-12)
+        assert np.array_equal(S[0], np.zeros((5, H)))
+
+    def test_rnn_scan_matches_iterated_cell(self):
+        rng = np.random.default_rng(8)
+        H, n_in, T = 4, 3, 6
+        p = {"W": rng.normal(size=(H, n_in)), "V": rng.normal(size=(H, H)),
+             "b": rng.normal(size=H)}
+        x = rng.normal(size=(5, T, n_in))
+        S, _ = _rnn_scan(x, p)
+        s = np.zeros((5, H))
+        for t in range(T):
+            s = rnn_cell_forward(x[:, t], s, p["W"], p["V"], p["b"])
+            assert np.allclose(S[t + 1], s, rtol=0, atol=1e-12)
 
 
 class TestGradients:
