@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import datapipe, synthchan
-from .config import DEFAULTS, config_digest, parse_seasonalities
+from .config import DEFAULTS, config_digest, parse_seasonalities, resolve_config
 from .errors import CheckpointMismatch, ConfigError
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
@@ -139,8 +139,9 @@ def _predict_split(checkpoint, split, series):
 
     Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
     a checkpoint that is not an experiment object with a known model kind and
-    a full config, whose dataset digest or features do not match, or whose
-    feature entries do not hold a loadable model of that kind and a scaler.
+    a full, valid config, whose dataset digest or features do not match, or
+    whose feature entries do not hold a loadable model of that kind and a
+    scaler.
     """
     if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch("not an experiment checkpoint")
@@ -155,6 +156,10 @@ def _predict_split(checkpoint, split, series):
     missing = DEFAULTS.keys() - cfg.keys()
     if missing:
         raise CheckpointMismatch(f"checkpoint config lacks {', '.join(sorted(missing))}")
+    try:
+        cfg = resolve_config(cfg)
+    except ConfigError as exc:
+        raise CheckpointMismatch(f"checkpoint config: {exc}") from None
     prepared, digest = prepare(cfg, series)
     if digest != checkpoint["dataset_digest"]:
         raise CheckpointMismatch(

@@ -23,6 +23,15 @@ def _digest(payload) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _weights_digest(params) -> str:
+    """sha256 over name + little-endian float64 bytes, in sorted name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.asarray(params[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 @dataclass
 class HybridModel:
     rnn: RecurrentModel
@@ -73,7 +82,7 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
         "rnn_config": {"arch": rnn_model.arch, **vars(rnn_model.config)},
         "np_config": {**vars(np_cfg),
                       "seasonalities": [list(s) for s in np_cfg.seasonalities]},
-        "rnn_weights_digest": _digest(rnn_model.to_dict()["params"]),
+        "rnn_weights_digest": _weights_digest(rnn_model.params),
     }
     provenance["digest"] = _digest(provenance)
     return HybridModel(rnn=rnn_model, np_model=np_model,

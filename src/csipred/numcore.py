@@ -165,7 +165,9 @@ def fit(model, loss_and_grads, n, cfg, rng):
         order = rng.permutation(n)
         losses = []
         for b0 in range(0, n, cfg.batch_size):
-            loss, grads = loss_and_grads(order[b0:b0 + cfg.batch_size])
+            # A diverging batch overflows; the check below reports it once.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = loss_and_grads(order[b0:b0 + cfg.batch_size])
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, b0 // cfg.batch_size, loss)
             grads = clip_grad_norm(grads, cfg.grad_clip)

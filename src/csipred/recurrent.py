@@ -35,6 +35,11 @@ class TrainConfig:
     grad_clip: float = GRAD_CLIP_NORM
 
 
+def _dropout_mask(p, shape, rng):
+    """Inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def apply_dropout(activations, p, training, rng):
     """Inverted dropout: zero units with probability p, scale survivors."""
     if not (0.0 <= p < 1.0):
@@ -42,8 +47,7 @@ def apply_dropout(activations, p, training, rng):
     a = np.asarray(activations, dtype=float)
     if not training or p == 0.0:
         return a
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return a * mask
+    return a * _dropout_mask(p, a.shape, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +55,43 @@ def apply_dropout(activations, p, training, rng):
 #
 # A direction of a layer holds W (G*H, n_in), V (G*H, H) and b (G*H,), with
 # G = 1 for the Elman cell and G = 4 for the LSTM, whose gate rows are
-# stacked f, i, g, o. Each scan returns its states S (T+1, B, H), time-major
-# with S[0] = 0, and `step(t, ds, carry)`, which turns the state gradient at
-# step t into the pre-activation gradient da (B, G*H) and the carry for step
-# t-1. `_bptt` does the rest of the reverse pass. The scans keep per-step
-# values in arrays allocated once per scan, because per-step cache arrays
-# interleaved with (B, G*H) temporaries fragment the heap, and multiply by
-# contiguous copies of W.T and V.T, because with OpenBLAS x @ W.T on the
-# transposed view is up to 4x slower for batches of a few windows.
+# stacked f, i, g, o. The time loops keep only the work that depends on the
+# recurrence (Appleyard et al. 2016, arXiv:1604.01946). `_project` writes the
+# input projection of every step into the scan's gate buffer with one GEMM;
+# each step then adds its recurrent GEMM and applies the activations in
+# place. Each scan returns its states S (T+1, B, H), time-major with
+# S[0] = 0, and `backward()`, which turns the caches in place into the
+# factors that map a step's state and cell gradients to its pre-activation
+# gradient da. It returns the (T, B, G*H) buffer that will hold da and
+# `step(t, ds, carry)`, which writes da at step t and returns the carry for
+# step t-1. `_bptt` runs that loop and then gets the weight gradients and dX
+# as single GEMMs over all T*B rows. The caches are consumed, so a scan is
+# differentiated at most once. They are allocated once per scan, because
+# per-step arrays interleaved with (B, G*H) temporaries fragment the heap.
 # `rnn_cell_forward` and `lstm_cell_forward` compute one step gate by gate;
 # they are the independent reference the scans are tested against.
+
+
+def _rows_with_ones(x):
+    """x (B, T, n) as rows (T*B, n+1) of [x_t, 1], ordered by step, then
+    window; the ones column carries the bias through the GEMMs."""
+    B, T, n = x.shape
+    xb = np.ones((T, B, n + 1))
+    xb[..., :n] = x.transpose(1, 0, 2)
+    return xb.reshape(T * B, n + 1)
+
+
+def _project(x, p, Z, scale=1.0):
+    """Z[t] = x_t @ W.T + b for every step t, in one GEMM; returns V.T.
+
+    The gate columns of both are multiplied by `scale`. V.T is a contiguous
+    copy: with OpenBLAS a GEMM on the transposed view is up to 4x slower for
+    batches of a few windows.
+    """
+    T, B, GH = Z.shape
+    Wb = np.vstack([p["W"].T, p["b"]]) * scale
+    np.matmul(_rows_with_ones(x), Wb, out=Z.reshape(T * B, GH))
+    return np.multiply(p["V"].T, scale, order="C")
 
 
 def rnn_cell_forward(x_t, s_prev, W, V, b):
@@ -73,14 +104,23 @@ def rnn_cell_forward(x_t, s_prev, W, V, b):
 
 
 def _rnn_scan(x, p):
-    WT, VT = p["W"].T.copy(), p["V"].T.copy()
-    S = np.zeros((x.shape[1] + 1, x.shape[0], VT.shape[0]))
-    for t in range(x.shape[1]):
-        S[t + 1] = np.tanh(x[:, t] @ WT + S[t] @ VT + p["b"])
+    B, T, _ = x.shape
+    S = np.zeros((T + 1, B, p["V"].shape[1]))
+    VT = _project(x, p, S[1:])  # pre-activations, turned into states below
+    for t in range(T):
+        s = S[t + 1]
+        s += S[t] @ VT
+        np.tanh(s, out=s)
 
-    def step(t, ds, carry):
-        return ds * (1.0 - S[t + 1] ** 2), carry
-    return S, step
+    def backward():
+        A = np.square(S[1:])
+        np.subtract(1.0, A, out=A)  # ds -> da: 1 - s^2
+
+        def step(t, ds, carry):
+            A[t] *= ds
+            return carry
+        return A, step
+    return S, backward
 
 
 @dataclass
@@ -106,53 +146,96 @@ def lstm_cell_forward(x_t, prev: LstmState, w: dict) -> LstmState:
 
 
 def _lstm_scan(x, p):
-    WT, VT = p["W"].T.copy(), p["V"].T.copy()
     B, T, _ = x.shape
-    H = VT.shape[0]
+    H = p["V"].shape[1]
+    # sigmoid(a) = 1/2 + tanh(a/2)/2, so with the f, i and o rows halved (an
+    # exact scaling) one tanh over all 4H columns, times `scale` plus
+    # `1 - scale`, gives the four gates.
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    shift = 1.0 - scale
+    Z = np.empty((T, B, 4 * H))  # gate activations f, i, g, o
     S = np.zeros((T + 1, B, H))
     C = np.zeros((T + 1, B, H))
-    Z = np.empty((T, B, 4 * H))  # gate activations f, i, g, o
     TC = np.empty((T, B, H))     # tanh of the new cell state
+    VT = _project(x, p, Z, scale)
     for t in range(T):
-        a = x[:, t] @ WT + S[t] @ VT + p["b"]
         z = Z[t]
-        z[:, :2 * H] = sigmoid(a[:, :2 * H])
-        z[:, 2 * H:3 * H] = np.tanh(a[:, 2 * H:3 * H])
-        z[:, 3 * H:] = sigmoid(a[:, 3 * H:])
+        z += S[t] @ VT
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
         f, i, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        C[t + 1] = f * C[t] + i * g
-        TC[t] = np.tanh(C[t + 1])
-        S[t + 1] = o * TC[t]
+        c, tc = C[t + 1], TC[t]
+        np.multiply(f, C[t], out=c)
+        c += i * g
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=S[t + 1])
 
-    def step(t, ds, dc_next):
-        z, tc = Z[t], TC[t]
-        f, i, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        dc = ds * o * (1.0 - tc ** 2) + dc_next
-        da = np.concatenate([dc * C[t] * f * (1.0 - f), dc * g * i * (1.0 - i),
-                             dc * i * (1.0 - g ** 2), ds * tc * o * (1.0 - o)], axis=1)
-        return da, dc * f
-    return S, step
+    def backward():
+        # Z: the factors of (dc, dc, dc, ds) in da, that is C_{t-1} f (1-f),
+        # g i (1-i), i (1-g^2) and tanh(c) o (1-o); TC: o (1-tanh^2 c), the
+        # factor of ds in dc; C[t]: f of step t, the factor of the carry.
+        # In-place ops through one (T, B, H) temporary: the same expressions
+        # with a temporary per operation took 1.3x the time and 3-5 MB more
+        # peak RSS at the paper shape.
+        f, i, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
+        tmp = np.subtract(1.0, f)
+        tmp *= f
+        tmp *= C[:-1]
+        C[:-1] = f
+        f[...] = tmp
+        np.subtract(1.0, i, out=tmp)
+        tmp *= i
+        tmp *= g
+        np.square(g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= i
+        i[...] = tmp
+        np.subtract(1.0, o, out=tmp)
+        tmp *= o
+        tmp *= TC
+        np.square(TC, out=TC)
+        np.subtract(1.0, TC, out=TC)
+        np.multiply(TC, o, out=TC)
+        o[...] = tmp
+        gates = Z.reshape(T, B, 4, H)
+
+        def step(t, ds, dc_next):
+            dc = ds * TC[t]
+            dc += dc_next
+            gates[t, :, :3] *= dc[:, None]
+            gates[t, :, 3] *= ds
+            dc *= C[t]
+            return dc
+        return Z, step
+    return S, backward
 
 
-def _bptt(dS, x, p, S, step):
-    """Reverse-time pass over one direction: (dX, grads of W, V and b)."""
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-    dX = np.empty(x.shape)
+def _bptt(dS, x, p, S, backward):
+    """Reverse-time pass over one direction: (dX, grads of W, V and b).
+
+    Consumes the scan's caches through `backward()`; the loop keeps only the
+    da update and ds = da @ V, and the rest runs once over all T*B rows.
+    """
+    A, step = backward()
+    B, T, n_in = x.shape
+    V = p["V"]
     ds_next = carry = 0.0
-    for t in reversed(range(x.shape[1])):
-        da, carry = step(t, dS[:, t] + ds_next, carry)
-        grads["W"] += da.T @ x[:, t]
-        grads["V"] += da.T @ S[t]
-        grads["b"] += da.sum(axis=0)
-        ds_next = da @ p["V"]
-        dX[:, t] = da @ p["W"]
-    return dX, grads
+    for t in range(T - 1, -1, -1):
+        carry = step(t, dS[:, t] + ds_next, carry)
+        if t:
+            ds_next = A[t] @ V
+    A = A.reshape(T * B, -1)
+    dWb = A.T @ _rows_with_ones(x)
+    grads = {"W": dWb[:, :-1], "V": A.T @ S[:-1].reshape(T * B, -1),
+             "b": dWb[:, -1]}
+    return (A @ p["W"]).reshape(T, B, n_in).transpose(1, 0, 2), grads
 
 
 def _direction(x, p, scan):
     """One scan over x: its states (B, T, H) and their backward pass."""
-    S, step = scan(x, p)
-    return S[1:].transpose(1, 0, 2), lambda dS: _bptt(dS, x, p, S, step)
+    S, backward = scan(x, p)
+    return S[1:].transpose(1, 0, 2), lambda dS: _bptt(dS, x, p, S, backward)
 
 
 def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard"):
@@ -253,7 +336,7 @@ class RecurrentModel:
                 seq, back = _direction(h, self._layer_params(k), _SCANS[self.arch])
             mask = None
             if training and p_drop > 0.0 and k < self.layers - 1:
-                mask = (rng.random(seq.shape) >= p_drop) / (1.0 - p_drop)
+                mask = _dropout_mask(p_drop, seq.shape, rng)
                 seq = seq * mask
             backs.append((back, mask))
             h = seq

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -193,6 +194,15 @@ class TestTrain:
         assert [ln for ln in err.splitlines() if ln.startswith("divergence:")] == [
             "divergence: non-finite loss inf at epoch 0, batch 1"]
 
+    def test_divergence_raises_no_numpy_warning(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": "np",
+                                      "np_learning_rate": "1e300"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
 
 # Checkpoint bodies that are valid JSON but not a usable experiment
 # checkpoint, each built from a good trained checkpoint.
@@ -213,6 +223,14 @@ MALFORMED = {
     "param-shape": lambda ckpt: _edit_entries(
         ckpt, lambda e: e["model"]["params"].update(
             L0_W=e["model"]["params"]["L0_W"][:-1])),
+    "config-d-not-a-number": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "d": "x"}},
+    "config-zero-stride": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "window_stride": 0}},
+    "config-train-frac-2": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "train_frac": 2.0}},
+    "config-negative-samples": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "sample_count": -5}},
 }
 
 

@@ -256,6 +256,69 @@ class TestGradients:
                       / np.maximum(np.abs(fd), 1e-7)) < 1e-4
 
 
+
+class TestHoistedScans:
+    """The whole-sequence GEMMs and in-place caches of the scans and BPTT."""
+
+    @pytest.mark.parametrize("arch,combine", [("rnn", "hadamard"),
+                                              ("lstm", "hadamard"),
+                                              ("bilstm", "hadamard"),
+                                              ("bilstm", "concat")])
+    def test_dropout_gradients_match_finite_differences(self, arch, combine):
+        rng = np.random.default_rng(12)
+        model = RecurrentModel(arch, 4, 2, hidden_size=2, layers=3,
+                               bilstm_combine=combine,
+                               config=TrainConfig(dropout=0.2), seed=4)
+        X = rng.normal(size=(5, 4))
+        Y = rng.normal(size=(5, 2)) * 0.1
+
+        def loss_and_grads():
+            # the same seed every call, so every call draws the same masks
+            return model.loss_and_grads(X, Y, training=True,
+                                        rng=np.random.default_rng(7))
+
+        loss, grads = loss_and_grads()
+        assert loss != model.loss_and_grads(X, Y)[0]  # dropout is active
+        analytic = model.flat_grads(grads)
+        flat = model.get_flat()
+
+        def f(v):
+            model.set_flat(v)
+            return loss_and_grads()[0]
+
+        fd = finite_diff_grad(f, flat.copy())
+        model.set_flat(flat)
+        err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-7)
+        assert err.max() < 1e-4
+
+    @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
+    def test_repeated_loss_and_grads_are_identical(self, arch):
+        rng = np.random.default_rng(13)
+        model = RecurrentModel(arch, 6, 3, hidden_size=4, layers=2,
+                               config=TrainConfig(dropout=0.2), seed=2)
+        X = rng.normal(size=(7, 6))
+        Y = rng.normal(size=(7, 3))
+        runs = [model.loss_and_grads(X, Y, training=True,
+                                     rng=np.random.default_rng(3))
+                for _ in range(2)]
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1].keys() == runs[1][1].keys()
+        for name in runs[0][1]:
+            assert np.array_equal(runs[0][1][name], runs[1][1][name])
+
+    @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("B", [1, 3, 32])
+    def test_batch_prediction_matches_single_windows(self, arch, d, B):
+        rng = np.random.default_rng(14)
+        model = RecurrentModel(arch, d, 3, hidden_size=5, layers=2, seed=6)
+        model.trained = True
+        X = rng.normal(size=(B, d))
+        batch = predict_batch(model, X)
+        for j in range(B):
+            single = predict_batch(model, X[j:j + 1])[0]
+            assert np.allclose(batch[j], single, rtol=0, atol=1e-12)
+
 class TestDropout:
     def test_p_zero_identity(self):
         a = np.arange(5.0)
