@@ -14,7 +14,8 @@ from .errors import CheckpointMismatch, ConfigError
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
 from .hybrid import HybridModel, build_hybrid, hybrid_predict_batch
-from .nprophet import NpConfig, NpModel, np_predict_batch, np_train
+from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
+                       np_train)
 from .recurrent import RecurrentModel, TrainConfig, predict_batch, train_recurrent
 
 CHECKPOINT_FORMAT = "csipred-experiment-v1"
@@ -134,14 +135,43 @@ def train_experiment(cfg, series=None):
     return checkpoint, histories
 
 
+def _implied_entry(kind, cfg):
+    """The fields of a trained model entry of this kind that `cfg` fixes."""
+    if kind == "np":
+        return {"trained": True, "config": config_dict(np_config(cfg))}
+    if kind == "hybrid":
+        return {"rnn": _implied_entry(cfg["hybrid_source"], cfg),
+                "np": {"trained": True,
+                       "config": config_dict(np_config(cfg, regressor=True))}}
+    return {"trained": True, "arch": kind, "d": cfg["d"], "D": cfg["D"],
+            "hidden_size": cfg["rnn_hidden"], "layers": cfg["rnn_layers"],
+            "input_size": 1, "bilstm_combine": cfg["bilstm_combine"]}
+
+
+def _mismatch(payload, implied, where):
+    """Names the first field of `payload` that differs from `implied` (nested
+    objects field by field), or returns None."""
+    if not isinstance(payload, dict):
+        return f"{where} is not an object"
+    for key, want in implied.items():
+        got = payload.get(key)
+        if isinstance(want, dict):
+            found = _mismatch(got, want, f"{where}.{key}")
+            if found:
+                return found
+        elif got != want:
+            return f"{where}.{key} is {got!r}, the config implies {want!r}"
+    return None
+
+
 def _predict_split(checkpoint, split, series):
     """Re-prepare a checkpoint's dataset and predict one split per feature.
 
     Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
     a checkpoint that is not an experiment object with a known model kind and
     a full, valid config, whose dataset digest or features do not match, or
-    whose feature entries do not hold a loadable model of that kind and a
-    scaler.
+    whose feature entries do not hold the scaler of the re-prepared data and a
+    trained, loadable model of that kind with the shape the config implies.
     """
     if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch("not an experiment checkpoint")
@@ -164,21 +194,29 @@ def _predict_split(checkpoint, split, series):
     if digest != checkpoint["dataset_digest"]:
         raise CheckpointMismatch(
             "dataset digest mismatch: checkpoint was trained on different windows")
+    implied = _implied_entry(kind, cfg)
     by_feature = {}
     for pf in prepared:
         feat_id = pf.feature.feature_id
-        if feat_id not in checkpoint["features"]:
-            raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
-        entry = checkpoint["features"][feat_id]
+        entry = checkpoint["features"].get(feat_id)
+        if not isinstance(entry, dict) or not {"model", "scaler"} <= entry.keys():
+            raise CheckpointMismatch(f"checkpoint lacks a model and scaler "
+                                     f"for feature {feat_id}")
+        if entry["scaler"] != {"shift": pf.scaler.shift,
+                               "half_range": pf.scaler.half_range}:
+            raise CheckpointMismatch(f"feature {feat_id}: stored scaler is not "
+                                     f"the one its training data gives")
+        found = _mismatch(entry["model"], implied, "model")
+        if found:
+            raise CheckpointMismatch(f"feature {feat_id}: {found}")
         try:
             model = MODEL_CLASSES[kind].from_dict(entry["model"])
-            scaler = datapipe.Scaler(**entry["scaler"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointMismatch(
                 f"feature {feat_id}: unusable {kind} model entry: {exc}") from None
         ws = pf.windows[split]
-        by_feature[feat_id] = (ws, scaler.inverse(predict_windows(kind, model, ws)),
-                               scaler.inverse(ws.Y))
+        by_feature[feat_id] = (ws, pf.scaler.inverse(predict_windows(kind, model, ws)),
+                               pf.scaler.inverse(ws.Y))
     return by_feature
 
 

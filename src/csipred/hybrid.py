@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
-from .nprophet import NpConfig, NpModel, np_predict_batch, np_train
+from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
+                       np_train)
 from .recurrent import RecurrentModel, predict_batch, train_recurrent
 
 
@@ -80,8 +81,7 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
         "seed": seed,
         "dataset_digest": dataset_digest,
         "rnn_config": {"arch": rnn_model.arch, **vars(rnn_model.config)},
-        "np_config": {**vars(np_cfg),
-                      "seasonalities": [list(s) for s in np_cfg.seasonalities]},
+        "np_config": config_dict(np_cfg),
         "rnn_weights_digest": _weights_digest(rnn_model.params),
     }
     provenance["digest"] = _digest(provenance)

@@ -25,10 +25,13 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      huber_grad, huber_loss, init_uniform, load_params,
-                      relu)
+                      encode_params, huber_grad, huber_loss, init_uniform,
+                      load_params, relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
+# v1 held float lists in per-component sections and the changepoints, which
+# the config fixes.
+FORMAT = "csipred-npmodel-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,11 @@ class NpConfig:
     ar_linear: bool = DEFAULTS["ar_linear"]
     # exogenous future regressor
     regressor_enabled: bool = False
+
+
+def config_dict(cfg: NpConfig) -> dict:
+    """`cfg` as the JSON object a checkpoint stores."""
+    return {**vars(cfg), "seasonalities": [list(s) for s in cfg.seasonalities]}
 
 
 class NpModel:
@@ -270,36 +278,24 @@ class NpModel:
 
     def to_dict(self):
         return {
-            "format": "csipred-npmodel-v1",
-            "config": {**vars(self.cfg),
-                       "seasonalities": [list(s) for s in self.cfg.seasonalities]},
+            "format": FORMAT,
+            "config": config_dict(self.cfg),
             "seed": self.seed, "t0": self.t0, "t_span": self.t_span,
             "trained": self.trained,
-            "changepoints": self.changepoints.tolist(),
-            "sections": {
-                "trend": {k: self.params[k].tolist() for k in self.params
-                          if k.startswith("trend_")},
-                "seasonality": {k: self.params[k].tolist() for k in self.params
-                                if k.startswith("season")},
-                "ar": {k: self.params[k].tolist() for k in self.params
-                       if k.startswith("ar_")},
-                "regressor": {k: self.params[k].tolist() for k in self.params
-                              if k.startswith("reg_")},
-            },
+            "params": encode_params(self.params),
         }
 
     @classmethod
     def from_dict(cls, payload):
-        if payload.get("format") != "csipred-npmodel-v1":
+        if payload.get("format") != FORMAT:
             raise ContractViolation(
-                f"unsupported checkpoint format {payload.get('format')!r}")
+                f"unsupported checkpoint format {payload.get('format')!r}, "
+                f"expected {FORMAT!r}")
         raw = dict(payload["config"])
         raw["seasonalities"] = tuple(tuple(s) for s in raw["seasonalities"])
         model = cls(NpConfig(**raw), seed=payload["seed"], t0=payload["t0"],
                     t_span=payload["t_span"])
-        model.changepoints = np.asarray(payload["changepoints"], dtype=float)
-        model.params = load_params(model.params, {
-            k: v for sec in payload["sections"].values() for k, v in sec.items()})
+        model.params = load_params(model.params, payload["params"])
         model.trained = payload["trained"]
         return model
 

@@ -6,6 +6,7 @@ package are hand-derived; `finite_diff_grad` is the independent check.
 """
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +186,33 @@ def init_uniform(rng: np.random.Generator, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def load_params(fresh: dict, loaded: dict) -> dict:
-    """`loaded` as float arrays, refused unless its names and shapes are those
-    of `fresh`, the parameters of a newly built model of the same config."""
-    params = {k: np.asarray(v, dtype=float) for k, v in loaded.items()}
-    shapes = {k: v.shape for k, v in fresh.items()}
-    if {k: v.shape for k, v in params.items()} != shapes:
-        raise ContractViolation("checkpoint parameter names or shapes do not "
-                                "match the model config")
-    return params
+def encode_params(params: dict) -> dict:
+    """Each array as one base64 string of its little-endian float64 bytes."""
+    return {k: binascii.b2a_base64(np.ascontiguousarray(v, "<f8"),
+                                   newline=False).decode("ascii")
+            for k, v in params.items()}
+
+
+def load_params(fresh: dict, stored) -> dict:
+    """`fresh`, the parameters of a newly built model of the same config, filled
+    from `stored` as written by `encode_params`. Refused unless `stored` has the
+    same names, each a strict base64 string of exactly its array's bytes, all
+    of them finite."""
+    if not isinstance(stored, dict) or stored.keys() != fresh.keys():
+        raise ContractViolation("checkpoint parameter names do not match the "
+                                "model config")
+    for name, arr in fresh.items():
+        blob = stored[name]
+        try:
+            raw = binascii.a2b_base64(blob, strict_mode=True)
+        except (TypeError, ValueError):
+            raw = None
+        if not isinstance(blob, str) or raw is None or len(raw) != 8 * arr.size:
+            raise ContractViolation(
+                f"checkpoint parameter {name} is not the base64 of {arr.size} "
+                f"float64 values, as the model config implies")
+        arr[...] = np.frombuffer(raw, "<f8").reshape(arr.shape)
+        if not np.isfinite(arr).all():
+            raise ContractViolation(f"checkpoint parameter {name} holds a "
+                                    f"non-finite value")
+    return fresh

@@ -17,11 +17,12 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      huber_grad, huber_loss, init_uniform, load_params,
-                      sigmoid)
+                      encode_params, huber_grad, huber_loss, init_uniform,
+                      load_params, sigmoid)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
-FORMAT = "csipred-recurrent-v2"  # v1 held 12 per-gate arrays per LSTM direction
+# v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
+FORMAT = "csipred-recurrent-v3"
 
 
 @dataclass
@@ -395,7 +396,7 @@ class RecurrentModel:
             "bilstm_combine": self.bilstm_combine,
             "seed": self.seed, "trained": self.trained,
             "config": vars(self.config),
-            "params": {k: v.tolist() for k, v in self.params.items()},
+            "params": encode_params(self.params),
         }
 
     @classmethod

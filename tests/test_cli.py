@@ -1,7 +1,12 @@
+import base64
+import contextlib
+import io
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csipred.cli import main
 from csipred.config import (config_digest, format_config,
@@ -231,6 +236,40 @@ MALFORMED = {
         **ckpt, "config": {**ckpt["config"], "train_frac": 2.0}},
     "config-negative-samples": lambda ckpt: {
         **ckpt, "config": {**ckpt["config"], "sample_count": -5}},
+    "blob-bad-char": lambda ckpt: _edit_params(
+        ckpt, "L0_W", lambda blob: blob[:4] + "!" + blob[5:]),
+    "blob-8-bytes-short": lambda ckpt: _edit_params(
+        ckpt, "L0_W", lambda blob: base64.b64encode(
+            base64.b64decode(blob)[:-8]).decode("ascii")),
+    "param-list": lambda ckpt: _edit_params(
+        ckpt, "L0_W", lambda blob: np.frombuffer(
+            base64.b64decode(blob), "<f8").tolist()),
+    "recurrent-v2": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(format="csipred-recurrent-v2")),
+    "hidden-size-1e7": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(hidden_size=10**7)),
+    "model-d-0": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(d=0)),
+    "untrained": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(trained=False)),
+    "scaler-zero-half-range": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["scaler"].update(half_range=0.0)),
+}
+
+# Bodies that need a checkpoint of one other kind, made from a valid one.
+MALFORMED_BY_KIND = {
+    ("np", "npmodel-v1"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(format="csipred-npmodel-v1")),
+    ("np", "untrained"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(trained=False)),
+    ("np", "n-changepoints"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["config"].update(n_changepoints=4)),
+    ("np", "blob-bad-char"): lambda ckpt: _edit_params(
+        ckpt, "ar_U1", lambda blob: blob[:4] + "!" + blob[5:]),
+    ("hybrid", "rnn-hidden-size"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["rnn"].update(hidden_size=9)),
+    ("hybrid", "np-untrained"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["np"].update(trained=False)),
 }
 
 
@@ -240,6 +279,15 @@ def _edit_entries(ckpt, edit):
     for entry in ckpt["features"].values():
         edit(entry)
     return ckpt
+
+
+def _edit_params(ckpt, name, edit):
+    """A copy of ckpt whose stored parameter `name` is `edit(blob)` in every
+    feature entry."""
+    def apply(entry):
+        params = entry["model"]["params"]
+        params[name] = edit(params[name])
+    return _edit_entries(ckpt, apply)
 
 
 class TestPredictEvaluate:
@@ -315,6 +363,103 @@ class TestPredictEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data error: ")
         assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("kind,body", sorted(MALFORMED_BY_KIND))
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_malformed_model_entry_exits_2(self, kind_checkpoints, tmp_path,
+                                           capsys, kind, body, command, out):
+        payload = json.loads(kind_checkpoints[kind])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_BY_KIND[kind, body](payload)),
+                       encoding="utf-8")
+        assert main([command, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error: ")
+        assert not (tmp_path / out).exists()
+
+
+@pytest.fixture(scope="module")
+def kind_checkpoints(trained_dir):
+    """{kind: checkpoint.json text} of toy rnn, np and hybrid runs."""
+    tmp, _, run = trained_dir
+    texts = {"rnn": (run / "checkpoint.json").read_text()}
+    for kind in ("np", "hybrid"):
+        cfg = write_config(tmp, {"model": kind}, name=f"{kind}.cfg")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / kind)]) == 0
+        texts[kind] = (tmp / kind / "checkpoint.json").read_text()
+    return texts
+
+
+def _value_paths(obj, prefix=()):
+    """Key paths to every value held, at any depth, in nested objects."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _value_paths(value, prefix + (key,))
+
+
+# Values small enough that no config they land in can ask for a large array.
+REPLACEMENTS = ([1.0, 2.0], -1, 0, 3, 2.5, 1e9, None, "", "x", "AAAA")
+
+
+@st.composite
+def corrupted(draw, text):
+    """The checkpoint in `text` with one random corruption: a parameter blob
+    truncated or with one character changed, or any value replaced or its key
+    deleted. Blobs, the values of one feature entry (all entries are alike)
+    and all values are drawn from equally often."""
+    ckpt = json.loads(text)
+    paths = sorted(_value_paths(ckpt))
+    blobs = [p for p in paths if p[-2:-1] == ("params",)]
+    entries = [p for p in paths if p[:2] == ("features", "ant0_re")]
+    path = draw(st.sampled_from(draw(st.sampled_from([blobs, entries, paths]))))
+    owner = ckpt
+    for key in path[:-1]:
+        owner = owner[key]
+    key, value = path[-1], owner[path[-1]]
+    ops = ["replace", "delete"]
+    if isinstance(value, str) and value:
+        ops += ["truncate", "flip"]
+    op = draw(st.sampled_from(ops))
+    if op == "replace":
+        owner[key] = draw(st.sampled_from(REPLACEMENTS))
+    elif op == "delete":
+        del owner[key]
+    elif op == "truncate":
+        owner[key] = value[:draw(st.integers(0, len(value) - 1))]
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        owner[key] = value[:i] + draw(st.sampled_from("A/+=!\u00e9 \n")) + value[i + 1:]
+    return ckpt
+
+
+class TestCheckpointFuzz:
+    @pytest.mark.parametrize("kind", ["rnn", "np", "hybrid"])
+    def test_corrupted_checkpoint_exits_0_or_2(self, kind_checkpoints,
+                                               tmp_path_factory, kind):
+        tmp = tmp_path_factory.mktemp(f"fuzz-{kind}")
+        bad = tmp / "bad.json"
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            bad.write_text(json.dumps(data.draw(corrupted(kind_checkpoints[kind]))),
+                           encoding="utf-8")
+            for command, out in (("evaluate", "metrics"), ("predict", "pred.csv")):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main([command, "--checkpoint", str(bad),
+                               "--out", str(tmp / out)])
+                assert rc in (0, 2)
+                assert "Traceback" not in err.getvalue()
+                if rc:
+                    assert len(err.getvalue().strip().splitlines()) == 1
+
+        check()
 
 
 class TestTune:

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -389,3 +390,10 @@ class TestForecastAndCheckpoint:
     def test_bad_format_rejected(self):
         with pytest.raises(ContractViolation):
             NpModel.from_dict({"format": "nope"})
+
+    def test_params_stored_as_base64_little_endian_f8(self):
+        model, _ = self._trained()
+        stored = model.to_dict()["params"]["ar_U1"]
+        by_hand = np.frombuffer(base64.b64decode(stored, validate=True),
+                                dtype="<f8").reshape(model.params["ar_U1"].shape)
+        assert np.array_equal(by_hand, model.params["ar_U1"])

@@ -1,3 +1,4 @@
+import base64
 import math
 from types import SimpleNamespace
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csipred.errors import ContractViolation, DivergenceError, OracleError
-from csipred.numcore import (Adam, AdamState, adam_update, finite_diff_grad, fit,
-                             huber_grad, huber_loss, relu, sigmoid, tanh_act)
+from csipred.numcore import (Adam, AdamState, adam_update, encode_params,
+                             finite_diff_grad, fit, huber_grad, huber_loss,
+                             load_params, relu, sigmoid, tanh_act)
 from csipred.recurrent import TrainConfig
 
 # Frozen with a 40-digit arbitrary-precision evaluation of 1/(1+e^-1).
@@ -185,3 +187,35 @@ class TestFit:
         assert not np.array_equal(seen[-1], np.ones(3))  # earlier steps taken
         assert np.array_equal(model.params["w"], seen[-1])  # none for batch 2
         assert not model.trained
+
+
+class TestParamCodec:
+    def fresh(self):
+        return {"a": np.zeros((2, 3)), "b": np.zeros(0)}
+
+    def test_round_trip_fills_fresh_arrays(self):
+        rng = np.random.default_rng(0)
+        params = {"a": rng.normal(size=(2, 3)), "b": np.zeros(0)}
+        fresh = self.fresh()
+        a = fresh["a"]
+        out = load_params(fresh, encode_params(params))
+        assert out["a"] is a
+        assert np.array_equal(out["a"], params["a"]) and out["b"].shape == (0,)
+
+    def test_blob_is_base64_of_little_endian_f8(self):
+        params = {"a": np.arange(6.0).reshape(2, 3) - 2.5}
+        raw = base64.b64decode(encode_params(params)["a"], validate=True)
+        assert raw == np.asarray(params["a"], "<f8").tobytes()
+
+    @pytest.mark.parametrize("stored", [
+        [], {"a": "", "b": ""}, {"a": encode_params({"a": np.zeros(6)})["a"]},
+        {"a": [0.0] * 6, "b": ""}, {"a": None, "b": ""},
+        {"a": encode_params({"a": np.zeros(5)})["a"], "b": ""},
+        {"a": encode_params({"a": np.zeros(6)})["a"][:-1], "b": ""},
+        {"a": "!" + encode_params({"a": np.zeros(6)})["a"][1:], "b": ""},
+        {"a": encode_params({"a": np.zeros(6)})["a"] + "\n", "b": ""},
+        {"a": encode_params({"a": np.full(6, np.nan)})["a"], "b": ""},
+    ])
+    def test_refusals(self, stored):
+        with pytest.raises(ContractViolation):
+            load_params(self.fresh(), stored)

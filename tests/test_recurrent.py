@@ -462,3 +462,12 @@ class TestCheckpoint:
     def test_bad_format_rejected(self):
         with pytest.raises(ContractViolation):
             RecurrentModel.from_dict({"format": "other"})
+
+    def test_params_stored_as_base64_little_endian_f8(self):
+        import base64
+
+        model = RecurrentModel("lstm", 8, 4, hidden_size=3, seed=5)
+        stored = model.to_dict()["params"]["L0_V"]
+        by_hand = np.frombuffer(base64.b64decode(stored, validate=True),
+                                dtype="<f8").reshape(12, 3)
+        assert np.array_equal(by_hand, model.params["L0_V"])
