@@ -241,8 +241,15 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
         pred_c = assemble_complex(pred_re, pred_im)
         truth_c = assemble_complex(truth_re, truth_im)
         count = len(ws)
-        v_nmse = nmse(pred_c, truth_c)
-        v_cos = cosine_similarity(pred_c, truth_c)
+        try:
+            # Finite but huge parameters can overflow the metrics' squares.
+            with np.errstate(over="raise", invalid="raise"):
+                v_nmse = nmse(pred_c, truth_c)
+                v_cos = cosine_similarity(pred_c, truth_c)
+        except FloatingPointError as exc:
+            raise CheckpointMismatch(
+                f"antenna {ant}: the metrics of its predictions overflow "
+                f"({exc}); the checkpoint parameters are out of range") from None
         reports.append(MetricReport(model_id=kind, track=track, seed=cfg["seed"],
                                     nmse=v_nmse, cosine=v_cos,
                                     window_count=count, config_digest=digest16,

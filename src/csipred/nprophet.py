@@ -142,8 +142,7 @@ class NpModel:
         m = cfg.n_changepoints
         # Uniformly spaced over the first `changepoint_range` of the span,
         # in normalized time.
-        self.changepoints = (cfg.changepoint_range
-                             * np.arange(1, m + 1) / (m + 1.0)) if m else np.zeros(0)
+        self.changepoints = cfg.changepoint_range * np.arange(1, m + 1) / (m + 1.0)
         self.params = self._init_params(np.random.default_rng(seed))
 
     def _init_params(self, rng):
@@ -167,10 +166,6 @@ class NpModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _horizon_times(self, t_origins):
-        t = np.asarray(t_origins, dtype=float)[:, None] + np.arange(1, self.cfg.D + 1)
-        return t  # absolute sample index, shape (B, D)
-
     def _offset_adj(self):
         """Free in discontinuous mode; -cp_j * growth_adj_j in continuous mode."""
         if self.cfg.discontinuous_growth:
@@ -180,7 +175,8 @@ class NpModel:
     def forward_components(self, t_origins, lags, regressors=None):
         cfg = self.cfg
         p = self.params
-        t_abs = self._horizon_times(t_origins)
+        # absolute sample index of each horizon step, shape (B, D)
+        t_abs = np.asarray(t_origins, dtype=float)[:, None] + np.arange(1, cfg.D + 1)
         B = t_abs.shape[0]
         comps = {}
         cache = {"t_abs": t_abs}
@@ -248,14 +244,13 @@ class NpModel:
             tn, ind = cache["tn"], cache["ind"]
             g["trend_g0"][0] = float((dY * tn).sum())
             g["trend_r0"][0] = float(dY.sum())
-            if cfg.n_changepoints:
-                dg = np.einsum("bd,bdm->m", dY * tn, ind)
-                dr = np.einsum("bd,bdm->m", dY, ind)
-                if cfg.discontinuous_growth:
-                    g["trend_dg"] = dg
-                    g["trend_dr"] = dr
-                else:
-                    g["trend_dg"] = dg - self.changepoints * dr
+            dg = np.einsum("bd,bdm->m", dY * tn, ind)
+            dr = np.einsum("bd,bdm->m", dY, ind)
+            if cfg.discontinuous_growth:
+                g["trend_dg"] = dg
+                g["trend_dr"] = dr
+            else:
+                g["trend_dg"] = dg - self.changepoints * dr
         if cfg.seasonality_enabled:
             for i, ang in enumerate(cache["angs"]):
                 g[f"season{i}_a"] = np.einsum("bd,bdk->k", dY, np.cos(ang))

@@ -17,8 +17,8 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      encode_params, huber_grad, huber_loss, init_uniform,
-                      load_params, sigmoid)
+                      encode_params, flatten, huber_grad, huber_loss,
+                      init_uniform, load_params, sigmoid, unflatten)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
@@ -319,8 +319,8 @@ class RecurrentModel:
 
     # -- forward / backward over a batch of windows ------------------------
 
-    def forward(self, X, training=False, rng=None):
-        """Returns y and, per layer, its backward pass and dropout mask."""
+    def forward(self, X, training=False, rng=None, backward=True):
+        """Returns y and, if `backward`, each layer's backward pass and mask."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ContractViolation(
@@ -339,7 +339,9 @@ class RecurrentModel:
             if training and p_drop > 0.0 and k < self.layers - 1:
                 mask = _dropout_mask(p_drop, seq.shape, rng)
                 seq = seq * mask
-            backs.append((back, mask))
+            if backward:
+                backs.append((back, mask))
+            del back  # else its scan caches are freed before the next layer
             h = seq
         last = h[:, -1, :]
         y = last @ self.params["out_W"].T + self.params["out_b"]
@@ -364,22 +366,14 @@ class RecurrentModel:
 
     # -- flat-parameter helpers (gradient verification) --------------------
 
-    def param_names(self):
-        return sorted(self.params)
-
     def get_flat(self):
-        return np.concatenate([self.params[k].ravel() for k in self.param_names()])
+        return flatten(self.params, self.params)
 
     def set_flat(self, vec):
-        pos = 0
-        for k in self.param_names():
-            n = self.params[k].size
-            self.params[k] = np.asarray(vec[pos:pos + n],
-                                        dtype=float).reshape(self.params[k].shape)
-            pos += n
+        self.params = unflatten(np.asarray(vec, dtype=float), self.params)
 
     def flat_grads(self, grads):
-        return np.concatenate([grads[k].ravel() for k in self.param_names()])
+        return flatten(grads, self.params)
 
     def param_count(self):
         return sum(v.size for v in self.params.values())
@@ -435,7 +429,7 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
 def predict_batch(model: RecurrentModel, X):
     if not model.trained:
         raise ContractViolation("model is not trained")
-    y, _ = model.forward(X, training=False)
+    y, _ = model.forward(X, backward=False)
     return y
 
 

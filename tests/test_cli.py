@@ -381,6 +381,26 @@ class TestPredictEvaluate:
         assert err.startswith("data error: ")
         assert not (tmp_path / out).exists()
 
+    def test_evaluate_overflowing_metrics_exits_2(self, trained_dir, tmp_path,
+                                                  capsys):
+        # Finite parameters too large for the metrics' squares.
+        _, _, run = trained_dir
+        huge = _edit_params(
+            json.loads((run / "checkpoint.json").read_text()), "out_b",
+            lambda blob: base64.b64encode(np.full(
+                len(base64.b64decode(blob)) // 8, 1e200, "<f8")).decode("ascii"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(huge), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evaluate", "--checkpoint", str(bad),
+                         "--out", str(tmp_path / "metrics")]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error: antenna ant0: ")
+        assert not (tmp_path / "metrics").exists()
+
 
 @pytest.fixture(scope="module")
 def kind_checkpoints(trained_dir):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation, DivergenceError, OracleError
-from csipred.numcore import (Adam, AdamState, adam_update, encode_params,
-                             finite_diff_grad, fit, huber_grad, huber_loss,
-                             load_params, relu, sigmoid, tanh_act)
-from csipred.recurrent import TrainConfig
+from csipred.nprophet import NpConfig, np_train
+from csipred.numcore import (ADAM_BLOCK, Adam, AdamState, adam_update,
+                             clip_grad_norm, encode_params, finite_diff_grad,
+                             fit, flatten, huber_grad, huber_loss, load_params,
+                             relu, sigmoid, tanh_act)
+from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
 # Frozen with a 40-digit arbitrary-precision evaluation of 1/(1+e^-1).
 SIGMOID_AT_1 = 0.7310585786300049
@@ -137,14 +140,56 @@ class TestAdam:
         with pytest.raises(ContractViolation):
             adam_update(p, np.zeros(4), AdamState.for_param(p), 0.01)
 
-    def test_dict_optimizer_steps_all_params(self):
-        opt = Adam()
-        params = {"a": np.array([1.0]), "b": np.array([2.0])}
-        grads = {"a": np.array([1.0]), "b": np.array([-1.0])}
-        out = opt.step(params, grads, 0.1)
-        assert out["a"][0] < 1.0
-        assert out["b"][0] > 2.0
-        assert opt.states["a"].t == 1
+    def test_flat_step_is_bit_equal_to_adam_update_per_array(self):
+        rng = np.random.default_rng(3)
+        # "c" makes the vector span two blocks of Adam.step, the last partial
+        arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4),
+                  "c": rng.normal(size=(3, 1, ADAM_BLOCK // 2 + 1))}
+        states = {k: AdamState.for_param(v) for k, v in arrays.items()}
+        flat = flatten(arrays, arrays)
+        opt = Adam(flat.size)
+        for lr in (0.1, 0.05, 0.01):
+            grads = {k: rng.normal(size=v.shape) for k, v in arrays.items()}
+            arrays = {k: adam_update(v, grads[k], states[k], lr)
+                      for k, v in arrays.items()}
+            opt.step(flat, flatten(grads, arrays), lr)
+            assert np.array_equal(flat, flatten(arrays, arrays))
+            for acc in ("m", "v"):
+                assert np.array_equal(getattr(opt, acc), flatten(
+                    {k: getattr(s, acc) for k, s in states.items()}, arrays))
+        assert opt.t == 3
+
+    @pytest.mark.parametrize("kind", ["recurrent", "np"])
+    def test_fit_leaves_params_as_views_of_one_vector(self, kind):
+        ws = make_windows(np.sin(np.arange(120) / 5.0), 6, 2)
+        if kind == "recurrent":
+            model = RecurrentModel("lstm", 6, 2, hidden_size=3,
+                                   config=TrainConfig(epochs=1), seed=0)
+            train_recurrent(model, ws, seed=0)
+        else:
+            model, _ = np_train(ws, NpConfig(d=6, D=2, epochs=1, n_changepoints=2,
+                                             seasonalities=((2, 1.0),)))
+        bases = {id(p.base) for p in model.params.values()}
+        assert len(bases) == 1
+        vec = next(iter(model.params.values())).base
+        assert vec.ndim == 1 and vec.flags.c_contiguous
+        assert vec.size == model.param_count()
+        assert all(np.shares_memory(p, vec) for p in model.params.values())
+
+
+class TestClip:
+    def test_within_norm_returns_the_same_object(self):
+        g = np.array([3.0, 4.0])
+        assert clip_grad_norm(g, 5.0) is g
+
+    def test_over_norm_returns_a_scaled_copy(self):
+        g = np.array([3.0, 4.0, 12.0])
+        before = g.copy()
+        out = clip_grad_norm(g, 5.0)
+        assert out is not g
+        assert abs(np.linalg.norm(out) - 5.0) < 1e-12
+        assert np.array_equal(out, before * (5.0 / 13.0))
+        assert np.array_equal(g, before)
 
 
 class TestFiniteDiff:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,26 @@ class TestPredict:
         with pytest.raises(ContractViolation):
             predict_horizon(model, np.zeros(5))
 
+
+class TestInferenceMemory:
+    @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
+    def test_predict_peak_does_not_grow_with_depth(self, arch):
+        # Inference keeps no layer's backward pass, so its scan caches are
+        # freed layer by layer; with them kept the peak grows per layer.
+        X = np.random.default_rng(0).normal(size=(32, 24))
+        peaks = []
+        for layers in (2, 3):
+            model = RecurrentModel(arch, 24, 4, hidden_size=32, layers=layers,
+                                   seed=0)
+            model.trained = True
+            tracemalloc.start()
+            try:
+                y = predict_batch(model, X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(y, model.forward(X)[0])
+        assert peaks[1] < 1.05 * peaks[0]
 
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
