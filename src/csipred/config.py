@@ -138,7 +138,13 @@ def resolve_config(file_values=None, overrides=None) -> dict:
                 raise ConfigError(f"{key} must be finite and {rule}, got {cfg[key]!r}")
     if abs(cfg["train_frac"] + cfg["val_frac"] + cfg["test_frac"] - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    parse_seasonalities(cfg["seasonalities"])  # validate early
+    # A period shorter than a sample cannot be observed, and its Fourier
+    # angles overflow as the sample index grows.
+    for _, period in parse_seasonalities(cfg["seasonalities"]):
+        if period * cfg["samples_per_day"] < 1.0:
+            raise ConfigError(
+                f"seasonalities: period {period!r} is shorter than one sample "
+                f"at samples_per_day={cfg['samples_per_day']!r}")
     return cfg
 
 
@@ -150,10 +156,14 @@ def parse_seasonalities(spec: str):
     for item in spec.split(","):
         try:
             k, p = item.split(":")
-            out.append((int(k), float(p)))
+            k, p = int(k), float(p)
         except ValueError:
+            k, p = 0, 0.0
+        if k < 1 or not 0 < p < math.inf:
             raise ConfigError(
-                f"bad seasonality entry {item!r}; expected order:period") from None
+                f"seasonalities: bad entry {item!r}; expected order:period with "
+                f"an integer order >= 1 and a finite period > 0")
+        out.append((k, p))
     return tuple(out)
 
 

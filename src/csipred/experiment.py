@@ -6,20 +6,21 @@ from the config seeds, so a rerun with the same config is bit-identical.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from . import datapipe, synthchan
+from . import datapipe, hybrid, numcore, synthchan
 from .config import DEFAULTS, config_digest, parse_seasonalities, resolve_config
-from .errors import CheckpointMismatch, ConfigError
+from .errors import CheckpointMismatch, ConfigError, ContractViolation
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
 from .hybrid import HybridModel, build_hybrid, hybrid_predict_batch
-from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
-                       np_train)
+from .nprophet import NpConfig, NpModel, np_predict_batch, np_train, trend_span
 from .recurrent import RecurrentModel, TrainConfig, predict_batch, train_recurrent
 
 CHECKPOINT_FORMAT = "csipred-experiment-v1"
-# Model kind -> class whose `from_dict` reads a feature's saved model.
+# Model kind -> class of its checkpoint model entry.
 MODEL_CLASSES = {"rnn": RecurrentModel, "lstm": RecurrentModel,
                  "bilstm": RecurrentModel, "np": NpModel, "hybrid": HybridModel}
 
@@ -123,11 +124,7 @@ def train_experiment(cfg, series=None):
         seed = _feature_seed(cfg["seed"], idx)
         model, history = train_feature(cfg, kind, pf, seed,
                                        dataset_digest=digest)
-        features[pf.feature.feature_id] = {
-            "model": model.to_dict(),
-            "scaler": {"shift": pf.scaler.shift,
-                       "half_range": pf.scaler.half_range},
-        }
+        features[pf.feature.feature_id] = _feature_entry(model, pf.scaler)
         histories[pf.feature.feature_id] = history
     checkpoint = {"format": CHECKPOINT_FORMAT, "kind": kind,
                   "config": dict(cfg), "dataset_digest": digest,
@@ -135,33 +132,45 @@ def train_experiment(cfg, series=None):
     return checkpoint, histories
 
 
-def _implied_entry(kind, cfg):
-    """The fields of a trained model entry of this kind that `cfg` fixes."""
+def _feature_entry(model, scaler, with_params=True):
+    """A feature's checkpoint entry: its model and its stream's scaler."""
+    return {"model": model.to_dict(with_params),
+            "scaler": {"shift": scaler.shift, "half_range": scaler.half_range}}
+
+
+def _load_model(cfg, kind, train, seed, digest, entry):
+    """The model training builds for a feature from these train windows, seed
+    and dataset digest, marked trained, with the parameters of its `entry`."""
+    def filled(model, *path):
+        stored = entry
+        for key in ("model", *path, "params"):
+            stored = stored.get(key) if isinstance(stored, dict) else None
+        model.params = numcore.load_params(model.params, stored)
+        model.trained = True
+        return model
     if kind == "np":
-        return {"trained": True, "config": config_dict(np_config(cfg))}
-    if kind == "hybrid":
-        return {"rnn": _implied_entry(cfg["hybrid_source"], cfg),
-                "np": {"trained": True,
-                       "config": config_dict(np_config(cfg, regressor=True))}}
-    return {"trained": True, "arch": kind, "d": cfg["d"], "D": cfg["D"],
-            "hidden_size": cfg["rnn_hidden"], "layers": cfg["rnn_layers"],
-            "input_size": 1, "bilstm_combine": cfg["bilstm_combine"]}
+        return filled(NpModel(np_config(cfg), seed, *trend_span(train)))
+    if kind != "hybrid":
+        return filled(recurrent_model(cfg, kind, seed))
+    np_cfg = np_config(cfg, regressor=True)
+    rnn = filled(recurrent_model(cfg, cfg["hybrid_source"], seed), "rnn")
+    return HybridModel(rnn, filled(NpModel(np_cfg, seed, *trend_span(train)), "np"),
+                       hybrid.make_provenance(seed, digest, rnn, np_cfg))
 
 
-def _mismatch(payload, implied, where):
-    """Names the first field of `payload` that differs from `implied` (nested
-    objects field by field), or returns None."""
-    if not isinstance(payload, dict):
-        return f"{where} is not an object"
-    for key, want in implied.items():
-        got = payload.get(key)
-        if isinstance(want, dict):
-            found = _mismatch(got, want, f"{where}.{key}")
-            if found:
-                return found
-        elif got != want:
-            return f"{where}.{key} is {got!r}, the config implies {want!r}"
-    return None
+def _check_entry(got, want, where):
+    """Refuses a stored entry `got` unless it equals `want` field by field, in
+    value and type, naming the first field that differs or only one holds;
+    `load_params` reads `params`."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            if key not in got or key not in want:
+                raise CheckpointMismatch(
+                    f"{where}.{key} is {'missing' if key in want else 'extra'}")
+            if key != "params":
+                _check_entry(got[key], want[key], f"{where}.{key}")
+    elif type(got) is not type(want) or got != want:
+        raise CheckpointMismatch(f"{where} is {got!r}, training writes {want!r}")
 
 
 def _predict_split(checkpoint, split, series):
@@ -170,8 +179,8 @@ def _predict_split(checkpoint, split, series):
     Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
     a checkpoint that is not an experiment object with a known model kind and
     a full, valid config, whose dataset digest or features do not match, or
-    whose feature entries do not hold the scaler of the re-prepared data and a
-    trained, loadable model of that kind with the shape the config implies.
+    whose feature entries are not, apart from the model parameters, exactly
+    what training writes for that feature under the config.
     """
     if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch("not an experiment checkpoint")
@@ -194,30 +203,36 @@ def _predict_split(checkpoint, split, series):
     if digest != checkpoint["dataset_digest"]:
         raise CheckpointMismatch(
             "dataset digest mismatch: checkpoint was trained on different windows")
-    implied = _implied_entry(kind, cfg)
     by_feature = {}
-    for pf in prepared:
+    for index, pf in enumerate(prepared):
         feat_id = pf.feature.feature_id
-        entry = checkpoint["features"].get(feat_id)
-        if not isinstance(entry, dict) or not {"model", "scaler"} <= entry.keys():
-            raise CheckpointMismatch(f"checkpoint lacks a model and scaler "
-                                     f"for feature {feat_id}")
-        if entry["scaler"] != {"shift": pf.scaler.shift,
-                               "half_range": pf.scaler.half_range}:
-            raise CheckpointMismatch(f"feature {feat_id}: stored scaler is not "
-                                     f"the one its training data gives")
-        found = _mismatch(entry["model"], implied, "model")
-        if found:
-            raise CheckpointMismatch(f"feature {feat_id}: {found}")
+        if feat_id not in checkpoint["features"]:
+            raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
+        entry = checkpoint["features"][feat_id]
         try:
-            model = MODEL_CLASSES[kind].from_dict(entry["model"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointMismatch(
-                f"feature {feat_id}: unusable {kind} model entry: {exc}") from None
+            model = _load_model(cfg, kind, pf.windows["train"],
+                                _feature_seed(cfg["seed"], index), digest, entry)
+        except ContractViolation as exc:
+            raise CheckpointMismatch(f"feature {feat_id}: {exc}") from None
+        _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
+                     f"features.{feat_id}")
         ws = pf.windows[split]
-        by_feature[feat_id] = (ws, pf.scaler.inverse(predict_windows(kind, model, ws)),
-                               pf.scaler.inverse(ws.Y))
+        # Finite but huge parameters can overflow the forward pass.
+        with _refuse_overflow(f"feature {feat_id}: its predictions"):
+            pred = predict_windows(kind, model, ws)
+        by_feature[feat_id] = (ws, pf.scaler.inverse(pred), pf.scaler.inverse(ws.Y))
     return by_feature
+
+
+@contextlib.contextmanager
+def _refuse_overflow(what):
+    """Refuses the checkpoint when the numpy work in the block overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CheckpointMismatch(f"{what} overflow ({exc}); the checkpoint "
+                                 f"parameters are out of range") from None
 
 
 def evaluate_checkpoint(checkpoint, split="test", series=None):
@@ -241,15 +256,10 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
         pred_c = assemble_complex(pred_re, pred_im)
         truth_c = assemble_complex(truth_re, truth_im)
         count = len(ws)
-        try:
-            # Finite but huge parameters can overflow the metrics' squares.
-            with np.errstate(over="raise", invalid="raise"):
-                v_nmse = nmse(pred_c, truth_c)
-                v_cos = cosine_similarity(pred_c, truth_c)
-        except FloatingPointError as exc:
-            raise CheckpointMismatch(
-                f"antenna {ant}: the metrics of its predictions overflow "
-                f"({exc}); the checkpoint parameters are out of range") from None
+        # Finite but huge predictions can overflow the metrics' squares.
+        with _refuse_overflow(f"antenna {ant}: the metrics of its predictions"):
+            v_nmse = nmse(pred_c, truth_c)
+            v_cos = cosine_similarity(pred_c, truth_c)
         reports.append(MetricReport(model_id=kind, track=track, seed=cfg["seed"],
                                     nmse=v_nmse, cosine=v_cos,
                                     window_count=count, config_digest=digest16,

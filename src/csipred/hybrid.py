@@ -39,10 +39,10 @@ class HybridModel:
     np_model: NpModel
     provenance: dict
 
-    def to_dict(self):
+    def to_dict(self, with_params=True):
         return {"format": "csipred-hybrid-v1",
-                "rnn": self.rnn.to_dict(),
-                "np": self.np_model.to_dict(),
+                "rnn": self.rnn.to_dict(with_params),
+                "np": self.np_model.to_dict(with_params),
                 "provenance": self.provenance}
 
     @classmethod
@@ -77,16 +77,22 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     np_cfg = replace(np_cfg, d=train.d, D=train.D, regressor_enabled=True)
     np_model, np_history = np_train(train, np_cfg, seed=seed,
                                     regressors=regressors["train"])
-    provenance = {
+    provenance = make_provenance(seed, dataset_digest, rnn_model, np_cfg)
+    return HybridModel(rnn=rnn_model, np_model=np_model,
+                       provenance=provenance), rnn_history, np_history, regressors
+
+
+def make_provenance(seed, dataset_digest, rnn_model, np_cfg):
+    """How a hybrid was built, from its trained stage 1, with a digest over it."""
+    out = {
         "seed": seed,
         "dataset_digest": dataset_digest,
         "rnn_config": {"arch": rnn_model.arch, **vars(rnn_model.config)},
         "np_config": config_dict(np_cfg),
         "rnn_weights_digest": _weights_digest(rnn_model.params),
     }
-    provenance["digest"] = _digest(provenance)
-    return HybridModel(rnn=rnn_model, np_model=np_model,
-                       provenance=provenance), rnn_history, np_history, regressors
+    out["digest"] = _digest(out)
+    return out
 
 
 def hybrid_predict(model: HybridModel, lags, t):
@@ -95,9 +101,7 @@ def hybrid_predict(model: HybridModel, lags, t):
     if lags.shape != (model.rnn.d,):
         raise ContractViolation(
             f"expected {model.rnn.d} lags, got shape {lags.shape}")
-    rnn_out = predict_batch(model.rnn, lags[None, :])
-    out, _ = model.np_model.forward(np.array([t]), lags[None, :], rnn_out)
-    return out[0]
+    return hybrid_predict_batch(model, np.array([t]), lags[None, :])[0]
 
 
 def hybrid_predict_batch(model: HybridModel, t_origins, X):

@@ -271,13 +271,13 @@ class NpModel:
 
     # -- persistence -------------------------------------------------------
 
-    def to_dict(self):
+    def to_dict(self, with_params=True):
         return {
             "format": FORMAT,
             "config": config_dict(self.cfg),
             "seed": self.seed, "t0": self.t0, "t_span": self.t_span,
             "trained": self.trained,
-            "params": encode_params(self.params),
+            "params": encode_params(self.params) if with_params else {},
         }
 
     @classmethod
@@ -304,8 +304,13 @@ def np_forecast(t, lags, model: NpModel, regressor=None):
     if lags.shape != (model.cfg.d,):
         raise ContractViolation(f"expected {model.cfg.d} lags, got {lags.shape}")
     reg = None if regressor is None else np.asarray(regressor, dtype=float)[None, :]
-    out, _ = model.forward(np.array([t]), lags[None, :], reg)
-    return out[0]
+    return np_predict_batch(model, np.array([t]), lags[None, :], reg)[0]
+
+
+def trend_span(data: SupervisedWindowSet):
+    """(t0, t_span) that normalise trend time over the samples `data` covers."""
+    t0 = float(data.t.min() - data.d)
+    return t0, float(data.t.max() + data.D - t0)
 
 
 def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
@@ -322,9 +327,7 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
         regressors = np.asarray(regressors, dtype=float)
         if regressors.shape != data.Y.shape:
             raise ContractViolation("regressor array must be (N, D)")
-    t0 = float(data.t.min() - data.d)
-    t_span = float(data.t.max() + data.D - t0)
-    model = NpModel(cfg, seed=seed, t0=t0, t_span=t_span)
+    model = NpModel(cfg, seed, *trend_span(data))
 
     def batch_loss(idx):
         reg = None if regressors is None else regressors[idx]

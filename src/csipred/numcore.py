@@ -164,7 +164,11 @@ def finite_diff_grad(f, x, eps=1e-5):
 
 def clip_grad_norm(flat, max_norm):
     """`flat` itself if its L2 norm is <= max_norm, else a copy scaled to it."""
-    norm = np.sqrt(np.dot(flat, flat))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.dot(flat, flat))
+    if norm == np.inf:  # the squares overflow, though the norm may not
+        peak = np.abs(flat).max()
+        norm = peak * np.sqrt(np.dot(flat / peak, flat / peak))
     return flat if norm <= max_norm else flat * (max_norm / norm)
 
 

@@ -278,7 +278,7 @@ class RecurrentModel:
 
     def __init__(self, arch, lag_depth, horizon,
                  hidden_size=DEFAULTS["rnn_hidden"], layers=DEFAULTS["rnn_layers"],
-                 input_size=1, bilstm_combine=DEFAULTS["bilstm_combine"],
+                 bilstm_combine=DEFAULTS["bilstm_combine"],
                  config: TrainConfig | None = None, seed=0):
         if arch not in ARCHITECTURES:
             raise ContractViolation(f"unknown architecture {arch!r}")
@@ -287,7 +287,6 @@ class RecurrentModel:
         self.D = horizon
         self.hidden_size = hidden_size
         self.layers = layers
-        self.input_size = input_size
         self.bilstm_combine = bilstm_combine
         self.config = config or TrainConfig()
         self.seed = seed
@@ -304,7 +303,7 @@ class RecurrentModel:
         H = self.hidden_size
         GH = H if self.arch == "rnn" else 4 * H
         for k in range(self.layers):
-            n_in = self.input_size if k == 0 else self._layer_out_dim()
+            n_in = 1 if k == 0 else self._layer_out_dim()
             for pre in ("f_", "b_") if self.arch == "bilstm" else ("",):
                 params[f"L{k}_{pre}W"] = init_uniform(rng, (GH, n_in), n_in)
                 params[f"L{k}_{pre}V"] = init_uniform(rng, (GH, H), H)
@@ -380,17 +379,17 @@ class RecurrentModel:
 
     # -- persistence -------------------------------------------------------
 
-    def to_dict(self):
+    def to_dict(self, with_params=True):
         return {
             "format": FORMAT,
             "arch": self.arch,
             "d": self.d, "D": self.D,
             "hidden_size": self.hidden_size, "layers": self.layers,
-            "input_size": self.input_size,
+            "input_size": 1,  # one scalar per step; kept for the format
             "bilstm_combine": self.bilstm_combine,
             "seed": self.seed, "trained": self.trained,
             "config": vars(self.config),
-            "params": encode_params(self.params),
+            "params": encode_params(self.params) if with_params else {},
         }
 
     @classmethod
@@ -401,7 +400,6 @@ class RecurrentModel:
                 f"expected {FORMAT!r}")
         model = cls(payload["arch"], payload["d"], payload["D"],
                     hidden_size=payload["hidden_size"], layers=payload["layers"],
-                    input_size=payload["input_size"],
                     bilstm_combine=payload["bilstm_combine"],
                     config=TrainConfig(**payload["config"]),
                     seed=payload["seed"])

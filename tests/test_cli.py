@@ -108,7 +108,10 @@ class TestConfig:
         ("huber_beta", "0"), ("antenna_count", "0"), ("sample_interval", "0"),
         ("rnn_hidden", "0"), ("speed_kmph", "0"), ("val_frac", "0"),
         ("changepoint_range", "1.5"), ("np_learning_rate", "nan"),
-        ("carrier_hz", "inf")])
+        ("carrier_hz", "inf"), ("seasonalities", "-2:1"),
+        ("seasonalities", "3:0"), ("seasonalities", "3:nan"),
+        ("seasonalities", "0:1"), ("seasonalities", "3:-1"),
+        ("seasonalities", "3:inf"), ("seasonalities", "1:1e-308")])
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: value})
@@ -254,6 +257,16 @@ MALFORMED = {
         ckpt, lambda e: e["model"].update(trained=False)),
     "scaler-zero-half-range": lambda ckpt: _edit_entries(
         ckpt, lambda e: e["scaler"].update(half_range=0.0)),
+    "model-seed": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(seed=e["model"]["seed"] + 1)),
+    "config-dropout": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["config"].update(dropout=0.5)),
+    "config-learning-rate": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["config"].update(learning_rate=0.5)),
+    "model-extra-key": lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(note="x")),
+    "forward-overflows": lambda ckpt: _edit_params(
+        _edit_params(ckpt, "L0_b", _huge), "out_W", _huge),
 }
 
 # Bodies that need a checkpoint of one other kind, made from a valid one.
@@ -270,6 +283,23 @@ MALFORMED_BY_KIND = {
         ckpt, lambda e: e["model"]["rnn"].update(hidden_size=9)),
     ("hybrid", "np-untrained"): lambda ckpt: _edit_entries(
         ckpt, lambda e: e["model"]["np"].update(trained=False)),
+    ("np", "t0"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(t0=e["model"]["t0"] + 100.0)),
+    ("np", "t-span"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(t_span=2 * e["model"]["t_span"])),
+    ("np", "seed"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(seed=e["model"]["seed"] + 1)),
+    ("np", "extra-key"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(note="x")),
+    ("hybrid", "provenance-digest"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["provenance"].update(digest="0" * 64)),
+    ("hybrid", "provenance-rnn-weights-digest"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["provenance"].update(
+            rnn_weights_digest="0" * 64)),
+    ("hybrid", "provenance-empty"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(provenance={})),
+    ("hybrid", "np-t0"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"]["np"].update(t0=e["model"]["np"]["t0"] + 100.0)),
 }
 
 
@@ -279,6 +309,13 @@ def _edit_entries(ckpt, edit):
     for entry in ckpt["features"].values():
         edit(entry)
     return ckpt
+
+
+def _huge(blob):
+    """A blob of as many 1e308s as `blob` holds values: a saturated state
+    through an output layer of them overflows."""
+    return base64.b64encode(np.full(len(base64.b64decode(blob)) // 8, 1e308,
+                                    "<f8")).decode("ascii")
 
 
 def _edit_params(ckpt, name, edit):
@@ -478,6 +515,73 @@ class TestCheckpointFuzz:
                 assert "Traceback" not in err.getvalue()
                 if rc:
                     assert len(err.getvalue().strip().splitlines()) == 1
+
+        check()
+
+
+# Values per config key for the CLI fuzz: valid ones and malformed,
+# out-of-range and non-finite strings. Every size stays toy (at most 600
+# samples, 2 antennas and hidden size 8), so no config asks for a large array.
+# Each example sets `model` and `seasonalities` and up to four other keys.
+FUZZ_VALUES = {
+    "model": ("rnn", "lstm", "bilstm", "np", "hybrid"),
+    "seasonalities": ("3:0.02", "", "2:0.05,1:0.3", "-2:1", "3:0", "3:nan",
+                      "0:1", "3:-1", "3:inf", "3", "x:1", "3:0.02:1", "1:1e-308"),
+    "sample_count": ("600", "200", "40", "0", "-5", "x", "nan"),
+    "d": ("8", "1", "0", "300", "2.5"),
+    "D": ("4", "1", "0", "-1"),
+    "antenna_count": ("1", "2", "0"),
+    "window_stride": ("4", "0", "1000", "inf"),
+    "rnn_hidden": ("8", "1", "0"),
+    "dropout": ("0.0", "0.5", "1.0", "nan"),
+    "np_learning_rate": ("0.01", "1e300", "0", "-1", "inf", "nan"),
+    "rnn_learning_rate": ("0.001", "1e300", "nan"),
+    "n_changepoints": ("3", "0", "-1"),
+    "samples_per_day": ("2000.0", "1e-300", "0", "inf"),
+    "huber_beta": ("1.0", "1e-300", "0", "nan"),
+    "train_frac": ("0.8", "0.5", "1"),
+}
+EXIT_LINES = ("config error:", "data error:", "divergence:")
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of `main(argv)`, asserting it warned nothing."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert caught == []
+    return rc, err.getvalue()
+
+
+class TestConfigFuzz:
+    def test_random_config_ends_in_a_documented_exit(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("config-fuzz")
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            always = ["model", "seasonalities"]
+            keys = data.draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES.keys()
+                                                             - set(always))),
+                                      max_size=4, unique=True))
+            drawn = {k: data.draw(st.sampled_from(FUZZ_VALUES[k]))
+                     for k in always + keys}
+            cfg = write_config(tmp, {"epochs": "1", **drawn})
+            run = tmp / "run"
+            commands = [["train", "--config", str(cfg), "--out", str(run)]]
+            for command, out in (("evaluate", "metrics"), ("predict", "pred.csv")):
+                commands.append([command, "--checkpoint",
+                                 str(run / "checkpoint.json"), "--out", str(tmp / out)])
+            for argv in commands:
+                rc, err = _run_quietly(argv)
+                assert rc in (0, 1, 2, 3)
+                assert "Traceback" not in err and "Warning" not in err
+                if rc:
+                    lines = err.strip().splitlines()
+                    assert [ln for ln in lines if ln.startswith(EXIT_LINES)] == lines[-1:]
+                    break
 
         check()
 

@@ -191,6 +191,11 @@ class TestClip:
         assert np.array_equal(out, before * (5.0 / 13.0))
         assert np.array_equal(g, before)
 
+    def test_finite_norm_whose_squares_overflow(self):
+        # |g| = 5e200 is finite; its squares are not.
+        out = clip_grad_norm(np.array([3e200, 4e200]), 5.0)
+        assert np.allclose(out, [3.0, 4.0], rtol=1e-15, atol=0.0)
+
 
 class TestFiniteDiff:
     def test_square(self):
