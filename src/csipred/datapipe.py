@@ -105,6 +105,24 @@ class SupervisedWindowSet:
         return self.t.shape[0]
 
 
+def stack_windows(sets) -> SupervisedWindowSet:
+    """The window sets of F feature streams, cut at the same origins, as one
+    set with X (F, N, d) and Y (F, N, D): the input of a stacked model. One
+    set is returned as it is."""
+    first = sets[0]
+    if len(sets) == 1:
+        return first
+    for ws in sets[1:]:
+        if (ws.d, ws.D) != (first.d, first.D) or not np.array_equal(ws.t, first.t):
+            raise ContractViolation(
+                f"windows of {ws.feature_id} are not cut as those of "
+                f"{first.feature_id}")
+    return SupervisedWindowSet(first.d, first.D,
+                               ",".join(ws.feature_id for ws in sets), first.t,
+                               np.stack([ws.X for ws in sets]),
+                               np.stack([ws.Y for ws in sets]))
+
+
 def load_csi(path, sample_interval=5e-4, track=None) -> CsiSeries:
     """Parse the CSI CSV format into a (possibly gap-containing) series.
 

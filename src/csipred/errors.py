@@ -3,6 +3,7 @@
 Exit-code mapping used by the CLI: usage/config -> 1, data -> 2,
 numeric divergence -> 3.
 """
+from __future__ import annotations
 
 
 class ContractViolation(ValueError):
@@ -34,13 +35,28 @@ class DegenerateScaleError(DataError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or parameters whose squared norm
+    overflows.
 
-    def __init__(self, epoch: int, batch: int, loss: float):
+    `stream` is the index of the diverging stream in a stacked group (0 for
+    one model); the caller that knows the streams sets `feature` and `kind`,
+    and the message names them.
+    """
+
+    def __init__(self, epoch: int, batch: int, loss: float, stream: int = 0,
+                 what: str | None = None):
         self.epoch = epoch
         self.batch = batch
         self.loss = loss
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}")
+        self.stream = stream
+        self.what = what or f"non-finite loss {loss!r} at"
+        self.feature = self.kind = None
+        super().__init__()
+
+    def __str__(self):
+        where = (f"{self.kind} model of feature {self.feature}: "
+                 if self.feature is not None else "")
+        return f"{where}{self.what} epoch {self.epoch}, batch {self.batch}"
 
 
 class OracleError(RuntimeError):

@@ -1,8 +1,9 @@
 """Experiment orchestration: config -> data -> per-feature models -> metrics.
 
-Each (antenna, real/imag) stream trains its own predictor; results are
-recombined into complex channel vectors for evaluation. All randomness flows
-from the config seeds, so a rerun with the same config is bit-identical.
+Each (antenna, real/imag) stream trains its own predictor, in stacked groups
+of streams that train as one (see `group_size`); results are recombined into
+complex channel vectors for evaluation. All randomness flows from the config
+seeds, so a rerun with the same config is bit-identical.
 """
 from __future__ import annotations
 
@@ -12,12 +13,16 @@ import numpy as np
 
 from . import datapipe, hybrid, numcore, synthchan
 from .config import DEFAULTS, config_digest, parse_seasonalities, resolve_config
-from .errors import CheckpointMismatch, ConfigError, ContractViolation
+from .errors import (CheckpointMismatch, ConfigError, ContractViolation,
+                     DivergenceError)
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
 from .hybrid import HybridModel, build_hybrid, hybrid_predict_batch
-from .nprophet import NpConfig, NpModel, np_predict_batch, np_train, trend_span
-from .recurrent import RecurrentModel, TrainConfig, predict_batch, train_recurrent
+from .nprophet import (NpConfig, NpModel, batch_cache_bytes, np_predict_batch,
+                       np_train, trend_span)
+from .numcore import unstack
+from .recurrent import (RecurrentModel, TrainConfig, predict_batch,
+                        scan_cache_bytes, train_recurrent)
 
 CHECKPOINT_FORMAT = "csipred-experiment-v1"
 # Model kind -> class of its checkpoint model entry.
@@ -80,23 +85,68 @@ def _feature_seed(seed, index):
     return seed * 10007 + index
 
 
-def train_feature(cfg, kind, prepared: datapipe.PreparedFeature, seed,
-                  dataset_digest=""):
-    """Train one model of the given kind on one feature stream."""
-    windows = prepared.windows
+# Feature streams train in stacked groups (see `numcore.unstack`): as many
+# streams as keep the arrays that one stacked forward+backward pass holds live
+# within this many bytes, and at least one. At H=16, L=1, B=32 that is 8 rnn,
+# 2 lstm and 1 bilstm streams; at the paper shape (H=200, L=3) one recurrent
+# stream alone exceeds it. Larger groups gained little more speed and raised
+# the peak RSS of a 16-antenna `csipred` session.
+GROUP_CACHE_BYTES = 5 << 20
+
+
+def stream_bytes(cfg, kind):
+    """About the bytes that one stream's forward+backward pass over a batch
+    keeps live, for this config and model kind (the larger of the hybrid's
+    two stages)."""
+    per_stream = []
+    if kind in ("np", "hybrid"):
+        per_stream.append(batch_cache_bytes(np_config(cfg, kind == "hybrid"),
+                                            cfg["batch_size"]))
+    if kind != "np":
+        arch = cfg["hybrid_source"] if kind == "hybrid" else kind
+        per_stream.append(scan_cache_bytes(arch, cfg["rnn_hidden"],
+                                           cfg["rnn_layers"], cfg["d"],
+                                           cfg["batch_size"]))
+    return max(per_stream)
+
+
+def group_size(cfg, kind, streams):
+    """Streams per stacked training group, of `streams` in all."""
+    return max(1, min(streams, GROUP_CACHE_BYTES // stream_bytes(cfg, kind)))
+
+
+def train_feature(cfg, kind, group, seeds, dataset_digest=""):
+    """Train one model of the given kind on each feature stream of `group`
+    (a list of PreparedFeature, one seed each), as one stacked model; a group
+    of one stream trains as a plain model.
+
+    Returns the per-stream models and loss histories.
+    """
+    stacked = len(group) > 1
+    seed = seeds if stacked else seeds[0]
+
+    def per_stream(value):
+        return value if stacked else [value]
+
+    splits = {name: datapipe.stack_windows([pf.windows[name] for pf in group])
+              for name in (group[0].windows if kind == "hybrid" else ("train",))}
     if kind in ("rnn", "lstm", "bilstm"):
         model = recurrent_model(cfg, kind, seed)
-        history = train_recurrent(model, windows["train"], seed=seed)
-        return model, {"train": history}
+        histories = train_recurrent(model, splits["train"], seed=seed)
+        return unstack(model), [{"train": h} for h in per_stream(histories)]
     if kind == "np":
-        model, history = np_train(windows["train"], np_config(cfg), seed=seed)
-        return model, {"train": history}
+        model, histories = np_train(splits["train"], np_config(cfg), seed=seed)
+        return unstack(model), [{"train": h} for h in per_stream(histories)]
     if kind == "hybrid":
-        model, rnn_hist, np_hist, _ = build_hybrid(
-            windows, recurrent_model(cfg, cfg["hybrid_source"], seed),
+        model, rnn_hists, np_hists, _ = build_hybrid(
+            splits, recurrent_model(cfg, cfg["hybrid_source"], seed),
             np_config(cfg, regressor=True), seed=seed,
             dataset_digest=dataset_digest)
-        return model, {"stage1": rnn_hist, "stage2": np_hist}
+        models = [HybridModel(*stages) for stages in zip(
+            unstack(model.rnn), unstack(model.np_model),
+            per_stream(model.provenance))]
+        return models, [{"stage1": a, "stage2": b} for a, b in
+                        zip(per_stream(rnn_hists), per_stream(np_hists))]
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -112,20 +162,28 @@ def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
 
 
 def train_experiment(cfg, series=None):
-    """Train the configured model on every feature stream.
+    """Train the configured model on every feature stream, in stacked groups
+    of `group_size` streams.
 
     Returns (checkpoint dict, per-feature loss histories).
     """
     prepared, digest = prepare(cfg, series)
     kind = cfg["model"]
+    size = group_size(cfg, kind, len(prepared))
     features = {}
     histories = {}
-    for idx, pf in enumerate(prepared):
-        seed = _feature_seed(cfg["seed"], idx)
-        model, history = train_feature(cfg, kind, pf, seed,
-                                       dataset_digest=digest)
-        features[pf.feature.feature_id] = _feature_entry(model, pf.scaler)
-        histories[pf.feature.feature_id] = history
+    for start in range(0, len(prepared), size):
+        group = prepared[start:start + size]
+        seeds = [_feature_seed(cfg["seed"], start + i) for i in range(len(group))]
+        try:
+            models, group_histories = train_feature(cfg, kind, group, seeds,
+                                                    dataset_digest=digest)
+        except DivergenceError as exc:
+            exc.feature, exc.kind = group[exc.stream].feature.feature_id, kind
+            raise
+        for pf, model, history in zip(group, models, group_histories):
+            features[pf.feature.feature_id] = _feature_entry(model, pf.scaler)
+            histories[pf.feature.feature_id] = history
     checkpoint = {"format": CHECKPOINT_FORMAT, "kind": kind,
                   "config": dict(cfg), "dataset_digest": digest,
                   "features": features}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
+from .numcore import unstack
 from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
                        np_train)
 from .recurrent import RecurrentModel, predict_batch, train_recurrent
@@ -65,6 +66,12 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     `splits` maps split names (at least "train") to SupervisedWindowSet; the
     recurrent model and the additive model consume the same windows.
     Returns (HybridModel, rnn loss history, np loss history, regressors dict).
+
+    With stacked splits (`datapipe.stack_windows`), a stacked recurrent model
+    and a list of seeds, both stages train stacked: the HybridModel holds the
+    stacked stages and one provenance per stream, and the histories are per
+    stream. Stage 1 forecasts stream by stream, so that inference memory does
+    not grow with the group.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")
@@ -72,14 +79,23 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     if train.d != rnn_model.d or train.D != rnn_model.D:
         raise ContractViolation("window shape does not match recurrent model")
     rnn_history = train_recurrent(rnn_model, train, seed=seed)
-    regressors = {name: predict_batch(rnn_model, ws.X)
-                  for name, ws in splits.items()}
+    stacked = isinstance(seed, list)
+    stage1 = unstack(rnn_model)
+
+    def forecasts(X):
+        if not stacked:
+            return predict_batch(rnn_model, X)
+        return np.stack([predict_batch(m, x) for m, x in zip(stage1, X)])
+
+    regressors = {name: forecasts(ws.X) for name, ws in splits.items()}
     np_cfg = replace(np_cfg, d=train.d, D=train.D, regressor_enabled=True)
     np_model, np_history = np_train(train, np_cfg, seed=seed,
                                     regressors=regressors["train"])
-    provenance = make_provenance(seed, dataset_digest, rnn_model, np_cfg)
-    return HybridModel(rnn=rnn_model, np_model=np_model,
-                       provenance=provenance), rnn_history, np_history, regressors
+    provenance = [make_provenance(s, dataset_digest, m, np_cfg)
+                  for s, m in zip(seed if stacked else [seed], stage1)]
+    model = HybridModel(rnn=rnn_model, np_model=np_model,
+                        provenance=provenance if stacked else provenance[0])
+    return model, rnn_history, np_history, regressors
 
 
 def make_provenance(seed, dataset_digest, rnn_model, np_cfg):

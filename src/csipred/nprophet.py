@@ -25,8 +25,9 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      encode_params, huber_grad, huber_loss, init_uniform,
-                      load_params, relu)
+                      batch_rows, encode_params, generators, huber_grad,
+                      huber_loss, init_params, init_uniform, load_params, mT,
+                      relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
 # v1 held float lists in per-component sections and the changepoints, which
@@ -130,8 +131,20 @@ def config_dict(cfg: NpConfig) -> dict:
     return {**vars(cfg), "seasonalities": [list(s) for s in cfg.seasonalities]}
 
 
+def _mv(A, v):
+    """A @ v per stream: A (..., k) against v (k,), or against a stack v (F, k)
+    with A (F, ...), as one matrix-vector product per (D, k) slice of A."""
+    return (A @ v[..., None, :, None])[..., 0]
+
+
 class NpModel:
-    """Additive forecaster; see module docstring for conventions."""
+    """Additive forecaster; see module docstring for conventions.
+
+    With a list of seeds it is a stack of one model per seed, one per feature
+    stream (see `numcore.unstack`): each parameter gets a leading stream axis,
+    and `forward` and `grads` take origins, lags, regressors and dY with the
+    same leading axis. All streams share `t0` and `t_span`.
+    """
 
     def __init__(self, cfg: NpConfig, seed=0, t0=0.0, t_span=1.0):
         self.cfg = cfg
@@ -143,7 +156,7 @@ class NpModel:
         # Uniformly spaced over the first `changepoint_range` of the span,
         # in normalized time.
         self.changepoints = cfg.changepoint_range * np.arange(1, m + 1) / (m + 1.0)
-        self.params = self._init_params(np.random.default_rng(seed))
+        self.params = init_params(self._init_params, seed)
 
     def _init_params(self, rng):
         cfg = self.cfg
@@ -176,57 +189,56 @@ class NpModel:
         cfg = self.cfg
         p = self.params
         # absolute sample index of each horizon step, shape (B, D)
-        t_abs = np.asarray(t_origins, dtype=float)[:, None] + np.arange(1, cfg.D + 1)
-        B = t_abs.shape[0]
+        t_abs = np.asarray(t_origins, dtype=float)[..., None] + np.arange(1, cfg.D + 1)
         comps = {}
         cache = {"t_abs": t_abs}
         if cfg.trend_enabled:
             tn = (t_abs - self.t0) / self.t_span
-            ind = (tn[:, :, None] >= self.changepoints).astype(float)
-            comps["trend"] = ((p["trend_g0"][0] + ind @ p["trend_dg"]) * tn
-                              + (p["trend_r0"][0] + ind @ self._offset_adj()))
+            ind = (tn[..., None] >= self.changepoints).astype(float)
+            comps["trend"] = ((p["trend_g0"][..., None] + _mv(ind, p["trend_dg"])) * tn
+                              + (p["trend_r0"][..., None] + _mv(ind, self._offset_adj())))
             cache["tn"], cache["ind"] = tn, ind
         else:
-            comps["trend"] = np.zeros((B, cfg.D))
+            comps["trend"] = np.zeros(t_abs.shape)
         if cfg.seasonality_enabled:
-            F = np.zeros((B, cfg.D))
-            angs = []
+            F = np.zeros(t_abs.shape)
+            bases = []
             for i, (k, period_days) in enumerate(cfg.seasonalities):
                 period = period_days * cfg.samples_per_day
                 r = np.arange(1, k + 1)
-                ang = 2.0 * np.pi * r[None, None, :] * t_abs[:, :, None] / period
-                F += (np.cos(ang) @ p[f"season{i}_a"]
-                      + np.sin(ang) @ p[f"season{i}_b"])
-                angs.append(ang)
+                ang = 2.0 * np.pi * r * t_abs[..., None] / period
+                cos, sin = np.cos(ang), np.sin(ang)
+                F = F + (_mv(cos, p[f"season{i}_a"]) + _mv(sin, p[f"season{i}_b"]))
+                bases.append((cos, sin))
             comps["seasonality"] = F
-            cache["angs"] = angs
+            cache["bases"] = bases
         else:
-            comps["seasonality"] = np.zeros((B, cfg.D))
+            comps["seasonality"] = np.zeros(t_abs.shape)
         if cfg.ar_enabled:
-            z = np.asarray(lags, dtype=float)[:, ::-1]  # most recent lag first
-            if z.shape[1] != cfg.d:
+            z = np.asarray(lags, dtype=float)[..., ::-1]  # most recent lag first
+            if z.shape[-1] != cfg.d:
                 raise ContractViolation(
-                    f"expected {cfg.d} lags, got {z.shape[1]}")
+                    f"expected {cfg.d} lags, got {z.shape[-1]}")
             hs = [z]
             pre = []
             h = z
             for i in range(1, cfg.ar_layers + 1):
-                a = h @ p[f"ar_U{i}"].T + p[f"ar_b{i}"]
+                a = h @ mT(p[f"ar_U{i}"]) + p[f"ar_b{i}"][..., None, :]
                 pre.append(a)
                 h = a if cfg.ar_linear else relu(a)
                 hs.append(h)
-            comps["ar"] = h @ p[f"ar_U{cfg.ar_layers + 1}"].T
+            comps["ar"] = h @ mT(p[f"ar_U{cfg.ar_layers + 1}"])
             cache["ar_hs"], cache["ar_pre"] = hs, pre
         else:
-            comps["ar"] = np.zeros((B, cfg.D))
+            comps["ar"] = np.zeros(t_abs.shape)
         if cfg.regressor_enabled:
             if regressors is None:
                 raise ContractViolation("model expects a future regressor")
             reg = np.asarray(regressors, dtype=float)
-            comps["regressor"] = reg @ p["reg_W"].T
+            comps["regressor"] = reg @ mT(p["reg_W"])
             cache["reg"] = reg
         else:
-            comps["regressor"] = np.zeros((B, cfg.D))
+            comps["regressor"] = np.zeros(t_abs.shape)
         return comps, cache
 
     def forward(self, t_origins, lags, regressors=None):
@@ -239,35 +251,36 @@ class NpModel:
     def grads(self, dY, cache):
         cfg = self.cfg
         p = self.params
-        g = {k: np.zeros_like(v) for k, v in p.items()}
+        g = {}
         if cfg.trend_enabled:
             tn, ind = cache["tn"], cache["ind"]
-            g["trend_g0"][0] = float((dY * tn).sum())
-            g["trend_r0"][0] = float(dY.sum())
-            dg = np.einsum("bd,bdm->m", dY * tn, ind)
-            dr = np.einsum("bd,bdm->m", dY, ind)
+            g["trend_g0"] = (dY * tn).sum(axis=(-2, -1))[..., None]
+            g["trend_r0"] = dY.sum(axis=(-2, -1))[..., None]
+            dg = np.einsum("...bd,...bdm->...m", dY * tn, ind)
+            dr = np.einsum("...bd,...bdm->...m", dY, ind)
             if cfg.discontinuous_growth:
                 g["trend_dg"] = dg
                 g["trend_dr"] = dr
             else:
                 g["trend_dg"] = dg - self.changepoints * dr
         if cfg.seasonality_enabled:
-            for i, ang in enumerate(cache["angs"]):
-                g[f"season{i}_a"] = np.einsum("bd,bdk->k", dY, np.cos(ang))
-                g[f"season{i}_b"] = np.einsum("bd,bdk->k", dY, np.sin(ang))
+            for i, (cos, sin) in enumerate(cache["bases"]):
+                g[f"season{i}_a"] = np.einsum("...bd,...bdk->...k", dY, cos)
+                g[f"season{i}_b"] = np.einsum("...bd,...bdk->...k", dY, sin)
         if cfg.ar_enabled:
             hs, pre = cache["ar_hs"], cache["ar_pre"]
             L = cfg.ar_layers
-            g[f"ar_U{L + 1}"] = dY.T @ hs[L]
+            g[f"ar_U{L + 1}"] = mT(dY) @ hs[L]
             dh = dY @ p[f"ar_U{L + 1}"]
             for i in range(L, 0, -1):
                 da = dh if cfg.ar_linear else dh * (pre[i - 1] > 0)
-                g[f"ar_U{i}"] = da.T @ hs[i - 1]
-                g[f"ar_b{i}"] = da.sum(axis=0)
+                g[f"ar_U{i}"] = mT(da) @ hs[i - 1]
+                g[f"ar_b{i}"] = da.sum(axis=-2)
                 dh = da @ p[f"ar_U{i}"]
         if cfg.regressor_enabled:
-            g["reg_W"] = dY.T @ cache["reg"]
-        return g
+            g["reg_W"] = mT(dY) @ cache["reg"]
+        # the parameters of disabled components get zero gradients
+        return {k: g[k] if k in g else np.zeros_like(v) for k, v in p.items()}
 
     # -- persistence -------------------------------------------------------
 
@@ -314,7 +327,11 @@ def trend_span(data: SupervisedWindowSet):
 
 
 def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
-    """Joint Adam fit of all enabled components; returns (model, loss history)."""
+    """Joint Adam fit of all enabled components; returns (model, loss history).
+
+    With stacked windows (`datapipe.stack_windows`), stacked regressors and a
+    list of seeds it trains a stacked model and returns a history per stream.
+    """
     if len(data) == 0:
         raise ContractViolation("empty training dataset")
     if data.d != cfg.d or data.D != cfg.D:
@@ -328,14 +345,25 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
         if regressors.shape != data.Y.shape:
             raise ContractViolation("regressor array must be (N, D)")
     model = NpModel(cfg, seed, *trend_span(data))
+    stacked = isinstance(seed, list)
 
     def batch_loss(idx):
-        reg = None if regressors is None else regressors[idx]
-        y_hat, cache = model.forward(data.t[idx], data.X[idx], reg)
-        dY = huber_grad(data.Y[idx], y_hat, cfg.huber_beta)
-        return huber_loss(data.Y[idx], y_hat, cfg.huber_beta), model.grads(dY, cache)
+        rows = batch_rows(idx)
+        reg = None if regressors is None else regressors[rows]
+        y_hat, cache = model.forward(data.t[idx], data.X[rows], reg)
+        dY = huber_grad(data.Y[rows], y_hat, cfg.huber_beta, stacked)
+        return (huber_loss(data.Y[rows], y_hat, cfg.huber_beta, stacked),
+                model.grads(dY, cache))
 
-    return model, fit(model, batch_loss, len(data), cfg, np.random.default_rng(seed))
+    return model, fit(model, batch_loss, len(data), cfg, generators(seed))
+
+
+def batch_cache_bytes(cfg: NpConfig, batch):
+    """About the bytes that one stream's forward+backward pass over a batch
+    keeps live: per window the changepoint indicators, the Fourier bases and a
+    few (D,) arrays, and the activations of the AR net."""
+    per_step = cfg.n_changepoints + 2 * sum(k for k, _ in cfg.seasonalities) + 4
+    return 8 * batch * (cfg.D * per_step + cfg.d + 2 * cfg.ar_layers * cfg.ar_hidden)
 
 
 def np_predict_batch(model: NpModel, t_origins, X, regressors=None):

@@ -1,5 +1,6 @@
 """Minimal numeric substrate: activations, Huber loss, Adam, finite differences,
-and the one minibatch training loop (`fit`) every model family uses.
+the one minibatch training loop (`fit`) every model family uses, and the
+stacks of per-stream models that it trains as one.
 
 Everything works on plain float64 numpy arrays. Gradients elsewhere in the
 package are hand-derived; `finite_diff_grad` is the independent check.
@@ -7,6 +8,7 @@ package are hand-derived; `finite_diff_grad` is the independent check.
 from __future__ import annotations
 
 import binascii
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +50,27 @@ def _residual(truth, prediction, caller):
     return truth - prediction
 
 
-def huber_loss(truth, prediction, beta=1.0):
-    """Mean Huber loss: (1/(2*beta))*r^2 inside |r|<=beta, |r|-beta/2 outside."""
+def huber_loss(truth, prediction, beta=1.0, stacked=False):
+    """Mean Huber loss: (1/(2*beta))*r^2 inside |r|<=beta, |r|-beta/2 outside.
+
+    With `stacked`, the arrays carry a leading stream axis and the result is
+    one mean per stream.
+    """
     r = _residual(truth, prediction, "huber_loss")
     if beta <= 0:
         raise ContractViolation("huber beta must be > 0")
     a = np.abs(r)
     per = np.where(a <= beta, r * r / (2.0 * beta), a - beta / 2.0)
+    if stacked:
+        return per.reshape(len(per), -1).mean(axis=1)
     return float(per.mean())
 
 
-def huber_grad(truth, prediction, beta=1.0):
+def huber_grad(truth, prediction, beta=1.0, stacked=False):
     """Gradient of `huber_loss` w.r.t. the prediction (includes the mean factor)."""
     r = _residual(truth, prediction, "huber_grad")
     dper = np.clip(r / beta, -1.0, 1.0)  # dL/dr, both branches
-    return -dper / r.size
+    return -dper / (r.size // len(r) if stacked else r.size)
 
 
 @dataclass
@@ -136,9 +144,66 @@ def flatten(arrays: dict, names) -> np.ndarray:
 
 
 def unflatten(vec, like: dict) -> dict:
-    """Views into `vec`, one per array of `like`, in its order and shapes."""
-    parts = np.split(vec, np.cumsum([a.size for a in like.values()])[:-1])
-    return {k: p.reshape(a.shape) for (k, a), p in zip(like.items(), parts)}
+    """Views into `vec`, one per array of `like`, in its order and shapes. A
+    stack of vectors (F, P) gives views (F, *shape), one row per stream."""
+    parts = np.split(vec, np.cumsum([a.size for a in like.values()])[:-1], axis=-1)
+    return {k: p.reshape(*vec.shape[:-1], *a.shape)
+            for (k, a), p in zip(like.items(), parts)}
+
+
+# ---------------------------------------------------------------------------
+# Stacks
+#
+# F models of one shape, one per feature stream, train as one stacked model:
+# a copy of the model whose `seed` is the list of the F seeds and whose
+# parameters carry a leading stream axis, (F, *shape). Its forward and
+# backward passes take stacked batches with the same leading axis, so that
+# each GEMM is one `np.matmul` over F slices, and each stream keeps its own
+# generator (`generators`), batch order, dropout draws and clip norm.
+
+
+def mT(a):
+    """The matrices of `a` transposed, as a view (numpy 2's `ndarray.mT`)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def init_params(init, seed):
+    """`init(rng)` for one seed; for a list of seeds, the parameters of each
+    seed stacked into one array per name, with a row per seed."""
+    if not isinstance(seed, list):
+        return init(np.random.default_rng(seed))
+    per = [init(np.random.default_rng(s)) for s in seed]
+    return {k: np.stack([p[k] for p in per]) for k in per[0]}
+
+
+def generators(seed):
+    """One generator for one seed; a list of them for a list of seeds."""
+    if isinstance(seed, list):
+        return [np.random.default_rng(s) for s in seed]
+    return np.random.default_rng(seed)
+
+
+def batch_rows(idx):
+    """The index that takes batch `idx` from the window arrays: for a stack,
+    idx (F, b) holds one batch per stream and takes rows of stream f's
+    (N, ...) slice."""
+    if idx.ndim == 1:
+        return idx
+    return np.arange(len(idx))[:, None], idx
+
+
+def unstack(model):
+    """The F models of a stacked `model`: shallow copies, each with its own
+    seed and with parameters that are views of its row of the stack. A plain
+    model is its own one stream."""
+    if not isinstance(model.seed, list):
+        return [model]
+    out = []
+    for f, seed in enumerate(model.seed):
+        one = copy.copy(model)
+        one.seed, one.params = seed, {k: v[f] for k, v in model.params.items()}
+        out.append(one)
+    return out
 
 
 def finite_diff_grad(f, x, eps=1e-5):
@@ -179,30 +244,68 @@ def fit(model, loss_and_grads, n, cfg, rng):
     `loss_and_grads(idx)` returns (loss, grads keyed like `model.params`). A
     non-finite loss raises `DivergenceError` before that batch's step; else the
     grads are clipped to global norm `cfg.grad_clip` and Adam steps at a rate
-    that decays by `cfg.lr_decay` per epoch. Marks the model trained at the end.
-    At entry `model.params` becomes named views into one new vector.
+    that decays by `cfg.lr_decay` per epoch. A step after which the squared
+    norm of the parameters overflows raises `DivergenceError` too. Marks the
+    model trained at the end.
+
+    A stacked model comes with a list of F generators, one per stream, and
+    gets back a list of F histories. Each stream walks its own permutations:
+    `loss_and_grads` gets idx (F, b), one batch per stream, and returns F
+    losses and stacked grads. Each stream's grads are clipped to their own
+    norm, and one Adam steps all of them. On divergence the error names the
+    lowest-index stream that diverged at the first batch where any did.
+
+    At entry `model.params` becomes named views into one new (F, P) buffer
+    whose row f holds stream f's parameters, in the order of `flatten`; for
+    one model (F = 1) the views have the model's own shapes.
     """
-    flat = flatten(model.params, model.params)
-    model.params = unflatten(flat, model.params)
+    stacked = isinstance(rng, list)
+    rngs = rng if stacked else [rng]
+    F = len(rngs)
+    P = sum(a.size for a in model.params.values()) // F
+    flat, grad = np.empty(F * P), np.empty(F * P)
+    buf, gbuf = flat.reshape(F, P), grad.reshape(F, P)
+    np.concatenate([a.reshape(F, -1) for a in model.params.values()], axis=1,
+                   out=buf)
+    # No name may keep the arrays packed here alive: they are as large as buf.
+    model.params = (unflatten(buf, {k: a[0] for k, a in model.params.items()})
+                    if stacked else unflatten(flat, model.params))
     opt = Adam(flat.size)
-    history = []
+    histories = [[] for _ in range(F)]
     lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = np.stack([r.permutation(n) for r in rngs])
         losses = []
         for b0 in range(0, n, cfg.batch_size):
+            idx = order[:, b0:b0 + cfg.batch_size]
             # A diverging batch overflows; the check below reports it once.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(order[b0:b0 + cfg.batch_size])
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, b0 // cfg.batch_size, loss)
-            opt.step(flat, clip_grad_norm(flatten(grads, model.params),
-                                          cfg.grad_clip), lr)
+                loss, grads = loss_and_grads(idx if stacked else idx[0])
+            loss = np.reshape(loss, F)
+            batch = b0 // cfg.batch_size
+            if not np.isfinite(loss).all():
+                f = int(np.flatnonzero(~np.isfinite(loss))[0])
+                raise DivergenceError(epoch, batch, float(loss[f]), f)
+            np.concatenate([grads[k].reshape(F, -1) for k in model.params],
+                           axis=1, out=gbuf)
+            for row in gbuf:
+                clipped = clip_grad_norm(row, cfg.grad_clip)
+                if clipped is not row:
+                    row[...] = clipped
+            opt.step(flat, grad, lr)
+            with np.errstate(over="ignore"):
+                squares = np.array([np.dot(row, row) for row in buf])
+            if not np.isfinite(squares).all():
+                f = int(np.flatnonzero(~np.isfinite(squares))[0])
+                raise DivergenceError(epoch, batch, float(loss[f]), f,
+                                      "the squared norm of the parameters "
+                                      "overflows after the step of")
             losses.append(loss)
-        history.append(float(np.mean(losses)))
+        for history, mine in zip(histories, np.array(losses).T):
+            history.append(float(np.mean(mine)))
         lr *= cfg.lr_decay
     model.trained = True
-    return history
+    return histories if stacked else histories[0]
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in):

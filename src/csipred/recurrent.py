@@ -17,8 +17,9 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      encode_params, flatten, huber_grad, huber_loss,
-                      init_uniform, load_params, sigmoid, unflatten)
+                      batch_rows, encode_params, flatten, generators,
+                      huber_grad, huber_loss, init_params, init_uniform,
+                      load_params, mT, sigmoid, unflatten)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
@@ -37,8 +38,15 @@ class TrainConfig:
 
 
 def _dropout_mask(p, shape, rng):
-    """Inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
-    return (rng.random(shape) >= p) / (1.0 - p)
+    """Inverted-dropout mask: 0 with probability p, else 1/(1-p). For a list
+    of generators, one mask per stream of `shape`'s leading axis, each drawn
+    from its stream's own generator."""
+    if not isinstance(rng, list):
+        return (rng.random(shape) >= p) / (1.0 - p)
+    masks = np.empty(shape)
+    for mask, r in zip(masks, rng):
+        np.divide(r.random(shape[1:]) >= p, 1.0 - p, out=mask)
+    return masks
 
 
 def apply_dropout(activations, p, training, rng):
@@ -71,15 +79,28 @@ def apply_dropout(activations, p, training, rng):
 # per-step arrays interleaved with (B, G*H) temporaries fragment the heap.
 # `rnn_cell_forward` and `lstm_cell_forward` compute one step gate by gate;
 # they are the independent reference the scans are tested against.
+#
+# Every array may carry a leading stream axis (see `numcore.unstack`): the
+# parameters (F, G*H, n_in) and so on, the inputs (F, B, T, n) and the caches
+# (F, T+1, B, H). Each GEMM is then one `np.matmul` over the F slices, which
+# calls the same BLAS routine per slice as the unstacked GEMM, so each
+# stream's numbers are bit-equal to those of its own scan.
 
 
 def _rows_with_ones(x):
     """x (B, T, n) as rows (T*B, n+1) of [x_t, 1], ordered by step, then
     window; the ones column carries the bias through the GEMMs."""
-    B, T, n = x.shape
-    xb = np.ones((T, B, n + 1))
-    xb[..., :n] = x.transpose(1, 0, 2)
-    return xb.reshape(T * B, n + 1)
+    *lead, B, T, n = x.shape
+    xb = np.ones((*lead, T, B, n + 1))
+    xb[..., :n] = np.swapaxes(x, -3, -2)
+    return xb.reshape(*lead, T * B, n + 1)
+
+
+def _steps(a, axis=-3):
+    """a (..., T, B, n) as a view indexed by step first: _steps(a)[t] is
+    a[..., t, :, :]. With at most one axis before T, a swap of the two does
+    it, and costs less than `np.moveaxis`."""
+    return a.swapaxes(0, axis)
 
 
 def _project(x, p, Z, scale=1.0):
@@ -89,10 +110,10 @@ def _project(x, p, Z, scale=1.0):
     copy: with OpenBLAS a GEMM on the transposed view is up to 4x slower for
     batches of a few windows.
     """
-    T, B, GH = Z.shape
-    Wb = np.vstack([p["W"].T, p["b"]]) * scale
-    np.matmul(_rows_with_ones(x), Wb, out=Z.reshape(T * B, GH))
-    return np.multiply(p["V"].T, scale, order="C")
+    *lead, T, B, GH = Z.shape
+    Wb = np.concatenate([mT(p["W"]), p["b"][..., None, :]], axis=-2) * scale
+    np.matmul(_rows_with_ones(x), Wb, out=Z.reshape(*lead, T * B, GH))
+    return np.multiply(mT(p["V"]), scale, order="C")
 
 
 def rnn_cell_forward(x_t, s_prev, W, V, b):
@@ -105,20 +126,22 @@ def rnn_cell_forward(x_t, s_prev, W, V, b):
 
 
 def _rnn_scan(x, p):
-    B, T, _ = x.shape
-    S = np.zeros((T + 1, B, p["V"].shape[1]))
-    VT = _project(x, p, S[1:])  # pre-activations, turned into states below
+    *lead, B, T, _ = x.shape
+    S = np.zeros((*lead, T + 1, B, p["V"].shape[-1]))
+    St = _steps(S)
+    VT = _project(x, p, S[..., 1:, :, :])  # pre-activations, turned into states
     for t in range(T):
-        s = S[t + 1]
-        s += S[t] @ VT
+        s = St[t + 1]
+        s += St[t] @ VT
         np.tanh(s, out=s)
 
     def backward():
-        A = np.square(S[1:])
+        A = np.square(S[..., 1:, :, :])
         np.subtract(1.0, A, out=A)  # ds -> da: 1 - s^2
+        At = _steps(A)
 
         def step(t, ds, carry):
-            A[t] *= ds
+            At[t] *= ds
             return carry
         return A, step
     return S, backward
@@ -147,30 +170,31 @@ def lstm_cell_forward(x_t, prev: LstmState, w: dict) -> LstmState:
 
 
 def _lstm_scan(x, p):
-    B, T, _ = x.shape
-    H = p["V"].shape[1]
+    *lead, B, T, _ = x.shape
+    H = p["V"].shape[-1]
     # sigmoid(a) = 1/2 + tanh(a/2)/2, so with the f, i and o rows halved (an
     # exact scaling) one tanh over all 4H columns, times `scale` plus
     # `1 - scale`, gives the four gates.
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
     shift = 1.0 - scale
-    Z = np.empty((T, B, 4 * H))  # gate activations f, i, g, o
-    S = np.zeros((T + 1, B, H))
-    C = np.zeros((T + 1, B, H))
-    TC = np.empty((T, B, H))     # tanh of the new cell state
+    Z = np.empty((*lead, T, B, 4 * H))  # gate activations f, i, g, o
+    S = np.zeros((*lead, T + 1, B, H))
+    C = np.zeros((*lead, T + 1, B, H))
+    TC = np.empty((*lead, T, B, H))     # tanh of the new cell state
     VT = _project(x, p, Z, scale)
+    Zt, St, Ct, TCt = (_steps(a) for a in (Z, S, C, TC))
     for t in range(T):
-        z = Z[t]
-        z += S[t] @ VT
+        z = Zt[t]
+        z += St[t] @ VT
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        f, i, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        c, tc = C[t + 1], TC[t]
-        np.multiply(f, C[t], out=c)
+        f, i, g, o = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
+        c, tc = Ct[t + 1], TCt[t]
+        np.multiply(f, Ct[t], out=c)
         c += i * g
         np.tanh(c, out=tc)
-        np.multiply(o, tc, out=S[t + 1])
+        np.multiply(o, tc, out=St[t + 1])
 
     def backward():
         # Z: the factors of (dc, dc, dc, ds) in da, that is C_{t-1} f (1-f),
@@ -182,8 +206,8 @@ def _lstm_scan(x, p):
         f, i, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
         tmp = np.subtract(1.0, f)
         tmp *= f
-        tmp *= C[:-1]
-        C[:-1] = f
+        tmp *= C[..., :-1, :, :]
+        C[..., :-1, :, :] = f
         f[...] = tmp
         np.subtract(1.0, i, out=tmp)
         tmp *= i
@@ -199,14 +223,14 @@ def _lstm_scan(x, p):
         np.subtract(1.0, TC, out=TC)
         np.multiply(TC, o, out=TC)
         o[...] = tmp
-        gates = Z.reshape(T, B, 4, H)
+        gates = _steps(Z.reshape(*lead, T, B, 4, H), -4)
 
         def step(t, ds, dc_next):
-            dc = ds * TC[t]
+            dc = ds * TCt[t]
             dc += dc_next
-            gates[t, :, :3] *= dc[:, None]
-            gates[t, :, 3] *= ds
-            dc *= C[t]
+            gates[t, ..., :3, :] *= dc[..., None, :]
+            gates[t, ..., 3, :] *= ds
+            dc *= Ct[t]
             return dc
         return Z, step
     return S, backward
@@ -219,24 +243,27 @@ def _bptt(dS, x, p, S, backward):
     da update and ds = da @ V, and the rest runs once over all T*B rows.
     """
     A, step = backward()
-    B, T, n_in = x.shape
+    *lead, B, T, n_in = x.shape
     V = p["V"]
     ds_next = carry = 0.0
+    At = _steps(A)
     for t in range(T - 1, -1, -1):
-        carry = step(t, dS[:, t] + ds_next, carry)
+        carry = step(t, dS[..., t, :] + ds_next, carry)
         if t:
-            ds_next = A[t] @ V
-    A = A.reshape(T * B, -1)
-    dWb = A.T @ _rows_with_ones(x)
-    grads = {"W": dWb[:, :-1], "V": A.T @ S[:-1].reshape(T * B, -1),
-             "b": dWb[:, -1]}
-    return (A @ p["W"]).reshape(T, B, n_in).transpose(1, 0, 2), grads
+            ds_next = At[t] @ V
+    A = A.reshape(*lead, T * B, -1)
+    dWb = mT(A) @ _rows_with_ones(x)
+    grads = {"W": dWb[..., :-1],
+             "V": mT(A) @ S[..., :-1, :, :].reshape(*lead, T * B, -1),
+             "b": dWb[..., -1]}
+    return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2), grads
 
 
 def _direction(x, p, scan):
     """One scan over x: its states (B, T, H) and their backward pass."""
     S, backward = scan(x, p)
-    return S[1:].transpose(1, 0, 2), lambda dS: _bptt(dS, x, p, S, backward)
+    return (np.swapaxes(S[..., 1:, :, :], -3, -2),
+            lambda dS: _bptt(dS, x, p, S, backward))
 
 
 def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard"):
@@ -245,26 +272,35 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard"):
     Returns Y and (Sf, Sb, back), where back(dY) -> (dX, grads) with the
     grads of p_fwd and p_bwd keyed "f_" and "b_" + name.
     """
-    if x.shape[1] == 0:
+    if x.shape[-2] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
     if combine not in ("hadamard", "concat"):
         raise ContractViolation(f"unknown bilstm combine mode {combine!r}")
     Sf, back_f = _direction(x, p_fwd, _lstm_scan)
-    Sb_r, back_b = _direction(x[:, ::-1], p_bwd, _lstm_scan)
-    Sb = Sb_r[:, ::-1]
-    Y = Sf * Sb if combine == "hadamard" else np.concatenate([Sf, Sb], axis=2)
+    Sb_r, back_b = _direction(x[..., ::-1, :], p_bwd, _lstm_scan)
+    Sb = Sb_r[..., ::-1, :]
+    Y = Sf * Sb if combine == "hadamard" else np.concatenate([Sf, Sb], axis=-1)
 
     def back(dY):
-        H = Sf.shape[2]
+        H = Sf.shape[-1]
         if combine == "hadamard":
             dSf, dSb = dY * Sb, dY * Sf
         else:
-            dSf, dSb = dY[:, :, :H], dY[:, :, H:]
+            dSf, dSb = dY[..., :H], dY[..., H:]
         dXf, gf = back_f(dSf)
-        dXr, gb = back_b(dSb[:, ::-1])
-        return dXf + dXr[:, ::-1], {**{"f_" + k: v for k, v in gf.items()},
-                                    **{"b_" + k: v for k, v in gb.items()}}
+        dXr, gb = back_b(dSb[..., ::-1, :])
+        return dXf + dXr[..., ::-1, :], {**{"f_" + k: v for k, v in gf.items()},
+                                         **{"b_" + k: v for k, v in gb.items()}}
     return Y, (Sf, Sb, back)
+
+
+def scan_cache_bytes(arch, hidden, layers, lag_depth, batch):
+    """About the bytes that one stream's forward+backward pass over a batch
+    keeps live: per layer and direction the scan caches, (T+1, B, H) arrays
+    (S and the factors da of the rnn; Z, S, C, TC and the backward temporary
+    of the lstm, 8 in all), and one state gradient dS."""
+    per_layer = {"rnn": 2, "lstm": 8, "bilstm": 16}[arch]
+    return 8 * batch * hidden * (lag_depth + 1) * (layers * per_layer + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +310,13 @@ _SCANS = {"rnn": _rnn_scan, "lstm": _lstm_scan}
 
 
 class RecurrentModel:
-    """Stacked recurrent predictor with a dense multi-horizon head."""
+    """Stacked recurrent predictor with a dense multi-horizon head.
+
+    With a list of seeds it is a stack of one model per seed, one per feature
+    stream (see `numcore.unstack`): each parameter gets a leading stream axis,
+    and `forward` and `loss_and_grads` take windows (F, B, d), a generator per
+    stream, and return (F, B, D) forecasts and F losses.
+    """
 
     def __init__(self, arch, lag_depth, horizon,
                  hidden_size=DEFAULTS["rnn_hidden"], layers=DEFAULTS["rnn_layers"],
@@ -291,7 +333,7 @@ class RecurrentModel:
         self.config = config or TrainConfig()
         self.seed = seed
         self.trained = False
-        self.params = self._init_params(np.random.default_rng(seed))
+        self.params = init_params(self._init_params, seed)
 
     def _layer_out_dim(self):
         if self.arch == "bilstm" and self.bilstm_combine == "concat":
@@ -321,10 +363,12 @@ class RecurrentModel:
     def forward(self, X, training=False, rng=None, backward=True):
         """Returns y and, if `backward`, each layer's backward pass and mask."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
+        lead = self.params["out_b"].shape[:-1]
+        if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != self.d:
             raise ContractViolation(
-                f"expected lag windows of shape (B, {self.d}), got {X.shape}")
-        h = X[:, :, None]
+                f"expected lag windows of shape ({'F, ' * len(lead)}B, "
+                f"{self.d}), got {X.shape}")
+        h = X[..., None]
         backs = []
         p_drop = self.config.dropout
         for k in range(self.layers):
@@ -342,21 +386,22 @@ class RecurrentModel:
                 backs.append((back, mask))
             del back  # else its scan caches are freed before the next layer
             h = seq
-        last = h[:, -1, :]
-        y = last @ self.params["out_W"].T + self.params["out_b"]
+        last = h[..., -1, :]
+        y = last @ mT(self.params["out_W"]) + self.params["out_b"][..., None, :]
         return y, (backs, last)
 
     def loss_and_grads(self, X, Y, training=False, rng=None):
         Y = np.asarray(Y, dtype=float)
         y_hat, (backs, last) = self.forward(X, training=training, rng=rng)
-        loss = huber_loss(Y, y_hat, self.config.huber_beta)
-        dY = huber_grad(Y, y_hat, self.config.huber_beta)
-        grads = {"out_W": dY.T @ last, "out_b": dY.sum(axis=0)}
-        B, T = np.asarray(X).shape
-        d_seq = np.zeros((B, T, last.shape[1]))
-        d_seq[:, -1, :] = dY @ self.params["out_W"]
+        stacked = isinstance(self.seed, list)
+        loss = huber_loss(Y, y_hat, self.config.huber_beta, stacked)
+        dY = huber_grad(Y, y_hat, self.config.huber_beta, stacked)
+        grads = {"out_W": mT(dY) @ last, "out_b": dY.sum(axis=-2)}
+        d_seq = np.zeros((*np.shape(X), last.shape[-1]))
+        d_seq[..., -1, :] = dY @ self.params["out_W"]
         for k in reversed(range(self.layers)):
-            back, mask = backs[k]
+            # popped, so that each layer's caches go once its pass has run
+            back, mask = backs.pop()
             if mask is not None:
                 d_seq = d_seq * mask
             d_seq, g = back(d_seq)
@@ -409,17 +454,23 @@ class RecurrentModel:
 
 
 def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
-    """Minibatch Adam on Huber loss with full-window BPTT; returns loss history."""
+    """Minibatch Adam on Huber loss with full-window BPTT; returns loss history.
+
+    A stacked model trains on stacked windows (`datapipe.stack_windows`) with
+    a list of seeds, one generator per stream, and returns a history per stream.
+    """
     if len(data) == 0:
         raise ContractViolation("empty training dataset")
     if data.d != model.d or data.D != model.D:
         raise ContractViolation(
             f"window shape (d={data.d}, D={data.D}) does not match model "
             f"(d={model.d}, D={model.D})")
-    rng = np.random.default_rng(seed)
+    rng = generators(seed)
 
     def batch_loss(idx):
-        return model.loss_and_grads(data.X[idx], data.Y[idx], training=True, rng=rng)
+        rows = batch_rows(idx)
+        return model.loss_and_grads(data.X[rows], data.Y[rows], training=True,
+                                    rng=rng)
 
     return fit(model, batch_loss, len(data), model.config, rng)
 

@@ -200,7 +200,8 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("divergence:")] == [
-            "divergence: non-finite loss inf at epoch 0, batch 1"]
+            "divergence: np model of feature ant0_re: the squared norm of the "
+            "parameters overflows after the step of epoch 0, batch 0"]
 
     def test_divergence_raises_no_numpy_warning(self, tmp_path):
         cfg = write_config(tmp_path, {"model": "np",

@@ -1,0 +1,183 @@
+"""Stacked training groups: feature streams that train as one stacked model.
+
+Grouping must not change a single byte of what training writes, each stream
+keeps its own generator, batch order and clip norm, and a diverging stream is
+named by the error.
+"""
+import numpy as np
+import pytest
+
+from csipred import datapipe, experiment
+from csipred.cli import main
+from csipred.config import resolve_config
+from csipred.errors import ContractViolation, DivergenceError
+from csipred.numcore import fit, unflatten, unstack
+from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
+
+from test_cli import write_config
+
+FAMILIES = ("rnn", "lstm", "bilstm", "np", "hybrid")
+# Five antennas: 10 streams, so that groups of 4 leave a last group of 2.
+TOY = {"antenna_count": "5", "sample_count": "300", "d": "6", "D": "3",
+       "window_stride": "3", "epochs": "2", "batch_size": "16",
+       "rnn_hidden": "4", "rnn_layers": "2", "dropout": "0.2",
+       "np_hidden": "4", "np_layers": "1", "n_changepoints": "3",
+       "seasonalities": "2:0.02"}
+# The shape keys of the benchmark's paper-shape workload: the recurrent
+# defaults (H=200, L=3, d=48, D=24, batch 32) on one antenna.
+PAPER = {"epochs": "1", "sample_count": "2680", "window_stride": "24"}
+
+
+def _train(tmp_path, name, extra=None):
+    cfg = write_config(tmp_path, {**TOY, **(extra or {})}, name=f"{name}.cfg")
+    out = tmp_path / name
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    return [(out / f).read_bytes() for f in ("checkpoint.json", "loss.csv")]
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_grouped_training_is_byte_identical_to_groups_of_one(
+        tmp_path, monkeypatch, kind):
+    cfg = resolve_config({**TOY, "model": kind})
+    sizes = []
+    train_feature = experiment.train_feature
+
+    def spy(cfg, kind, group, seeds, **kwargs):
+        sizes.append(len(group))
+        return train_feature(cfg, kind, group, seeds, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_feature", spy)
+    monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES", 1)
+    serial = _train(tmp_path, "serial", {"model": kind})
+    assert sizes == [1] * 10
+    sizes.clear()
+    monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                        4 * experiment.stream_bytes(cfg, kind))
+    grouped = _train(tmp_path, "grouped", {"model": kind})
+    assert sizes == [4, 4, 2]
+    assert grouped == serial
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "hybrid"])
+def test_paper_shape_groups_hold_one_stream(kind):
+    cfg = resolve_config({**PAPER, "model": kind})
+    assert experiment.group_size(cfg, kind, 2) == 1
+
+
+def test_mimo_shape_groups_hold_several_streams():
+    cfg = resolve_config({"antenna_count": "16", "rnn_hidden": "16",
+                          "rnn_layers": "1", "dropout": "0.0"})
+    assert experiment.group_size(cfg, "rnn", 32) > 1
+    assert experiment.group_size(cfg, "np", 32) > 1
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "hybrid"])
+def test_parameters_that_overflow_exit_3(tmp_path, capsys, kind):
+    # One Adam step at this rate moves the weights to about 1e300: the loss
+    # stays finite (tanh saturates) but the squared norm overflows.
+    cfg = write_config(tmp_path, {"model": kind, "epochs": "1",
+                                  "rnn_learning_rate": "1e300"})
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("divergence:")]
+    assert len(lines) == 1
+    assert f"{kind} model of feature ant0_re" in lines[0]
+    assert "squared norm of the parameters overflows" in lines[0]
+    assert not (out / "checkpoint.json").exists()
+
+
+class _Quadratic:
+    """loss = sum(w^2) per stream; a stream whose index is in `bad` from
+    call `at` on returns a NaN loss."""
+
+    def __init__(self, streams, bad=(), at=0):
+        self.params = {"w": np.arange(1.0, 3 * streams + 1).reshape(streams, 3)}
+        self.seed = list(range(streams))
+        self.trained = False
+        self.bad, self.at, self.seen = bad, at, []
+
+    def loss_and_grads(self, idx):
+        w = self.params["w"]
+        loss = np.sum(w * w, axis=1)
+        if len(self.seen) >= self.at:
+            loss[list(self.bad)] = np.nan
+        self.seen.append(w.copy())
+        return loss, {"w": 2.0 * w}
+
+
+class TestStackedFit:
+    def test_rows_hold_the_streams_and_views_share_one_buffer(self):
+        model = _Quadratic(3)
+        start = model.params["w"].copy()
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        histories = fit(model, model.loss_and_grads, 5, TrainConfig(epochs=2),
+                        rngs)
+        assert len(histories) == 3 and all(len(h) == 2 for h in histories)
+        assert model.trained
+        buf = model.params["w"].base
+        assert buf.ndim == 1 and buf.size == 9
+        for f, one in enumerate(unstack(model)):
+            assert one.seed == f
+            assert np.shares_memory(one.params["w"], buf)
+            # each stream moved from its own start, by the same steps
+            single = _Quadratic(1)
+            single.params["w"] = start[f:f + 1]
+            fit(single, single.loss_and_grads, 5, TrainConfig(epochs=2),
+                [np.random.default_rng(f)])
+            assert np.array_equal(one.params["w"], single.params["w"][0])
+
+    def test_divergence_names_lowest_bad_stream_and_takes_no_step(self):
+        model = _Quadratic(4, bad=(3, 1), at=2)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        with pytest.raises(DivergenceError) as exc:
+            fit(model, model.loss_and_grads, 10, TrainConfig(epochs=1,
+                                                             batch_size=4), rngs)
+        assert (exc.value.epoch, exc.value.batch, exc.value.stream) == (0, 2, 1)
+        assert len(model.seen) == 3
+        assert not np.array_equal(model.seen[2], model.seen[0])  # steps taken
+        assert np.array_equal(model.params["w"], model.seen[2])  # none for batch 2
+        assert not model.trained
+
+
+def test_divergence_message_names_feature_and_kind():
+    exc = DivergenceError(1, 2, float("inf"), stream=3)
+    assert str(exc) == "non-finite loss inf at epoch 1, batch 2"
+    exc.feature, exc.kind = "ant1_im", "lstm"
+    assert str(exc) == ("lstm model of feature ant1_im: non-finite loss inf "
+                        "at epoch 1, batch 2")
+
+
+def test_unflatten_of_a_stack_gives_row_views():
+    like = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
+    buf = np.arange(20.0).reshape(2, 10)
+    views = unflatten(buf, like)
+    assert views["a"].shape == (2, 2, 3) and views["b"].shape == (2, 4)
+    assert all(np.shares_memory(v, buf) for v in views.values())
+    assert np.array_equal(views["b"][1], buf[1, 6:])
+
+
+def test_stacked_model_matches_its_streams():
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(epochs=2, batch_size=8, dropout=0.2)
+    windows = [datapipe.make_windows(np.sin(np.arange(90) / (4.0 + f)), 5, 2)
+               for f in range(3)]
+    stack = RecurrentModel("lstm", 5, 2, hidden_size=3, layers=2, config=cfg,
+                           seed=[4, 5, 6])
+    hists = train_recurrent(stack, datapipe.stack_windows(windows), seed=[4, 5, 6])
+    X = rng.normal(size=(3, 7, 5))
+    y, _ = stack.forward(X, backward=False)
+    for f, (one, ws) in enumerate(zip(unstack(stack), windows)):
+        alone = RecurrentModel("lstm", 5, 2, hidden_size=3, layers=2, config=cfg,
+                               seed=4 + f)
+        assert train_recurrent(alone, ws, seed=4 + f) == hists[f]
+        for name, value in alone.params.items():
+            assert np.array_equal(one.params[name], value)
+        assert np.array_equal(y[f], alone.forward(X[f], backward=False)[0])
+
+
+def test_stack_windows_refuses_windows_cut_elsewhere():
+    a = datapipe.make_windows(np.arange(40.0), 4, 2)
+    b = datapipe.make_windows(np.arange(41.0), 4, 2)
+    with pytest.raises(ContractViolation):
+        datapipe.stack_windows([a, b])
