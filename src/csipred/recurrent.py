@@ -239,16 +239,21 @@ def _lstm_scan(x, p):
 def _bptt(dS, x, p, S, backward):
     """Reverse-time pass over one direction: (dX, grads of W, V and b).
 
-    Consumes the scan's caches through `backward()`; the loop keeps only the
-    da update and ds = da @ V, and the rest runs once over all T*B rows.
+    dS (B, T', H) is the state gradient of the last T' <= T steps; the steps
+    before them get only the one that flows back through the recurrence (a
+    top layer's head reads its last step alone). Consumes the scan's caches
+    through `backward()`; the loop keeps only the da update and ds = da @ V,
+    and the rest runs once over all T*B rows.
     """
     A, step = backward()
     *lead, B, T, n_in = x.shape
     V = p["V"]
+    t0 = T - dS.shape[-2]
     ds_next = carry = 0.0
     At = _steps(A)
     for t in range(T - 1, -1, -1):
-        carry = step(t, dS[..., t, :] + ds_next, carry)
+        ds = dS[..., t - t0, :] + ds_next if t >= t0 else ds_next
+        carry = step(t, ds, carry)
         if t:
             ds_next = At[t] @ V
     A = A.reshape(*lead, T * B, -1)
@@ -266,31 +271,38 @@ def _direction(x, p, scan):
             lambda dS: _bptt(dS, x, p, S, backward))
 
 
-def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard"):
+def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False):
     """Two-direction pass; combined output per step is s_fwd (x) s_bwd.
 
     Returns Y and (Sf, Sb, back), where back(dY) -> (dX, grads) with the
-    grads of p_fwd and p_bwd keyed "f_" and "b_" + name.
+    grads of p_fwd and p_bwd keyed "f_" and "b_" + name. With `last_step`
+    (a top layer, whose last step alone the head reads) the reverse
+    direction scans x_{T-1} alone, and Y, Sb and dY hold step T-1 only.
     """
     if x.shape[-2] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
     if combine not in ("hadamard", "concat"):
         raise ContractViolation(f"unknown bilstm combine mode {combine!r}")
     Sf, back_f = _direction(x, p_fwd, _lstm_scan)
-    Sb_r, back_b = _direction(x[..., ::-1, :], p_bwd, _lstm_scan)
+    Sb_r, back_b = _direction(x[..., -1:, :] if last_step else x[..., ::-1, :],
+                              p_bwd, _lstm_scan)
     Sb = Sb_r[..., ::-1, :]
-    Y = Sf * Sb if combine == "hadamard" else np.concatenate([Sf, Sb], axis=-1)
+    Tb = Sb.shape[-2]  # the steps the reverse direction covers: T or 1
+    Sf_out = Sf[..., -Tb:, :]
+    Y = (Sf_out * Sb if combine == "hadamard"
+         else np.concatenate([Sf_out, Sb], axis=-1))
 
     def back(dY):
         H = Sf.shape[-1]
         if combine == "hadamard":
-            dSf, dSb = dY * Sb, dY * Sf
+            dSf, dSb = dY * Sb, dY * Sf_out
         else:
             dSf, dSb = dY[..., :H], dY[..., H:]
-        dXf, gf = back_f(dSf)
+        dX, gf = back_f(dSf)
         dXr, gb = back_b(dSb[..., ::-1, :])
-        return dXf + dXr[..., ::-1, :], {**{"f_" + k: v for k, v in gf.items()},
-                                         **{"b_" + k: v for k, v in gb.items()}}
+        dX[..., -Tb:, :] += dXr[..., ::-1, :]
+        return dX, {**{"f_" + k: v for k, v in gf.items()},
+                    **{"b_" + k: v for k, v in gb.items()}}
     return Y, (Sf, Sb, back)
 
 
@@ -298,7 +310,9 @@ def scan_cache_bytes(arch, hidden, layers, lag_depth, batch):
     """About the bytes that one stream's forward+backward pass over a batch
     keeps live: per layer and direction the scan caches, (T+1, B, H) arrays
     (S and the factors da of the rnn; Z, S, C, TC and the backward temporary
-    of the lstm, 8 in all), and one state gradient dS."""
+    of the lstm, 8 in all), and one state gradient dS. The top layer counts
+    in full, its one-step bilstm reverse direction too, so that the group
+    sizes stay those of the full-window scans."""
     per_layer = {"rnn": 2, "lstm": 8, "bilstm": 16}[arch]
     return 8 * batch * hidden * (lag_depth + 1) * (layers * per_layer + 1)
 
@@ -375,7 +389,7 @@ class RecurrentModel:
             if self.arch == "bilstm":
                 seq, (_, _, back) = bilstm_forward(
                     h, self._layer_params(k, "f_"), self._layer_params(k, "b_"),
-                    self.bilstm_combine)
+                    self.bilstm_combine, last_step=k == self.layers - 1)
             else:
                 seq, back = _direction(h, self._layer_params(k), _SCANS[self.arch])
             mask = None
@@ -397,8 +411,7 @@ class RecurrentModel:
         loss = huber_loss(Y, y_hat, self.config.huber_beta, stacked)
         dY = huber_grad(Y, y_hat, self.config.huber_beta, stacked)
         grads = {"out_W": mT(dY) @ last, "out_b": dY.sum(axis=-2)}
-        d_seq = np.zeros((*np.shape(X), last.shape[-1]))
-        d_seq[..., -1, :] = dY @ self.params["out_W"]
+        d_seq = (dY @ self.params["out_W"])[..., None, :]  # step T-1 alone
         for k in reversed(range(self.layers)):
             # popped, so that each layer's caches go once its pass has run
             back, mask = backs.pop()

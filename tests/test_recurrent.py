@@ -7,9 +7,9 @@ import pytest
 from csipred import synthchan
 from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation, DivergenceError
-from csipred.numcore import finite_diff_grad
+from csipred.numcore import finite_diff_grad, huber_grad, huber_loss, mT
 from csipred.recurrent import (LstmState, RecurrentModel, TrainConfig,
-                               _lstm_scan, _rnn_scan, apply_dropout,
+                               _direction, _lstm_scan, _rnn_scan, apply_dropout,
                                bilstm_forward, lstm_cell_forward, predict_batch,
                                predict_horizon, rnn_cell_forward, train_recurrent)
 
@@ -320,6 +320,77 @@ class TestHoistedScans:
             single = predict_batch(model, X[j:j + 1])[0]
             assert np.allclose(batch[j], single, rtol=0, atol=1e-12)
 
+
+def _full_top_bilstm(model, X, Y):
+    """The bilstm model's forecasts, loss and grads with every layer run in
+    full, the top one too: both directions over all T steps, and a (B, T, H)
+    head gradient that is zero before step T-1."""
+    h, backs = X[..., None], []
+    for k in range(model.layers):
+        h, (_, _, back) = bilstm_forward(h, model._layer_params(k, "f_"),
+                                         model._layer_params(k, "b_"),
+                                         model.bilstm_combine)
+        backs.append(back)
+    last = h[..., -1, :]
+    out_W, out_b = model.params["out_W"], model.params["out_b"]
+    y = last @ mT(out_W) + out_b[..., None, :]
+    stacked = isinstance(model.seed, list)
+    beta = model.config.huber_beta
+    dY = huber_grad(Y, y, beta, stacked)
+    grads = {"out_W": mT(dY) @ last, "out_b": dY.sum(axis=-2)}
+    d_seq = np.zeros(h.shape)
+    d_seq[..., -1, :] = dY @ out_W
+    for k in reversed(range(model.layers)):
+        d_seq, g = backs[k](d_seq)
+        grads.update({f"L{k}_{name}": val for name, val in g.items()})
+    return y, huber_loss(Y, y, beta, stacked), grads
+
+
+class TestTopLayer:
+    """The top layer computes only the step the head reads."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("combine", ["hadamard", "concat"])
+    @pytest.mark.parametrize("seed", [3, [3, 4, 5]], ids=["plain", "group3"])
+    @pytest.mark.parametrize("B", [1, 2, 32])
+    def test_bilstm_matches_full_top_layer(self, layers, combine, seed, B):
+        model = RecurrentModel("bilstm", 6, 3, hidden_size=4, layers=layers,
+                               bilstm_combine=combine,
+                               config=TrainConfig(dropout=0.0), seed=seed)
+        lead = (3,) if isinstance(seed, list) else ()
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(*lead, B, 6))
+        Y = rng.normal(size=(*lead, B, 3))
+        y_ref, loss_ref, grads_ref = _full_top_bilstm(model, X, Y)
+        loss, grads = model.loss_and_grads(X, Y)
+        np.testing.assert_allclose(loss, loss_ref, rtol=1e-12, atol=1e-15)
+        for y in (model.forward(X)[0], model.forward(X, backward=False)[0]):
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-15)
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, grads_ref[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("scan", [_rnn_scan, _lstm_scan])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_last_step_state_gradient_is_bit_equal(self, scan, lead):
+        rng = np.random.default_rng(16)
+        H, n_in, B, T = 4, 2, 5, 7
+        GH = H if scan is _rnn_scan else 4 * H
+        p = {"W": rng.normal(size=(*lead, GH, n_in)),
+             "V": rng.normal(size=(*lead, GH, H)) * 0.5,
+             "b": rng.normal(size=(*lead, GH))}
+        x = rng.normal(size=(*lead, B, T, n_in))
+        d_last = rng.normal(size=(*lead, B, 1, H))
+        padded = np.zeros((*lead, B, T, H))
+        padded[..., -1:, :] = d_last
+        dX, grads = _direction(x, p, scan)[1](d_last)
+        dX_ref, grads_ref = _direction(x, p, scan)[1](padded)
+        assert dX.tobytes() == dX_ref.tobytes()
+        for name in ("W", "V", "b"):
+            assert grads[name].tobytes() == grads_ref[name].tobytes()
+
+
 class TestDropout:
     def test_p_zero_identity(self):
         a = np.arange(5.0)
@@ -449,9 +520,11 @@ class TestInferenceMemory:
     def test_predict_peak_does_not_grow_with_depth(self, arch):
         # Inference keeps no layer's backward pass, so its scan caches are
         # freed layer by layer; with them kept the peak grows per layer.
+        # Depths 3 and 4 both peak in a full middle layer (a top bilstm
+        # layer's reverse direction scans one step, so depth 2 peaks lower).
         X = np.random.default_rng(0).normal(size=(32, 24))
         peaks = []
-        for layers in (2, 3):
+        for layers in (3, 4):
             model = RecurrentModel(arch, 24, 4, hidden_size=32, layers=layers,
                                    seed=0)
             model.trained = True
