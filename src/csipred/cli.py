@@ -25,11 +25,9 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_config(args, extra_overrides=None):
+def _load_config(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = dict(extra_overrides or {})
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    overrides = {"seed": args.seed} if args.seed is not None else {}
     return resolve_config(file_values, overrides)
 
 
@@ -134,9 +132,8 @@ def cmd_tune(args):
         reports = experiment.evaluate_checkpoint(checkpoint, split="val",
                                                  series=series)
         overall = next(r for r in reports if r.antenna == "all")
-        params = sum(
-            experiment.MODEL_CLASSES[cfg["model"]].from_dict(f["model"]).param_count()
-            for f in checkpoint["features"].values())
+        params = len(checkpoint["features"]) * experiment.stream_param_count(
+            cfg, cfg["model"])
         return {"nmse": overall.nmse, "param_count": params}
 
     best, trials = grid_search(grid, evaluate)

@@ -63,7 +63,7 @@ DEFAULTS = {
     "compare_seeds": "0",          # comma-separated seed list for cmd_compare
 }
 
-_CHOICES = {
+CHOICES = {
     "model": ("np", "rnn", "lstm", "bilstm", "hybrid"),
     "bilstm_combine": ("hadamard", "concat"),
     "hybrid_source": ("rnn", "bilstm"),
@@ -129,7 +129,7 @@ def resolve_config(file_values=None, overrides=None) -> dict:
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, raw)
-    for key, choices in _CHOICES.items():
+    for key, choices in CHOICES.items():
         if cfg[key] not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {cfg[key]!r}")
     for keys, rule, ok in _RANGES:

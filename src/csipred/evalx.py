@@ -98,7 +98,8 @@ class MetricReport:
 
 
 def aggregate_nmse(parts):
-    """Window-count-weighted mean of per-set NMSEs; `parts` is [(nmse, count)]."""
+    """Window-count-weighted mean of any per-antenna metric, NMSE or cosine
+    similarity alike; `parts` is [(value, window count)]."""
     total = sum(c for _, c in parts)
     if total == 0:
         raise ContractViolation("no windows to aggregate")

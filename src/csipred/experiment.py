@@ -12,7 +12,8 @@ import contextlib
 import numpy as np
 
 from . import datapipe, hybrid, numcore, synthchan
-from .config import DEFAULTS, config_digest, parse_seasonalities, resolve_config
+from .config import (CHOICES, DEFAULTS, config_digest, parse_seasonalities,
+                     resolve_config)
 from .errors import (CheckpointMismatch, ConfigError, ContractViolation,
                      DivergenceError)
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
@@ -25,9 +26,6 @@ from .recurrent import (RecurrentModel, TrainConfig, predict_batch,
                         scan_cache_bytes, train_recurrent)
 
 CHECKPOINT_FORMAT = "csipred-experiment-v1"
-# Model kind -> class of its checkpoint model entry.
-MODEL_CLASSES = {"rnn": RecurrentModel, "lstm": RecurrentModel,
-                 "bilstm": RecurrentModel, "np": NpModel, "hybrid": HybridModel}
 
 
 def get_series(cfg) -> datapipe.CsiSeries:
@@ -94,20 +92,32 @@ def _feature_seed(seed, index):
 GROUP_CACHE_BYTES = 5 << 20
 
 
+def _stages(cfg, kind):
+    """A model kind's stages under cfg: (the additive model's config, the
+    recurrent architecture), None for a stage the kind lacks. The hybrid has
+    both, with `hybrid_source` as its architecture."""
+    np_cfg = np_config(cfg, kind == "hybrid") if kind in ("np", "hybrid") else None
+    arch = {"np": None, "hybrid": cfg["hybrid_source"]}.get(kind, kind)
+    return np_cfg, arch
+
+
 def stream_bytes(cfg, kind):
     """About the bytes that one stream's forward+backward pass over a batch
     keeps live, for this config and model kind (the larger of the hybrid's
     two stages)."""
-    per_stream = []
-    if kind in ("np", "hybrid"):
-        per_stream.append(batch_cache_bytes(np_config(cfg, kind == "hybrid"),
-                                            cfg["batch_size"]))
-    if kind != "np":
-        arch = cfg["hybrid_source"] if kind == "hybrid" else kind
-        per_stream.append(scan_cache_bytes(arch, cfg["rnn_hidden"],
-                                           cfg["rnn_layers"], cfg["d"],
-                                           cfg["batch_size"]))
-    return max(per_stream)
+    np_cfg, arch = _stages(cfg, kind)
+    return max(0 if np_cfg is None else batch_cache_bytes(np_cfg, cfg["batch_size"]),
+               0 if arch is None else scan_cache_bytes(
+                   arch, cfg["rnn_hidden"], cfg["rnn_layers"], cfg["d"],
+                   cfg["batch_size"]))
+
+
+def stream_param_count(cfg, kind):
+    """Trainable parameters of one stream's model for this config and model
+    kind (the sum of the hybrid's two stages), as training builds it."""
+    np_cfg, arch = _stages(cfg, kind)
+    return ((0 if np_cfg is None else NpModel(np_cfg).param_count())
+            + (0 if arch is None else recurrent_model(cfg, arch, 0).param_count()))
 
 
 def group_size(cfg, kind, streams):
@@ -246,7 +256,7 @@ def _predict_split(checkpoint, split, series):
     if missing:
         raise CheckpointMismatch(f"checkpoint lacks {', '.join(sorted(missing))}")
     kind, cfg = checkpoint["kind"], checkpoint["config"]
-    if not isinstance(kind, str) or kind not in MODEL_CLASSES:
+    if kind not in CHOICES["model"]:
         raise CheckpointMismatch(f"unknown model kind {kind!r}")
     if not isinstance(cfg, dict) or not isinstance(checkpoint["features"], dict):
         raise CheckpointMismatch("checkpoint config or features is not an object")

@@ -46,18 +46,6 @@ class HybridModel:
                 "np": self.np_model.to_dict(with_params),
                 "provenance": self.provenance}
 
-    @classmethod
-    def from_dict(cls, payload):
-        if payload.get("format") != "csipred-hybrid-v1":
-            raise ContractViolation(
-                f"unsupported checkpoint format {payload.get('format')!r}")
-        return cls(rnn=RecurrentModel.from_dict(payload["rnn"]),
-                   np_model=NpModel.from_dict(payload["np"]),
-                   provenance=payload["provenance"])
-
-    def param_count(self):
-        return self.rnn.param_count() + self.np_model.param_count()
-
 
 def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
                  dataset_digest=""):

@@ -26,8 +26,7 @@ from .errors import ContractViolation
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
                       batch_rows, encode_params, generators, huber_grad,
-                      huber_loss, init_params, init_uniform, load_params, mT,
-                      relu)
+                      huber_loss, init_params, init_uniform, mT, relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
 # v1 held float lists in per-component sections and the changepoints, which
@@ -292,20 +291,6 @@ class NpModel:
             "trained": self.trained,
             "params": encode_params(self.params) if with_params else {},
         }
-
-    @classmethod
-    def from_dict(cls, payload):
-        if payload.get("format") != FORMAT:
-            raise ContractViolation(
-                f"unsupported checkpoint format {payload.get('format')!r}, "
-                f"expected {FORMAT!r}")
-        raw = dict(payload["config"])
-        raw["seasonalities"] = tuple(tuple(s) for s in raw["seasonalities"])
-        model = cls(NpConfig(**raw), seed=payload["seed"], t0=payload["t0"],
-                    t_span=payload["t_span"])
-        model.params = load_params(model.params, payload["params"])
-        model.trained = payload["trained"]
-        return model
 
     def param_count(self):
         return sum(v.size for v in self.params.values())

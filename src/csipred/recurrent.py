@@ -18,8 +18,8 @@ from .errors import ContractViolation
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
                       batch_rows, encode_params, flatten, generators,
-                      huber_grad, huber_loss, init_params, init_uniform,
-                      load_params, mT, sigmoid, unflatten)
+                      huber_grad, huber_loss, init_params, init_uniform, mT,
+                      sigmoid, unflatten)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
@@ -449,21 +449,6 @@ class RecurrentModel:
             "config": vars(self.config),
             "params": encode_params(self.params) if with_params else {},
         }
-
-    @classmethod
-    def from_dict(cls, payload):
-        if payload.get("format") != FORMAT:
-            raise ContractViolation(
-                f"unsupported checkpoint format {payload.get('format')!r}, "
-                f"expected {FORMAT!r}")
-        model = cls(payload["arch"], payload["d"], payload["D"],
-                    hidden_size=payload["hidden_size"], layers=payload["layers"],
-                    bilstm_combine=payload["bilstm_combine"],
-                    config=TrainConfig(**payload["config"]),
-                    seed=payload["seed"])
-        model.params = load_params(model.params, payload["params"])
-        model.trained = payload["trained"]
-        return model
 
 
 def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):

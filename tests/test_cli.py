@@ -280,6 +280,8 @@ MALFORMED_BY_KIND = {
         ckpt, lambda e: e["model"]["config"].update(n_changepoints=4)),
     ("np", "blob-bad-char"): lambda ckpt: _edit_params(
         ckpt, "ar_U1", lambda blob: blob[:4] + "!" + blob[5:]),
+    ("hybrid", "format"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].update(format="csipred-hybrid-v0")),
     ("hybrid", "rnn-hidden-size"): lambda ckpt: _edit_entries(
         ckpt, lambda e: e["model"]["rnn"].update(hidden_size=9)),
     ("hybrid", "np-untrained"): lambda ckpt: _edit_entries(
@@ -587,6 +589,15 @@ class TestConfigFuzz:
         check()
 
 
+def _stored_floats(node, key=None):
+    """The float64 values in every parameter blob under `node`."""
+    if key == "params":
+        return sum(len(base64.b64decode(blob)) // 8 for blob in node.values())
+    if isinstance(node, dict):
+        return sum(_stored_floats(value, k) for k, value in node.items())
+    return 0
+
+
 class TestTune:
     def test_grid_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {"epochs": "1"})
@@ -600,6 +611,30 @@ class TestTune:
         assert len(trials) == 3
         best = parse_config_file(out / "best.cfg")
         assert best["rnn_hidden"] in ("4", "8")
+
+    # param_count per kind at rnn_hidden=4 and 8 (np has no recurrent stage)
+    PARAM_COUNTS = {"rnn": (88, 232), "lstm": (232, 712), "bilstm": (424, 1352),
+                    "np": (268, 268), "hybrid": (356, 500)}
+
+    @pytest.mark.parametrize("kind", sorted(PARAM_COUNTS))
+    def test_param_count_is_what_training_stores(self, tmp_path, kind):
+        cfg = write_config(tmp_path, {"epochs": "1", "model": kind})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=4,8\n", encoding="utf-8")
+        out = tmp_path / "tuned"
+        assert main(["tune", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "trials.csv").read_text().splitlines()[1:]]
+        assert [(row[0], int(row[3])) for row in rows] == list(
+            zip(("'4'", "'8'"), self.PARAM_COUNTS[kind]))
+        for hidden, count in zip(("4", "8"), self.PARAM_COUNTS[kind]):
+            cell = write_config(tmp_path, {"epochs": "1", "model": kind,
+                                           "rnn_hidden": hidden}, name="cell.cfg")
+            run = tmp_path / f"run{hidden}"
+            assert main(["train", "--config", str(cell), "--out", str(run)]) == 0
+            ckpt = json.loads((run / "checkpoint.json").read_text())
+            assert _stored_floats(ckpt["features"]) == count
 
     def test_unknown_grid_key(self, tmp_path):
         cfg = write_config(tmp_path)
