@@ -15,10 +15,10 @@ from pathlib import Path
 
 from . import experiment
 from .config import (DEFAULTS, config_digest, format_config,
-                     parse_config_file, resolve_config)
+                     parse_compare_seeds, parse_config_file, resolve_config)
 from .datapipe import save_csi
 from .errors import ConfigError, DataError, DivergenceError
-from .evalx import grid_search, write_reports, write_trials
+from .evalx import grid_cells, grid_search, write_reports, write_trials
 
 
 def _log(msg):
@@ -123,11 +123,17 @@ def _parse_grid_file(path):
 def cmd_tune(args):
     base_cfg = _load_config(args)
     grid = _parse_grid_file(args.grid)
+    # A value the config refuses stops the run before any cell trains.
+    for cell in grid_cells(grid):
+        try:
+            resolve_config(dict(base_cfg), cell)
+        except ConfigError as exc:
+            raise ConfigError(f"grid cell {cell}: {exc}") from None
     out = _out_dir(args)
-    series = experiment.get_series(base_cfg)
 
     def evaluate(cell):
         cfg = resolve_config(dict(base_cfg), cell)
+        series = experiment.get_series(cfg)
         checkpoint, _ = experiment.train_experiment(cfg, series=series)
         reports = experiment.evaluate_checkpoint(checkpoint, split="val",
                                                  series=series)
@@ -136,7 +142,10 @@ def cmd_tune(args):
             cfg, cfg["model"])
         return {"nmse": overall.nmse, "param_count": params}
 
-    best, trials = grid_search(grid, evaluate)
+    try:
+        best, trials = grid_search(grid, evaluate)
+    except RuntimeError as exc:  # no cell trained: exit as its first failure
+        raise exc.__cause__ from None
     write_trials(trials, out / "trials.csv")
     best_cfg = resolve_config(dict(base_cfg), best)
     _write_text(out / "best.cfg", format_config(best_cfg))
@@ -150,7 +159,7 @@ COMPARE_MODELS = ("np", "rnn", "bilstm", "hybrid")
 def cmd_compare(args):
     base_cfg = _load_config(args)
     out = _out_dir(args)
-    seeds = [int(s) for s in str(base_cfg["compare_seeds"]).split(",")]
+    seeds = parse_compare_seeds(base_cfg["compare_seeds"])
     series = experiment.get_series(base_cfg)
     rows = []
     per_model = {m: [] for m in COMPARE_MODELS}

@@ -145,6 +145,7 @@ def resolve_config(file_values=None, overrides=None) -> dict:
             raise ConfigError(
                 f"seasonalities: period {period!r} is shorter than one sample "
                 f"at samples_per_day={cfg['samples_per_day']!r}")
+    parse_compare_seeds(cfg["compare_seeds"])
     return cfg
 
 
@@ -165,6 +166,19 @@ def parse_seasonalities(spec: str):
                 f"an integer order >= 1 and a finite period > 0")
         out.append((k, p))
     return tuple(out)
+
+
+def parse_compare_seeds(spec: str):
+    """"0,1,2" -> (0, 1, 2)."""
+    try:
+        seeds = tuple(int(item) for item in spec.split(","))
+    except ValueError:
+        seeds = ()
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(
+            f"compare_seeds: expected a comma-separated list of integers "
+            f">= 0, got {spec!r}")
+    return seeds
 
 
 def format_config(cfg: dict) -> str:

@@ -25,12 +25,9 @@ def _as_windows(x):
     return x[None, :] if x.ndim == 1 else x
 
 
-def nmse(predicted, truth, return_excluded=False):
-    """Mean over windows of ||pred - truth||^2 / ||truth||^2.
-
-    Zero-norm truth windows are excluded; their count is available via
-    `return_excluded`.
-    """
+def nmse(predicted, truth):
+    """Mean over windows of ||pred - truth||^2 / ||truth||^2, excluding
+    zero-norm truth windows."""
     pred = _as_windows(predicted)
     tru = _as_windows(truth)
     if pred.shape != tru.shape:
@@ -38,15 +35,14 @@ def nmse(predicted, truth, return_excluded=False):
     err = np.sum(np.abs(pred - tru) ** 2, axis=1)
     pw = np.sum(np.abs(tru) ** 2, axis=1)
     ok = pw > 0
-    excluded = int((~ok).sum())
     if not ok.any():
         raise ContractViolation("all truth windows have zero norm")
-    value = float(np.mean(err[ok] / pw[ok]))
-    return (value, excluded) if return_excluded else value
+    return float(np.mean(err[ok] / pw[ok]))
 
 
-def cosine_similarity(predicted, truth, return_excluded=False):
-    """Mean over windows of |pred^H truth| / (||pred|| ||truth||), in [0, 1]."""
+def cosine_similarity(predicted, truth):
+    """Mean over windows of |pred^H truth| / (||pred|| ||truth||), in [0, 1],
+    excluding pairs with a zero-norm vector."""
     pred = _as_windows(predicted)
     tru = _as_windows(truth)
     if pred.shape != tru.shape:
@@ -55,11 +51,9 @@ def cosine_similarity(predicted, truth, return_excluded=False):
     np_norm = np.sqrt(np.sum(np.abs(pred) ** 2, axis=1))
     nt_norm = np.sqrt(np.sum(np.abs(tru) ** 2, axis=1))
     ok = (np_norm > 0) & (nt_norm > 0)
-    excluded = int((~ok).sum())
     if not ok.any():
         raise ContractViolation("all window pairs have a zero-norm vector")
-    value = float(np.mean(inner[ok] / (np_norm[ok] * nt_norm[ok])))
-    return (value, excluded) if return_excluded else value
+    return float(np.mean(inner[ok] / (np_norm[ok] * nt_norm[ok])))
 
 
 def to_db(linear):
@@ -126,6 +120,16 @@ def _config_key(config: dict) -> str:
     return json.dumps(config, sort_keys=True)
 
 
+def grid_cells(grid: dict):
+    """The cells of `grid`, one config dict per point of the Cartesian
+    product of its axes, taken in sorted axis order."""
+    if not grid or any(len(v) == 0 for v in grid.values()):
+        raise ContractViolation("grid must have non-empty axes")
+    axes = sorted(grid)
+    return [dict(zip(axes, combo))
+            for combo in itertools.product(*(grid[a] for a in axes))]
+
+
 def grid_search(grid: dict, evaluate):
     """Exhaustive search over the Cartesian product of `grid` axes.
 
@@ -133,14 +137,12 @@ def grid_search(grid: dict, evaluate):
     NMSE) and may include "param_count". Cells that raise are recorded as
     failed and excluded from selection. Ties break by fewer parameters, then
     lexicographic config order; the result is independent of axis order.
-    Returns (best config, trial table sorted by config).
+    Returns (best config, trial table sorted by config). If every cell
+    fails, raises RuntimeError from the first cell's exception.
     """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ContractViolation("grid must have non-empty axes")
-    axes = sorted(grid)
     trials = []
-    for combo in itertools.product(*(grid[a] for a in axes)):
-        config = dict(zip(axes, combo))
+    first_error = None
+    for config in grid_cells(grid):
         trial = {"config": config}
         try:
             result = evaluate(dict(config))
@@ -151,11 +153,12 @@ def grid_search(grid: dict, evaluate):
                     trial[k] = v
         except Exception as exc:  # noqa: BLE001 - failures become table rows
             trial.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+            first_error = first_error or exc
         trials.append(trial)
     trials.sort(key=lambda tr: _config_key(tr["config"]))
     ok = [tr for tr in trials if tr["status"] == "ok"]
     if not ok:
-        raise RuntimeError("all grid cells failed")
+        raise RuntimeError("all grid cells failed") from first_error
     best = min(ok, key=lambda tr: (tr["nmse"], tr["param_count"],
                                    _config_key(tr["config"])))
     return dict(best["config"]), trials

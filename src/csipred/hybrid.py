@@ -99,15 +99,6 @@ def make_provenance(seed, dataset_digest, rnn_model, np_cfg):
     return out
 
 
-def hybrid_predict(model: HybridModel, lags, t):
-    """Compose the stages: recurrent forecast becomes the regressor input."""
-    lags = np.asarray(lags, dtype=float)
-    if lags.shape != (model.rnn.d,):
-        raise ContractViolation(
-            f"expected {model.rnn.d} lags, got shape {lags.shape}")
-    return hybrid_predict_batch(model, np.array([t]), lags[None, :])[0]
-
-
 def hybrid_predict_batch(model: HybridModel, t_origins, X):
     rnn_out = predict_batch(model.rnn, X)
     return np_predict_batch(model.np_model, t_origins, X, rnn_out)

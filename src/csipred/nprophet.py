@@ -296,15 +296,6 @@ class NpModel:
         return sum(v.size for v in self.params.values())
 
 
-def np_forecast(t, lags, model: NpModel, regressor=None):
-    """D-step forecast from one window at origin t."""
-    lags = np.asarray(lags, dtype=float)
-    if lags.shape != (model.cfg.d,):
-        raise ContractViolation(f"expected {model.cfg.d} lags, got {lags.shape}")
-    reg = None if regressor is None else np.asarray(regressor, dtype=float)[None, :]
-    return np_predict_batch(model, np.array([t]), lags[None, :], reg)[0]
-
-
 def trend_span(data: SupervisedWindowSet):
     """(t0, t_span) that normalise trend time over the samples `data` covers."""
     t0 = float(data.t.min() - data.d)
@@ -352,5 +343,7 @@ def batch_cache_bytes(cfg: NpConfig, batch):
 
 
 def np_predict_batch(model: NpModel, t_origins, X, regressors=None):
+    if not model.trained:
+        raise ContractViolation("model is not trained")
     out, _ = model.forward(t_origins, X, regressors)
     return out

@@ -32,10 +32,6 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def tanh_act(x):
-    return np.tanh(x)
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 

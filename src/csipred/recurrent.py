@@ -49,16 +49,6 @@ def _dropout_mask(p, shape, rng):
     return masks
 
 
-def apply_dropout(activations, p, training, rng):
-    """Inverted dropout: zero units with probability p, scale survivors."""
-    if not (0.0 <= p < 1.0):
-        raise ContractViolation("dropout probability must be in [0, 1)")
-    a = np.asarray(activations, dtype=float)
-    if not training or p == 0.0:
-        return a
-    return a * _dropout_mask(p, a.shape, rng)
-
-
 # ---------------------------------------------------------------------------
 # Scans
 #
@@ -479,11 +469,3 @@ def predict_batch(model: RecurrentModel, X):
     y, _ = model.forward(X, backward=False)
     return y
 
-
-def predict_horizon(model: RecurrentModel, lags):
-    """Deterministic D-step forecast from one d-lag window."""
-    lags = np.asarray(lags, dtype=float)
-    if lags.shape != (model.d,):
-        raise ContractViolation(
-            f"expected {model.d} lags, got shape {lags.shape}")
-    return predict_batch(model, lags[None, :])[0]

@@ -120,22 +120,6 @@ def generate_piecewise_line(slope_before, slope_after, break_at, offset, n):
     return y
 
 
-def generate_deterministic(kind, params, n):
-    """Dispatch for the CLI/config layer; `params` is a plain dict."""
-    if kind == "line":
-        return generate_line(params.get("slope", 1.0), params.get("offset", 0.0), n)
-    if kind == "sinusoid":
-        return generate_sinusoid(params.get("amplitude", 1.0),
-                                 params.get("period", 50.0), n,
-                                 params.get("phase", 0.0))
-    if kind == "piecewise-line":
-        return generate_piecewise_line(params.get("slope_before", 1.0),
-                                       params.get("slope_after", 2.0),
-                                       params.get("break_at", n // 2),
-                                       params.get("offset", 0.0), n)
-    raise ContractViolation(f"unknown deterministic signal kind {kind!r}")
-
-
 def real_series_to_csi(values, sample_interval=5e-4, track="fixture") -> CsiSeries:
     """Wrap one real stream as a single-antenna series (imag part zero)."""
     v = np.asarray(values, dtype=float)

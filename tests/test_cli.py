@@ -111,7 +111,9 @@ class TestConfig:
         ("carrier_hz", "inf"), ("seasonalities", "-2:1"),
         ("seasonalities", "3:0"), ("seasonalities", "3:nan"),
         ("seasonalities", "0:1"), ("seasonalities", "3:-1"),
-        ("seasonalities", "3:inf"), ("seasonalities", "1:1e-308")])
+        ("seasonalities", "3:inf"), ("seasonalities", "1:1e-308"),
+        ("compare_seeds", "0,x"), ("compare_seeds", ""), ("compare_seeds", "-1"),
+        ("compare_seeds", "1.5")])
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: value})
@@ -635,6 +637,53 @@ class TestTune:
             assert main(["train", "--config", str(cell), "--out", str(run)]) == 0
             ckpt = json.loads((run / "checkpoint.json").read_text())
             assert _stored_floats(ckpt["features"]) == count
+
+    def test_each_cell_trains_on_its_own_data(self, tmp_path):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("data_seed=0,1\n", encoding="utf-8")
+        out = tmp_path / "tuned"
+        assert main(["tune", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "trials.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["'0'", "'1'"]
+        for seed, row in zip(("0", "1"), rows):
+            cell = write_config(tmp_path, {"epochs": "1", "data_seed": seed},
+                                name="cell.cfg")
+            run, metrics = tmp_path / f"run{seed}", tmp_path / f"metrics{seed}"
+            assert main(["train", "--config", str(cell), "--out", str(run)]) == 0
+            assert main(["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                         "--split", "val", "--out", str(metrics)]) == 0
+            reports = json.loads((metrics / "metrics.json").read_text())
+            overall = next(r for r in reports if r["antenna"] == "all")
+            assert row[2] == repr(overall["nmse"])
+        assert rows[0][2] != rows[1][2]
+
+    def test_refused_grid_value_exits_1_before_training(self, tmp_path):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=4\ndropout=0.1,2\n", encoding="utf-8")
+        out = tmp_path / "t"
+        rc, err = _run_quietly(["tune", "--config", str(cfg), "--grid",
+                                str(grid), "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "dropout" in lines[0]
+        assert not out.exists()
+
+    def test_no_cell_trains_exits_with_first_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_learning_rate=1e300,1e301\n", encoding="utf-8")
+        rc, err = _run_quietly(["tune", "--config", str(cfg), "--grid",
+                                str(grid), "--out", str(tmp_path / "t")])
+        assert rc == 3
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("divergence:")
 
     def test_unknown_grid_key(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -6,8 +6,7 @@ import pytest
 from csipred import synthchan
 from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation
-from csipred.hybrid import (HybridModel, build_hybrid, hybrid_predict,
-                            hybrid_predict_batch)
+from csipred.hybrid import HybridModel, build_hybrid, hybrid_predict_batch
 from csipred.nprophet import NpConfig, NpModel
 from csipred.numcore import flatten, load_params
 from csipred.recurrent import RecurrentModel, TrainConfig
@@ -93,14 +92,14 @@ class TestPredict:
         w = splits["test"]
         batch = hybrid_predict_batch(model, w.t[:3], w.X[:3])
         for i in range(3):
-            single = hybrid_predict(model, w.X[i], float(w.t[i]))
+            single = hybrid_predict_batch(model, w.t[i:i + 1], w.X[i:i + 1])[0]
             # batched and single forwards may differ by reduction order only
             assert np.allclose(single, batch[i], atol=1e-12, rtol=0)
 
     def test_bad_lag_shape(self, built):
         _, model, _, _, _ = built
         with pytest.raises(ContractViolation):
-            hybrid_predict(model, np.zeros(5), 0.0)
+            hybrid_predict_batch(model, np.zeros(1), np.zeros((1, 5)))
 
     def test_determinism(self, built):
         splits, model, _, _, _ = built

@@ -11,7 +11,7 @@ from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import finite_diff_grad, load_params
 from csipred.nprophet import (NpConfig, NpModel, TrendParams, ar_net_forward,
                               changepoint_indicator, classic_ar_eval,
-                              np_forecast, np_predict_batch, np_train,
+                              np_predict_batch, np_train,
                               seasonality_eval, trend_eval)
 
 
@@ -369,15 +369,21 @@ class TestForecastAndCheckpoint:
 
     def test_forecast_shape_and_determinism(self):
         model, w = self._trained()
-        a = np_forecast(float(w.t[0]), w.X[0], model)
-        b = np_forecast(float(w.t[0]), w.X[0].copy(), model)
+        a = np_predict_batch(model, w.t[:1], w.X[:1])[0]
+        b = np_predict_batch(model, w.t[:1], w.X[:1].copy())[0]
         assert a.shape == (3,)
         assert np.array_equal(a, b)
+
+    def test_untrained_raises(self):
+        model = NpModel(NpConfig(d=6, D=3, ar_hidden=4, ar_layers=1,
+                                 n_changepoints=2), seed=1)
+        with pytest.raises(ContractViolation):
+            np_predict_batch(model, np.zeros(1), np.zeros((1, 6)))
 
     def test_forecast_bad_lags(self):
         model, _ = self._trained()
         with pytest.raises(ContractViolation):
-            np_forecast(0.0, np.zeros(5), model)
+            np_predict_batch(model, np.zeros(1), np.zeros((1, 5)))
 
     def test_round_trip_bit_identical(self):
         model, w = self._trained()

@@ -12,12 +12,11 @@ from csipred.nprophet import NpConfig, np_train
 from csipred.numcore import (ADAM_BLOCK, Adam, AdamState, adam_update,
                              clip_grad_norm, encode_params, finite_diff_grad,
                              fit, flatten, huber_grad, huber_loss, load_params,
-                             relu, sigmoid, tanh_act)
+                             relu, sigmoid)
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
 # Frozen with a 40-digit arbitrary-precision evaluation of 1/(1+e^-1).
 SIGMOID_AT_1 = 0.7310585786300049
-TANH_AT_1 = 0.7615941559557649
 
 
 class TestActivations:
@@ -37,11 +36,6 @@ class TestActivations:
     def test_sigmoid_monotone(self):
         xs = np.linspace(-20, 20, 401)
         assert np.all(np.diff(sigmoid(xs)) > 0)
-
-    def test_tanh_values(self):
-        assert tanh_act(0.0) == 0.0
-        assert tanh_act(1.0) == pytest.approx(TANH_AT_1, abs=1e-12)
-        assert tanh_act(-1.0) == -tanh_act(1.0)
 
     def test_relu(self):
         assert relu(3.2) == 3.2

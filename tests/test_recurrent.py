@@ -10,9 +10,9 @@ from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import (finite_diff_grad, huber_grad, huber_loss,
                              load_params, mT)
 from csipred.recurrent import (LstmState, RecurrentModel, TrainConfig,
-                               _direction, _lstm_scan, _rnn_scan, apply_dropout,
+                               _direction, _dropout_mask, _lstm_scan, _rnn_scan,
                                bilstm_forward, lstm_cell_forward, predict_batch,
-                               predict_horizon, rnn_cell_forward, train_recurrent)
+                               rnn_cell_forward, train_recurrent)
 
 
 def _sig(x):
@@ -393,28 +393,13 @@ class TestTopLayer:
 
 
 class TestDropout:
-    def test_p_zero_identity(self):
-        a = np.arange(5.0)
-        out = apply_dropout(a, 0.0, True, np.random.default_rng(0))
-        assert np.array_equal(out, a)
-
-    def test_inference_identity(self):
-        a = np.arange(5.0)
-        out = apply_dropout(a, 0.2, False, np.random.default_rng(0))
-        assert np.array_equal(out, a)
-
     def test_drop_fraction(self):
         rng = np.random.default_rng(42)
-        a = np.ones(100_000)
-        out = apply_dropout(a, 0.2, True, rng)
+        out = _dropout_mask(0.2, (100_000,), rng)
         frac = np.mean(out == 0.0)
         assert abs(frac - 0.2) < 0.01
         # survivors rescaled by 1/(1-p)
         assert np.allclose(out[out != 0], 1.0 / 0.8)
-
-    def test_bad_probability(self):
-        with pytest.raises(ContractViolation):
-            apply_dropout(np.ones(3), 1.0, True, np.random.default_rng(0))
 
 
 def _sinusoid_windows(n=3000, period=50.0, d=48, D=24, train_frac=0.9):
@@ -435,7 +420,7 @@ class TestTraining:
         nmse = np.mean(np.sum((pred - w.Y) ** 2, axis=1)
                        / np.sum(w.Y ** 2, axis=1))
         assert nmse < 1e-4
-        one = predict_horizon(model, w.X[0])
+        one = predict_batch(model, w.X[0][None, :])[0]
         assert np.all(np.abs(one - 0.5) < 1e-2)
 
     def test_sinusoid(self):
@@ -495,15 +480,15 @@ class TestPredict:
     def test_untrained_raises(self):
         model = RecurrentModel("rnn", 8, 4, hidden_size=4, layers=1, seed=0)
         with pytest.raises(ContractViolation):
-            predict_horizon(model, np.zeros(8))
+            predict_batch(model, np.zeros((1, 8)))
 
     def test_identical_inputs_identical_outputs(self):
         wtr, _ = _sinusoid_windows(n=400, d=8, D=4)
         model = RecurrentModel("rnn", 8, 4, hidden_size=4, layers=1,
                                config=TrainConfig(epochs=2), seed=0)
         train_recurrent(model, wtr, seed=0)
-        a = predict_horizon(model, wtr.X[3])
-        b = predict_horizon(model, wtr.X[3].copy())
+        a = predict_batch(model, wtr.X[3][None, :])[0]
+        b = predict_batch(model, wtr.X[3].copy()[None, :])[0]
         assert np.array_equal(a, b)
         assert a.shape == (4,)
 
@@ -513,7 +498,7 @@ class TestPredict:
                                config=TrainConfig(epochs=1), seed=0)
         train_recurrent(model, wtr, seed=0)
         with pytest.raises(ContractViolation):
-            predict_horizon(model, np.zeros(5))
+            predict_batch(model, np.zeros((1, 5)))
 
 
 class TestInferenceMemory:
@@ -555,8 +540,8 @@ class TestCheckpoint:
         clone.params = load_params(clone.params, payload["params"])
         clone.trained = True
         assert json.loads(json.dumps(clone.to_dict())) == payload
-        a = predict_horizon(model, wtr.X[0])
-        b = predict_horizon(clone, wtr.X[0])
+        a = predict_batch(model, wtr.X[0][None, :])[0]
+        b = predict_batch(clone, wtr.X[0][None, :])[0]
         assert np.array_equal(a, b)
         assert np.array_equal(model.get_flat(), clone.get_flat())
 

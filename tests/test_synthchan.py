@@ -3,9 +3,9 @@ import pytest
 
 from csipred.errors import ContractViolation
 from csipred.synthchan import (FadingConfig, ar_spectral_radius, generate_ar,
-                               generate_deterministic, generate_fading,
-                               generate_line, generate_piecewise_line,
-                               generate_sinusoid, real_series_to_csi)
+                               generate_fading, generate_line,
+                               generate_piecewise_line, generate_sinusoid,
+                               real_series_to_csi)
 
 # Frozen: f_d = v * f_c / c = (5/3.6) * 2.18e9 / 2.998e8
 DOPPLER_5KMH_2P18GHZ = 10.099325476243422
@@ -114,12 +114,6 @@ class TestDeterministicFixtures:
     def test_piecewise_line(self):
         y = generate_piecewise_line(1.0, -2.0, 3, 0.0, 6)
         assert y.tolist() == [0.0, 1.0, 2.0, 3.0, 1.0, -1.0]
-
-    def test_dispatch(self):
-        y = generate_deterministic("line", {"slope": 1.0, "offset": 0.0}, 3)
-        assert y.tolist() == [0.0, 1.0, 2.0]
-        with pytest.raises(ContractViolation):
-            generate_deterministic("noise", {}, 3)
 
     def test_real_series_to_csi(self):
         series = real_series_to_csi([1.0, 2.0])
