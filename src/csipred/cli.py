@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: gen-data, train, predict, evaluate, tune, compare. Shared flags:
---config (flat key=value file), --seed, --out. Logs go to stderr; all
-machine-readable output goes to files. Exit codes: 0 success, 1 usage/config
-error, 2 data error, 3 numeric divergence.
+--config (flat key=value file), --seed, --out; train, tune and compare take
+--jobs (training worker processes). Logs go to stderr; all machine-readable
+output goes to files. Exit codes: 0 success, 1 usage/config error, 2 data
+error, 3 numeric divergence, 4 a training worker died.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import experiment
 from .config import (DEFAULTS, config_digest, format_config,
                      parse_compare_seeds, parse_config_file, resolve_config)
 from .datapipe import save_csi
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .evalx import grid_cells, grid_search, write_reports, write_trials
 
 
@@ -29,6 +30,19 @@ def _load_config(args):
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {"seed": args.seed} if args.seed is not None else {}
     return resolve_config(file_values, overrides)
+
+
+def _jobs(args):
+    """The --jobs flag: None (one worker per CPU) or an integer >= 1."""
+    if args.jobs is None:
+        return None
+    try:
+        jobs = int(args.jobs)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs!r}")
+    return jobs
 
 
 def _out_dir(args) -> Path:
@@ -69,10 +83,11 @@ def _write_histories(out, histories):
 
 
 def cmd_train(args):
+    jobs = _jobs(args)
     cfg = _load_config(args)
     out = _out_dir(args)
     _log(f"training model={cfg['model']} seed={cfg['seed']}")
-    checkpoint, histories = experiment.train_experiment(cfg)
+    checkpoint, histories = experiment.train_experiment(cfg, jobs=jobs)
     _write_json(out / "checkpoint.json", checkpoint)
     _write_histories(out, histories)
     _write_text(out / "resolved.cfg", format_config(cfg))
@@ -121,6 +136,7 @@ def _parse_grid_file(path):
 
 
 def cmd_tune(args):
+    jobs = _jobs(args)
     base_cfg = _load_config(args)
     grid = _parse_grid_file(args.grid)
     # A value the config refuses stops the run before any cell trains.
@@ -134,7 +150,8 @@ def cmd_tune(args):
     def evaluate(cell):
         cfg = resolve_config(dict(base_cfg), cell)
         series = experiment.get_series(cfg)
-        checkpoint, _ = experiment.train_experiment(cfg, series=series)
+        checkpoint, _ = experiment.train_experiment(cfg, series=series,
+                                                    jobs=jobs)
         reports = experiment.evaluate_checkpoint(checkpoint, split="val",
                                                  series=series)
         overall = next(r for r in reports if r.antenna == "all")
@@ -157,6 +174,7 @@ COMPARE_MODELS = ("np", "rnn", "bilstm", "hybrid")
 
 
 def cmd_compare(args):
+    jobs = _jobs(args)
     base_cfg = _load_config(args)
     out = _out_dir(args)
     seeds = parse_compare_seeds(base_cfg["compare_seeds"])
@@ -170,7 +188,8 @@ def cmd_compare(args):
                 cfg = resolve_config(dict(base_cfg),
                                      {"model": model, "seed": seed})
                 _log(f"compare: training {model} (seed {seed})")
-                checkpoint, _ = experiment.train_experiment(cfg, series=series)
+                checkpoint, _ = experiment.train_experiment(cfg, series=series,
+                                                            jobs=jobs)
                 digests.add(checkpoint["dataset_digest"])
                 reports = experiment.evaluate_checkpoint(
                     checkpoint, split="test", series=series)
@@ -206,10 +225,13 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
+    jobs = {"help": "training worker processes (default: one per CPU this "
+                    "process may run on)"}
     add("gen-data", cmd_gen_data,
         **{"--out": {"required": True, "help": "output CSV path"}})
     add("train", cmd_train,
-        **{"--out": {"required": True, "help": "output directory"}})
+        **{"--out": {"required": True, "help": "output directory"},
+           "--jobs": jobs})
     add("predict", cmd_predict,
         **{"--checkpoint": {"required": True},
            "--split": {"default": "test", "choices": ("train", "val", "test")},
@@ -220,9 +242,11 @@ def build_parser():
            "--out": {"required": True, "help": "output directory"}})
     add("tune", cmd_tune,
         **{"--grid": {"required": True, "help": "grid file: key=v1,v2 lines"},
-           "--out": {"required": True, "help": "output directory"}})
+           "--out": {"required": True, "help": "output directory"},
+           "--jobs": jobs})
     add("compare", cmd_compare,
-        **{"--out": {"required": True, "help": "output directory"}})
+        **{"--out": {"required": True, "help": "output directory"},
+           "--jobs": jobs})
     return parser
 
 
@@ -243,6 +267,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         _log(f"divergence: {exc}")
         return 3
+    except WorkerError as exc:
+        _log(f"worker error: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

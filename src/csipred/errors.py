@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: usage/config -> 1, data -> 2,
-numeric divergence -> 3.
+numeric divergence -> 3, a training worker that died -> 4.
 """
 from __future__ import annotations
 
@@ -51,12 +51,17 @@ class DivergenceError(RuntimeError):
         self.stream = stream
         self.what = what or f"non-finite loss {loss!r} at"
         self.feature = self.kind = None
-        super().__init__()
+        # The arguments make it picklable: a worker process sends it back.
+        super().__init__(epoch, batch, loss, stream, what)
 
     def __str__(self):
         where = (f"{self.kind} model of feature {self.feature}: "
                  if self.feature is not None else "")
         return f"{where}{self.what} epoch {self.epoch}, batch {self.batch}"
+
+
+class WorkerError(RuntimeError):
+    """A training worker process ended without sending its result."""
 
 
 class OracleError(RuntimeError):

@@ -1,7 +1,8 @@
 """Experiment orchestration: config -> data -> per-feature models -> metrics.
 
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
-of streams that train as one (see `group_size`); results are recombined into
+of streams that train as one (see `group_size`), and the groups train in
+forked worker processes (see `workers`); results are recombined into
 complex channel vectors for evaluation. All randomness flows from the config
 seeds, so a rerun with the same config is bit-identical.
 """
@@ -11,7 +12,7 @@ import contextlib
 
 import numpy as np
 
-from . import datapipe, hybrid, numcore, synthchan
+from . import datapipe, hybrid, numcore, synthchan, workers
 from .config import (CHOICES, DEFAULTS, config_digest, parse_seasonalities,
                      resolve_config)
 from .errors import (CheckpointMismatch, ConfigError, ContractViolation,
@@ -171,18 +172,24 @@ def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def train_experiment(cfg, series=None):
+def train_experiment(cfg, series=None, jobs=None):
     """Train the configured model on every feature stream, in stacked groups
     of `group_size` streams.
+
+    The groups are independent, and `workers.run_groups` trains them in
+    `jobs` >= 1 processes (None: one per CPU this process may run on); the
+    result does not depend on `jobs`. A failure raises the error of the
+    lowest-index failing group.
 
     Returns (checkpoint dict, per-feature loss histories).
     """
     prepared, digest = prepare(cfg, series)
     kind = cfg["model"]
     size = group_size(cfg, kind, len(prepared))
-    features = {}
-    histories = {}
-    for start in range(0, len(prepared), size):
+
+    def train_group(index):
+        """(feature id, checkpoint entry, loss history) of each stream."""
+        start = index * size
         group = prepared[start:start + size]
         seeds = [_feature_seed(cfg["seed"], start + i) for i in range(len(group))]
         try:
@@ -191,9 +198,16 @@ def train_experiment(cfg, series=None):
         except DivergenceError as exc:
             exc.feature, exc.kind = group[exc.stream].feature.feature_id, kind
             raise
-        for pf, model, history in zip(group, models, group_histories):
-            features[pf.feature.feature_id] = _feature_entry(model, pf.scaler)
-            histories[pf.feature.feature_id] = history
+        return [(pf.feature.feature_id, _feature_entry(model, pf.scaler), history)
+                for pf, model, history in zip(group, models, group_histories)]
+
+    features = {}
+    histories = {}
+    count = -(-len(prepared) // size)
+    for streams in workers.run_groups(train_group, count, jobs):
+        for feat_id, entry, history in streams:
+            features[feat_id] = entry
+            histories[feat_id] = history
     checkpoint = {"format": CHECKPOINT_FORMAT, "kind": kind,
                   "config": dict(cfg), "dataset_digest": digest,
                   "features": features}

@@ -4,13 +4,19 @@ Grouping must not change a single byte of what training writes, each stream
 keeps its own generator, batch order and clip norm, and a diverging stream is
 named by the error.
 """
+import multiprocessing
+import os
+import pickle
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from csipred import datapipe, experiment
+from csipred import datapipe, experiment, workers
 from csipred.cli import main
 from csipred.config import resolve_config
-from csipred.errors import ContractViolation, DivergenceError
+from csipred.errors import ContractViolation, DivergenceError, WorkerError
 from csipred.numcore import fit, unflatten, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
@@ -28,10 +34,17 @@ TOY = {"antenna_count": "5", "sample_count": "300", "d": "6", "D": "3",
 PAPER = {"epochs": "1", "sample_count": "2680", "window_stride": "24"}
 
 
-def _train(tmp_path, name, extra=None):
+def _run(tmp_path, name, extra=None, jobs=None):
+    """`train` at toy size; returns (exit code, output directory)."""
     cfg = write_config(tmp_path, {**TOY, **(extra or {})}, name=f"{name}.cfg")
     out = tmp_path / name
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    flags = [] if jobs is None else ["--jobs", str(jobs)]
+    return main(["train", "--config", str(cfg), "--out", str(out), *flags]), out
+
+
+def _train(tmp_path, name, extra=None, jobs=None):
+    code, out = _run(tmp_path, name, extra, jobs)
+    assert code == 0
     return [(out / f).read_bytes() for f in ("checkpoint.json", "loss.csv")]
 
 
@@ -48,12 +61,12 @@ def test_grouped_training_is_byte_identical_to_groups_of_one(
 
     monkeypatch.setattr(experiment, "train_feature", spy)
     monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES", 1)
-    serial = _train(tmp_path, "serial", {"model": kind})
+    serial = _train(tmp_path, "serial", {"model": kind}, jobs=1)
     assert sizes == [1] * 10
     sizes.clear()
     monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
                         4 * experiment.stream_bytes(cfg, kind))
-    grouped = _train(tmp_path, "grouped", {"model": kind})
+    grouped = _train(tmp_path, "grouped", {"model": kind}, jobs=1)
     assert sizes == [4, 4, 2]
     assert grouped == serial
 
@@ -148,6 +161,18 @@ def test_divergence_message_names_feature_and_kind():
                         "at epoch 1, batch 2")
 
 
+def test_divergence_survives_pickling():
+    # A worker process sends its divergence back to the parent.
+    exc = DivergenceError(0, 1, float("nan"), 2, what="overflow at")
+    exc.feature, exc.kind = "ant0_im", "bilstm"
+    back = pickle.loads(pickle.dumps(exc))
+    for attr in ("epoch", "batch", "stream", "what", "feature", "kind"):
+        assert getattr(back, attr) == getattr(exc, attr)
+    assert np.isnan(back.loss)
+    assert str(back) == str(exc) == ("bilstm model of feature ant0_im: "
+                                     "overflow at epoch 0, batch 1")
+
+
 def test_unflatten_of_a_stack_gives_row_views():
     like = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
     buf = np.arange(20.0).reshape(2, 10)
@@ -181,3 +206,112 @@ def test_stack_windows_refuses_windows_cut_elsewhere():
     b = datapipe.make_windows(np.arange(41.0), 4, 2)
     with pytest.raises(ContractViolation):
         datapipe.stack_windows([a, b])
+
+
+class _NeedsArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__()
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestJobs:
+    """Groups trained in forked workers: with two workers and groups of 4, 4
+    and 2 streams, this process trains groups 0 and 2 and a child group 1."""
+
+    @staticmethod
+    def three_groups(monkeypatch, kind):
+        cfg = resolve_config({**TOY, "model": kind})
+        monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                            4 * experiment.stream_bytes(cfg, kind))
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, monkeypatch, kind):
+        self.three_groups(monkeypatch, kind)
+        one = _train(tmp_path, "one", {"model": kind}, jobs=1)
+        two = _train(tmp_path, "two", {"model": kind}, jobs=2)
+        assert two == one
+        _assert_no_children()
+
+    @pytest.mark.parametrize("bad", [("ant2_re", "ant4_re"),
+                                     ("ant0_re", "ant2_re")],
+                             ids=["groups-1-2", "groups-0-1"])
+    def test_lowest_diverging_group_decides(self, tmp_path, monkeypatch, capsys,
+                                            bad):
+        # The groups that start at these features train at a rate whose first
+        # step overflows the squared norm of the parameters. The child starts
+        # late, so that this process fails first and must wait for group 1.
+        self.three_groups(monkeypatch, "rnn")
+        parent = os.getpid()
+        train_feature = experiment.train_feature
+
+        def diverging(cfg, kind, group, seeds, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            if group[0].feature.feature_id in bad:
+                cfg = {**cfg, "rnn_learning_rate": 1e300}
+            return train_feature(cfg, kind, group, seeds, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_feature", diverging)
+        lines = []
+        for jobs in (1, 2):
+            code, out = _run(tmp_path, f"jobs{jobs}", {"model": "rnn"}, jobs)
+            assert code == 3
+            assert not (out / "checkpoint.json").exists()
+            err = capsys.readouterr().err.splitlines()
+            lines.append([ln for ln in err if ln.startswith("divergence:")])
+            _assert_no_children()
+        assert len(lines[0]) == 1 and lines[1] == lines[0]
+        assert f"rnn model of feature {bad[0]}:" in lines[0][0]
+
+    def test_a_worker_that_dies_exits_4(self, tmp_path, monkeypatch, capsys):
+        self.three_groups(monkeypatch, "rnn")
+        parent = os.getpid()
+        train_feature = experiment.train_feature
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_feature(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_feature", dying)
+        code, out = _run(tmp_path, "dies", {"model": "rnn"}, 2)
+        assert code == 4
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if ln.startswith("worker error:")]
+        assert len(lines) == 1 and "killed by signal 9" in lines[0]
+        assert "Traceback" not in err
+        assert not (out / "checkpoint.json").exists()
+        _assert_no_children()
+
+    def test_results_that_cannot_cross_the_pipe_raise_worker_error(self):
+        def unsendable(index):  # a lambda does not pickle
+            return (lambda: index) if index == 1 else index
+
+        def unreadable(index):  # pickles, but does not unpickle
+            if index == 1:
+                raise _NeedsArgs(1, 2)
+            return index
+
+        with pytest.raises(WorkerError, match="group 1: the worker could not send"):
+            workers.run_groups(unsendable, 3, 2)
+        with pytest.raises(WorkerError, match="group 1: the worker's result could "
+                                              "not be read"):
+            workers.run_groups(unreadable, 3, 2)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "1.5"])
+    @pytest.mark.parametrize("command", [["train"], ["tune", "--grid", "g.cfg"],
+                                         ["compare"]],
+                             ids=["train", "tune", "compare"])
+    def test_bad_jobs_exit_1(self, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out), "--jobs", value]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: --jobs must be an integer >= 1, got {value!r}"]
+        assert not out.exists()
