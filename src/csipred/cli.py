@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Commands: gen-data, train, predict, evaluate, tune, compare. Shared flags:
---config (flat key=value file), --seed, --out; train, tune and compare take
---jobs (training worker processes). Logs go to stderr; all machine-readable
-output goes to files. Exit codes: 0 success, 1 usage/config error, 2 data
-error, 3 numeric divergence, 4 a training worker died.
+--config (flat key=value file), --seed, --out. Logs go to stderr; all
+machine-readable output goes to files. Exit codes: 0 success, 1 usage/config
+error, 2 data error, 3 numeric divergence, 4 a training worker died.
 """
 from __future__ import annotations
 
@@ -30,19 +29,6 @@ def _load_config(args):
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {"seed": args.seed} if args.seed is not None else {}
     return resolve_config(file_values, overrides)
-
-
-def _jobs(args):
-    """The --jobs flag: None (one worker per CPU) or an integer >= 1."""
-    if args.jobs is None:
-        return None
-    try:
-        jobs = int(args.jobs)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs!r}")
-    return jobs
 
 
 def _out_dir(args) -> Path:
@@ -83,11 +69,10 @@ def _write_histories(out, histories):
 
 
 def cmd_train(args):
-    jobs = _jobs(args)
     cfg = _load_config(args)
     out = _out_dir(args)
     _log(f"training model={cfg['model']} seed={cfg['seed']}")
-    checkpoint, histories = experiment.train_experiment(cfg, jobs=jobs)
+    checkpoint, histories = experiment.train_experiment(cfg)
     _write_json(out / "checkpoint.json", checkpoint)
     _write_histories(out, histories)
     _write_text(out / "resolved.cfg", format_config(cfg))
@@ -136,7 +121,6 @@ def _parse_grid_file(path):
 
 
 def cmd_tune(args):
-    jobs = _jobs(args)
     base_cfg = _load_config(args)
     grid = _parse_grid_file(args.grid)
     # A value the config refuses stops the run before any cell trains.
@@ -150,8 +134,7 @@ def cmd_tune(args):
     def evaluate(cell):
         cfg = resolve_config(dict(base_cfg), cell)
         series = experiment.get_series(cfg)
-        checkpoint, _ = experiment.train_experiment(cfg, series=series,
-                                                    jobs=jobs)
+        checkpoint, _ = experiment.train_experiment(cfg, series=series)
         reports = experiment.evaluate_checkpoint(checkpoint, split="val",
                                                  series=series)
         overall = next(r for r in reports if r.antenna == "all")
@@ -161,6 +144,8 @@ def cmd_tune(args):
 
     try:
         best, trials = grid_search(grid, evaluate)
+    except WorkerError:
+        raise
     except RuntimeError as exc:  # no cell trained: exit as its first failure
         raise exc.__cause__ from None
     write_trials(trials, out / "trials.csv")
@@ -174,7 +159,6 @@ COMPARE_MODELS = ("np", "rnn", "bilstm", "hybrid")
 
 
 def cmd_compare(args):
-    jobs = _jobs(args)
     base_cfg = _load_config(args)
     out = _out_dir(args)
     seeds = parse_compare_seeds(base_cfg["compare_seeds"])
@@ -188,8 +172,7 @@ def cmd_compare(args):
                 cfg = resolve_config(dict(base_cfg),
                                      {"model": model, "seed": seed})
                 _log(f"compare: training {model} (seed {seed})")
-                checkpoint, _ = experiment.train_experiment(cfg, series=series,
-                                                            jobs=jobs)
+                checkpoint, _ = experiment.train_experiment(cfg, series=series)
                 digests.add(checkpoint["dataset_digest"])
                 reports = experiment.evaluate_checkpoint(
                     checkpoint, split="test", series=series)
@@ -225,13 +208,10 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    jobs = {"help": "training worker processes (default: one per CPU this "
-                    "process may run on)"}
     add("gen-data", cmd_gen_data,
         **{"--out": {"required": True, "help": "output CSV path"}})
     add("train", cmd_train,
-        **{"--out": {"required": True, "help": "output directory"},
-           "--jobs": jobs})
+        **{"--out": {"required": True, "help": "output directory"}})
     add("predict", cmd_predict,
         **{"--checkpoint": {"required": True},
            "--split": {"default": "test", "choices": ("train", "val", "test")},
@@ -242,11 +222,9 @@ def build_parser():
            "--out": {"required": True, "help": "output directory"}})
     add("tune", cmd_tune,
         **{"--grid": {"required": True, "help": "grid file: key=v1,v2 lines"},
-           "--out": {"required": True, "help": "output directory"},
-           "--jobs": jobs})
+           "--out": {"required": True, "help": "output directory"}})
     add("compare", cmd_compare,
-        **{"--out": {"required": True, "help": "output directory"},
-           "--jobs": jobs})
+        **{"--out": {"required": True, "help": "output directory"}})
     return parser
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, WorkerError
 
 
 def assemble_complex(re_part, im_part):
@@ -135,7 +135,8 @@ def grid_search(grid: dict, evaluate):
 
     `evaluate(config)` must return a dict with a "nmse" entry (validation
     NMSE) and may include "param_count". Cells that raise are recorded as
-    failed and excluded from selection. Ties break by fewer parameters, then
+    failed and excluded from selection, except for a `WorkerError`: a
+    training process that died stops the search. Ties break by fewer parameters, then
     lexicographic config order; the result is independent of axis order.
     Returns (best config, trial table sorted by config). If every cell
     fails, raises RuntimeError from the first cell's exception.
@@ -151,6 +152,8 @@ def grid_search(grid: dict, evaluate):
             for k, v in result.items():
                 if k not in trial:
                     trial[k] = v
+        except WorkerError:
+            raise
         except Exception as exc:  # noqa: BLE001 - failures become table rows
             trial.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             first_error = first_error or exc

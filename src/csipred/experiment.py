@@ -172,13 +172,13 @@ def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def train_experiment(cfg, series=None, jobs=None):
+def train_experiment(cfg, series=None):
     """Train the configured model on every feature stream, in stacked groups
     of `group_size` streams.
 
-    The groups are independent, and `workers.run_groups` trains them in
-    `jobs` >= 1 processes (None: one per CPU this process may run on); the
-    result does not depend on `jobs`. A failure raises the error of the
+    The groups are independent, and `workers.run_groups` trains them in one
+    process per CPU this process may run on (`workers.default_jobs`); the
+    result does not depend on that count. A failure raises the error of the
     lowest-index failing group.
 
     Returns (checkpoint dict, per-feature loss histories).
@@ -204,7 +204,8 @@ def train_experiment(cfg, series=None, jobs=None):
     features = {}
     histories = {}
     count = -(-len(prepared) // size)
-    for streams in workers.run_groups(train_group, count, jobs):
+    for streams in workers.run_groups(train_group, count,
+                                      workers.default_jobs()):
         for feat_id, entry, history in streams:
             features[feat_id] = entry
             histories[feat_id] = history

@@ -1,13 +1,14 @@
 """Training groups in forked worker processes.
 
 `run_groups(train_group, count, jobs)` returns `[train_group(i) for i in
-range(count)]`. With jobs > 1 (None: `default_jobs()`) it deals the indices round-robin to
+range(count)]`. With jobs > 1 it deals the indices round-robin to
 `min(jobs, count)` processes: this one trains indices 0, jobs, 2*jobs, ...
 itself, and each of the others is a child forked from it, so that it inherits
 everything `train_group` reads instead of receiving a copy. A child sends each
 result, or the exception that stopped it, through a pipe as soon as it has
 it, and stops at its first failure; this process reads the pipes between its
-own groups and after them.
+own groups and after them. While the workers run, OpenBLAS runs one thread
+per process, so that `jobs` processes use `jobs` CPUs.
 
 A failure raises what the serial loop raises: the exception of the lowest
 failing index. The call waits only while a lower index is still running;
@@ -16,6 +17,8 @@ ends without sending a result raises `WorkerError`. Fork is Linux-only here.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import multiprocessing
 import os
 from multiprocessing.connection import wait
@@ -24,8 +27,8 @@ from .errors import WorkerError
 
 
 def default_jobs():
-    """One process per CPU this process may run on; 1 where the platform
-    cannot tell."""
+    """One process per CPU this process may run on (`taskset` lowers it); 1
+    where the platform cannot tell."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -37,12 +40,17 @@ class _Child:
         self.proc, self.conn, self.owed = proc, conn, owed  # owed: ascending
 
 
-def run_groups(train_group, count, jobs=None):
+def run_groups(train_group, count, jobs):
     """The results of `train_group(i)` for i in range(count), in index order,
     computed by `min(jobs, count)` processes."""
-    jobs = min(default_jobs() if jobs is None else jobs, count)
+    jobs = min(jobs, count)
     if jobs <= 1:
         return [train_group(i) for i in range(count)]
+    with _one_blas_thread():
+        return _run_forked(train_group, count, jobs)
+
+
+def _run_forked(train_group, count, jobs):
     ctx = multiprocessing.get_context("fork")
     results = [None] * count
     failures = {}
@@ -149,3 +157,50 @@ def _leave_cpu(cpu):
             os.sched_setaffinity(0, allowed)
     except (AttributeError, OSError):
         pass
+
+
+# Thread-count calls of the OpenBLAS builds numpy ships or links.
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs the block, and the children forked in it, with OpenBLAS on one
+    thread, then restores this process's count. Without it, each of N
+    workers would start as many BLAS threads as there are CPUs."""
+    calls = _openblas_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _openblas_calls():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, or None if it has loaded none that it can find."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_CALLS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None

@@ -2,12 +2,15 @@ import base64
 import contextlib
 import io
 import json
+import os
+import signal
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csipred import experiment, workers
 from csipred.cli import main
 from csipred.config import (config_digest, format_config,
                             parse_config_file, parse_seasonalities,
@@ -684,6 +687,36 @@ class TestTune:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("divergence:")
+
+    def test_a_worker_that_dies_stops_tune_with_exit_4(self, tmp_path,
+                                                        monkeypatch):
+        # A training process that dies is not a failed cell: the ranking
+        # would then depend on free memory, so tune stops. The first cell
+        # trains; a worker of the second dies.
+        monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES", 1)
+        monkeypatch.setattr(workers, "default_jobs", lambda: 2)
+        parent = os.getpid()
+        train_feature = experiment.train_feature
+
+        def dying(cfg, *args, **kwargs):
+            if os.getpid() != parent and cfg["rnn_hidden"] == 8:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_feature(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_feature", dying)
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=4,8\n", encoding="utf-8")
+        out = tmp_path / "t"
+        rc, err = _run_quietly(["tune", "--config", str(cfg), "--grid",
+                                str(grid), "--out", str(out)])
+        assert rc == 4
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("worker error:")
+        assert "killed by signal 9" in lines[0]
+        assert not (out / "trials.csv").exists()
+        assert not (out / "best.cfg").exists()
 
     def test_unknown_grid_key(self, tmp_path):
         cfg = write_config(tmp_path)

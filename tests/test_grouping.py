@@ -34,18 +34,22 @@ TOY = {"antenna_count": "5", "sample_count": "300", "d": "6", "D": "3",
 PAPER = {"epochs": "1", "sample_count": "2680", "window_stride": "24"}
 
 
-def _run(tmp_path, name, extra=None, jobs=None):
+def _run(tmp_path, name, extra=None):
     """`train` at toy size; returns (exit code, output directory)."""
     cfg = write_config(tmp_path, {**TOY, **(extra or {})}, name=f"{name}.cfg")
     out = tmp_path / name
-    flags = [] if jobs is None else ["--jobs", str(jobs)]
-    return main(["train", "--config", str(cfg), "--out", str(out), *flags]), out
+    return main(["train", "--config", str(cfg), "--out", str(out)]), out
 
 
-def _train(tmp_path, name, extra=None, jobs=None):
-    code, out = _run(tmp_path, name, extra, jobs)
+def _train(tmp_path, name, extra=None):
+    code, out = _run(tmp_path, name, extra)
     assert code == 0
     return [(out / f).read_bytes() for f in ("checkpoint.json", "loss.csv")]
+
+
+def _jobs(monkeypatch, jobs):
+    """Train in `jobs` processes, whatever the CPU count."""
+    monkeypatch.setattr(workers, "default_jobs", lambda: jobs)
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -61,12 +65,13 @@ def test_grouped_training_is_byte_identical_to_groups_of_one(
 
     monkeypatch.setattr(experiment, "train_feature", spy)
     monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES", 1)
-    serial = _train(tmp_path, "serial", {"model": kind}, jobs=1)
+    _jobs(monkeypatch, 1)
+    serial = _train(tmp_path, "serial", {"model": kind})
     assert sizes == [1] * 10
     sizes.clear()
     monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
                         4 * experiment.stream_bytes(cfg, kind))
-    grouped = _train(tmp_path, "grouped", {"model": kind}, jobs=1)
+    grouped = _train(tmp_path, "grouped", {"model": kind})
     assert sizes == [4, 4, 2]
     assert grouped == serial
 
@@ -232,8 +237,10 @@ class TestJobs:
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_outputs_do_not_depend_on_jobs(self, tmp_path, monkeypatch, kind):
         self.three_groups(monkeypatch, kind)
-        one = _train(tmp_path, "one", {"model": kind}, jobs=1)
-        two = _train(tmp_path, "two", {"model": kind}, jobs=2)
+        _jobs(monkeypatch, 1)
+        one = _train(tmp_path, "one", {"model": kind})
+        _jobs(monkeypatch, 2)
+        two = _train(tmp_path, "two", {"model": kind})
         assert two == one
         _assert_no_children()
 
@@ -259,7 +266,8 @@ class TestJobs:
         monkeypatch.setattr(experiment, "train_feature", diverging)
         lines = []
         for jobs in (1, 2):
-            code, out = _run(tmp_path, f"jobs{jobs}", {"model": "rnn"}, jobs)
+            _jobs(monkeypatch, jobs)
+            code, out = _run(tmp_path, f"jobs{jobs}", {"model": "rnn"})
             assert code == 3
             assert not (out / "checkpoint.json").exists()
             err = capsys.readouterr().err.splitlines()
@@ -279,7 +287,8 @@ class TestJobs:
             return train_feature(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "train_feature", dying)
-        code, out = _run(tmp_path, "dies", {"model": "rnn"}, 2)
+        _jobs(monkeypatch, 2)
+        code, out = _run(tmp_path, "dies", {"model": "rnn"})
         assert code == 4
         err = capsys.readouterr().err
         lines = [ln for ln in err.splitlines() if ln.startswith("worker error:")]
@@ -304,14 +313,18 @@ class TestJobs:
             workers.run_groups(unreadable, 3, 2)
         _assert_no_children()
 
-    @pytest.mark.parametrize("value", ["0", "-1", "x", "1.5"])
-    @pytest.mark.parametrize("command", [["train"], ["tune", "--grid", "g.cfg"],
-                                         ["compare"]],
-                             ids=["train", "tune", "compare"])
-    def test_bad_jobs_exit_1(self, tmp_path, capsys, command, value):
-        out = tmp_path / "o"
-        assert main([*command, "--out", str(out), "--jobs", value]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            f"config error: --jobs must be an integer >= 1, got {value!r}"]
-        assert not out.exists()
+    def test_workers_run_one_blas_thread_each(self):
+        # N workers on N CPUs: each keeps OpenBLAS to one thread, and this
+        # process gets its own count back after the call.
+        calls = workers._openblas_calls()
+        if calls is None:
+            pytest.skip("numpy is not linked to an OpenBLAS this test can find")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            assert workers.run_groups(lambda index: get(), 3, 2) == [1, 1, 1]
+            assert get() == 2
+        finally:
+            set_(before)
+        _assert_no_children()
