@@ -100,16 +100,14 @@ def aggregate_nmse(parts):
     return sum(v * c for v, c in parts) / total
 
 
-def write_reports(reports, csv_path, json_path=None):
+def write_reports(reports, csv_path, json_path):
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(MetricReport.CSV_HEADER + "\n")
         for r in reports:
             fh.write(r.csv_row() + "\n")
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

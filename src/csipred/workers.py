@@ -1,19 +1,21 @@
 """Training groups in forked worker processes.
 
 `run_groups(train_group, count, jobs)` returns `[train_group(i) for i in
-range(count)]`. With jobs > 1 it deals the indices round-robin to
-`min(jobs, count)` processes: this one trains indices 0, jobs, 2*jobs, ...
-itself, and each of the others is a child forked from it, so that it inherits
-everything `train_group` reads instead of receiving a copy. A child sends each
-result, or the exception that stopped it, through a pipe as soon as it has
-it, and stops at its first failure; this process reads the pipes between its
-own groups and after them. While the workers run, OpenBLAS runs one thread
-per process, so that `jobs` processes use `jobs` CPUs.
+range(count)]`, with OpenBLAS on one thread per process so that the bytes a
+group trains to do not depend on the host. With jobs > 1 it deals the indices
+round-robin to `min(jobs, count)` processes: each of the others is a child
+forked from this one, so that it inherits everything `train_group` reads
+instead of receiving a copy, and trains its indices in order, sending each
+result, or the exception that stopped it, through its own pipe.
 
-A failure raises what the serial loop raises: the exception of the lowest
-failing index. The call waits only while a lower index is still running;
-then, and on every other path, it kills and reaps every child. A child that
-ends without sending a result raises `WorkerError`. Fork is Linux-only here.
+This process then takes the results in index order: it trains indices 0,
+jobs, 2*jobs, ... itself, and waits on the child's pipe for every other one.
+So a failure raises where the serial loop would stop, whether it is a
+group's exception, a child that ended without sending its result
+(`WorkerError`) or a result that cannot be read; the call waits only while a
+lower index is still running, and trains none of its own groups above a
+failure. On every path it kills and reaps every child. Fork is Linux-only
+here.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import contextlib
 import ctypes
 import multiprocessing
 import os
-from multiprocessing.connection import wait
 
 from .errors import WorkerError
 
@@ -35,85 +36,55 @@ def default_jobs():
         return 1
 
 
-class _Child:
-    def __init__(self, proc, conn, owed):
-        self.proc, self.conn, self.owed = proc, conn, owed  # owed: ascending
-
-
 def run_groups(train_group, count, jobs):
     """The results of `train_group(i)` for i in range(count), in index order,
     computed by `min(jobs, count)` processes."""
     jobs = min(jobs, count)
-    if jobs <= 1:
-        return [train_group(i) for i in range(count)]
     with _one_blas_thread():
+        if jobs <= 1:
+            return [train_group(i) for i in range(count)]
         return _run_forked(train_group, count, jobs)
 
 
 def _run_forked(train_group, count, jobs):
     ctx = multiprocessing.get_context("fork")
-    results = [None] * count
-    failures = {}
-    children = []
+    children = []  # (process, pipe); child k - 1 trains indices k, k + jobs, ...
     try:
         for first in range(1, jobs):
-            indices = range(first, count, jobs)
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_serve, daemon=True,
-                               args=(train_group, indices, send, _cpu()))
+                               args=(train_group, range(first, count, jobs), send,
+                                     _cpu()))
             proc.start()
             send.close()
-            children.append(_Child(proc, recv, list(indices)))
-        for index in range(0, count, jobs):
-            _receive(children, results, failures, timeout=0)
-            if failures and min(failures) < index:
-                break
+            children.append((proc, recv))
+        results = []
+        for index in range(count):
+            if index % jobs == 0:
+                results.append(train_group(index))
+                continue
+            proc, conn = children[index % jobs - 1]
             try:
-                results[index] = train_group(index)
-            except Exception as exc:  # noqa: BLE001 - raised below, by index order
-                failures[index] = exc
-                break
-        while any(c.owed and c.owed[0] < min(failures, default=count)
-                  for c in children):
-            _receive(children, results, failures, timeout=None)
-        if failures:
-            raise failures[min(failures)]
-        return results
-    finally:
-        for child in children:
-            child.proc.kill()
-            child.proc.join()
-            child.conn.close()
-
-
-def _receive(children, results, failures, timeout):
-    """Reads every message that has arrived from children that still owe
-    results, waiting up to `timeout` seconds (None: no limit) for the first."""
-    live = {c.conn: c for c in children if c.owed}
-    for conn in wait(list(live), timeout):
-        child = live[conn]
-        while child.owed and conn.poll():
-            index = child.owed[0]
-            try:
-                index, ok, value = conn.recv()
+                ok, value = conn.recv()
             except EOFError:
-                child.proc.join()
-                code = child.proc.exitcode
+                proc.join()
+                code = proc.exitcode
                 how = (f"was killed by signal {-code}" if code < 0
                        else f"exited with code {code}")
-                ok, value = False, WorkerError(
-                    f"training worker {child.proc.pid} {how} before it sent "
-                    f"group {index}")
+                raise WorkerError(f"training worker {proc.pid} {how} before it "
+                                  f"sent group {index}") from None
             except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable error
-                ok, value = False, WorkerError(
-                    f"group {index}: the worker's result could not be read "
-                    f"({type(exc).__name__}: {exc})")
-            if ok:
-                results[index] = value
-                child.owed.pop(0)
-            else:
-                failures[index] = value
-                child.owed.clear()
+                raise WorkerError(f"group {index}: the worker's result could not "
+                                  f"be read ({type(exc).__name__}: {exc})") from exc
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for proc, conn in children:
+            proc.kill()
+            proc.join()
+            conn.close()
 
 
 def _serve(train_group, indices, conn, parent_cpu):
@@ -121,16 +92,16 @@ def _serve(train_group, indices, conn, parent_cpu):
     _leave_cpu(parent_cpu)
     for index in indices:
         try:
-            message = (index, True, train_group(index))
+            message = (True, train_group(index))
         except BaseException as exc:  # noqa: BLE001 - the parent raises it
-            message = (index, False, exc)
+            message = (False, exc)
         try:
             conn.send(message)
         except Exception as exc:  # noqa: BLE001 - a result that does not pickle
-            conn.send((index, False, WorkerError(
+            conn.send((False, WorkerError(
                 f"group {index}: the worker could not send its result "
                 f"({type(exc).__name__}: {exc})")))
-        if not message[1]:
+        if not message[0]:
             break
     conn.close()
 
@@ -168,7 +139,8 @@ _OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads6
 def _one_blas_thread():
     """Runs the block, and the children forked in it, with OpenBLAS on one
     thread, then restores this process's count. Without it, each of N
-    workers would start as many BLAS threads as there are CPUs."""
+    workers would start as many BLAS threads as there are CPUs, and a group's
+    parameters would differ in their last bits with the thread count."""
     calls = _openblas_calls()
     if calls is None:
         yield

@@ -218,6 +218,18 @@ class _NeedsArgs(Exception):
         super().__init__()
 
 
+class _GroupFailed(Exception):
+    pass
+
+
+def _outcome(call):
+    """What `call()` returns, or the arguments of the `_GroupFailed` it raises."""
+    try:
+        return ("returned", call())
+    except _GroupFailed as exc:
+        return ("raised", exc.args)
+
+
 def _assert_no_children():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
@@ -328,3 +340,36 @@ class TestJobs:
         finally:
             set_(before)
         _assert_no_children()
+
+    def test_one_process_runs_one_blas_thread_too(self):
+        # So that a run's bytes do not depend on the caller's thread count.
+        calls = workers._openblas_calls()
+        if calls is None:
+            pytest.skip("numpy is not linked to an OpenBLAS this test can find")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            assert workers.run_groups(lambda index: get(), 3, 1) == [1, 1, 1]
+            assert get() == 2
+            assert workers.run_groups(lambda index: get(), 1, 4) == [1]
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("failing", [(), (1, 2), (2, 3), (0, 5)],
+                             ids=["none", "1-2", "2-3", "0-5"])
+    @pytest.mark.parametrize("jobs", [3, 4])
+    def test_two_or_three_children_act_as_the_serial_loop(self, jobs, failing):
+        # Lower indices take longer, so that a higher failure is sent first.
+        def train_group(index):
+            time.sleep(0.002 * (7 - index))
+            if index in failing:
+                raise _GroupFailed(index)
+            return index * index
+
+        for count in range(1, 8):
+            serial = _outcome(lambda: [train_group(i) for i in range(count)])
+            assert _outcome(lambda: workers.run_groups(train_group, count, jobs)) \
+                == serial, count
+            _assert_no_children()
