@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing
 import os
 
@@ -154,9 +155,11 @@ def _one_blas_thread():
         set_(before)
 
 
+@functools.cache
 def _openblas_calls():
     """(get, set) of the thread count of the OpenBLAS this process has
-    loaded, or None if it has loaded none that it can find."""
+    loaded, or None if it has loaded none that it can find. Cached, because
+    every training run asks and the search reads /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh
