@@ -2,20 +2,20 @@
 
 `run_groups(train_group, count, jobs)` returns `[train_group(i) for i in
 range(count)]`, with OpenBLAS on one thread per process so that the bytes a
-group trains to do not depend on the host. With jobs > 1 it deals the indices
-round-robin to `min(jobs, count)` processes: each of the others is a child
-forked from this one, so that it inherits everything `train_group` reads
-instead of receiving a copy, and trains its indices in order, sending each
-result, or the exception that stopped it, through its own pipe.
+group trains to do not depend on the host. It deals the indices round-robin
+to `min(jobs, count)` processes: this one, and one child per other process,
+forked from this one so that it inherits everything `train_group` reads
+instead of receiving a copy. A child trains its indices in order, sending
+each result, or the exception that stopped it, through its own pipe.
 
-This process then takes the results in index order: it trains indices 0,
-jobs, 2*jobs, ... itself, and waits on the child's pipe for every other one.
-So a failure raises where the serial loop would stop, whether it is a
-group's exception, a child that ended without sending its result
-(`WorkerError`) or a result that cannot be read; the call waits only while a
-lower index is still running, and trains none of its own groups above a
-failure. On every path it kills and reaps every child. Fork is Linux-only
-here.
+This process takes the results in index order: it trains indices 0, jobs,
+2*jobs, ... itself, and waits on the child's pipe for every other one. With
+one process that is the serial loop itself. So a failure raises where the
+serial loop would stop, whether it is a group's exception, a child that
+ended without sending its result (`WorkerError`) or a result that cannot be
+read; the call waits only while a lower index is still running, and trains
+none of its own groups above a failure. On every path it kills and reaps
+every child. Fork is Linux-only here; one process never forks.
 """
 from __future__ import annotations
 
@@ -41,51 +41,45 @@ def run_groups(train_group, count, jobs):
     """The results of `train_group(i)` for i in range(count), in index order,
     computed by `min(jobs, count)` processes."""
     jobs = min(jobs, count)
-    with _one_blas_thread():
-        if jobs <= 1:
-            return [train_group(i) for i in range(count)]
-        return _run_forked(train_group, count, jobs)
-
-
-def _run_forked(train_group, count, jobs):
-    ctx = multiprocessing.get_context("fork")
     children = []  # (process, pipe); child k - 1 trains indices k, k + jobs, ...
-    try:
-        for first in range(1, jobs):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve, daemon=True,
-                               args=(train_group, range(first, count, jobs), send,
-                                     _cpu()))
-            proc.start()
-            send.close()
-            children.append((proc, recv))
-        results = []
-        for index in range(count):
-            if index % jobs == 0:
-                results.append(train_group(index))
-                continue
-            proc, conn = children[index % jobs - 1]
-            try:
-                ok, value = conn.recv()
-            except EOFError:
+    with _one_blas_thread():
+        try:
+            for first in range(1, jobs):
+                recv, send = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.get_context("fork").Process(
+                    target=_serve, daemon=True,
+                    args=(train_group, range(first, count, jobs), send, _cpu()))
+                proc.start()
+                send.close()
+                children.append((proc, recv))
+            results = []
+            for index in range(count):
+                if index % jobs == 0:
+                    results.append(train_group(index))
+                    continue
+                proc, conn = children[index % jobs - 1]
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    proc.join()
+                    code = proc.exitcode
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"exited with code {code}")
+                    raise WorkerError(f"training worker {proc.pid} {how} before "
+                                      f"it sent group {index}") from None
+                except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable error
+                    raise WorkerError(f"group {index}: the worker's result could "
+                                      f"not be read ({type(exc).__name__}: {exc})"
+                                      ) from exc
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+        finally:
+            for proc, conn in children:
+                proc.kill()
                 proc.join()
-                code = proc.exitcode
-                how = (f"was killed by signal {-code}" if code < 0
-                       else f"exited with code {code}")
-                raise WorkerError(f"training worker {proc.pid} {how} before it "
-                                  f"sent group {index}") from None
-            except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable error
-                raise WorkerError(f"group {index}: the worker's result could not "
-                                  f"be read ({type(exc).__name__}: {exc})") from exc
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for proc, conn in children:
-            proc.kill()
-            proc.join()
-            conn.close()
+                conn.close()
 
 
 def _serve(train_group, indices, conn, parent_cpu):
