@@ -16,6 +16,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import DEFAULTS
 from .errors import (ContractViolation, DataError, DegenerateScaleError,
                      ParseError, UnrecoverableGapError)
 
@@ -25,6 +26,8 @@ _CSV_ROW = np.dtype([("t", np.int64), ("antenna", np.int64),
                      ("re", np.float64), ("im", np.float64)])
 _NEWLINE = re.compile(rb"\r\n|\r|\n")  # the line ends the CSV reader splits on
 _CR_BLANK = re.compile(rb"(?<![^\n\r])\r")  # a CR that starts a line
+# The default train/validation/test split fractions.
+FRACTIONS = tuple(DEFAULTS[f"{name}_frac"] for name in ("train", "val", "test"))
 
 
 @dataclass
@@ -39,7 +42,6 @@ class CsiSeries:
     sample_interval: float
     start_index: int
     values: np.ndarray  # complex128, shape (antennas, n)
-    track: str = "synthetic"
     duplicate_rows: list = field(default_factory=list)
 
     @property
@@ -123,7 +125,7 @@ def stack_windows(sets) -> SupervisedWindowSet:
                                np.stack([ws.Y for ws in sets]))
 
 
-def load_csi(path, sample_interval=5e-4, track=None) -> CsiSeries:
+def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
     """Parse the CSI CSV format into a (possibly gap-containing) series.
 
     Lines end in LF, CR or CRLF. A line that is empty before its LF is
@@ -177,8 +179,7 @@ def load_csi(path, sample_interval=5e-4, track=None) -> CsiSeries:
     values.real[ant_row, u_t - t_min] = re_[kept]
     values.imag[ant_row, u_t - t_min] = im[kept]
     return CsiSeries(sample_interval=sample_interval, start_index=t_min,
-                     values=values, track=track or str(path),
-                     duplicate_rows=duplicates)
+                     values=values, duplicate_rows=duplicates)
 
 
 def _read_rows(path):
@@ -292,10 +293,10 @@ def clean(series: CsiSeries, max_gap=MAX_INTERP_GAP):
         report.samples_interpolated += int(missing.sum())
     return CsiSeries(sample_interval=series.sample_interval,
                      start_index=series.start_index, values=values,
-                     track=series.track, duplicate_rows=[]), report
+                     duplicate_rows=[]), report
 
 
-def split_chronological(series: CsiSeries, fractions=(0.8, 0.1, 0.1),
+def split_chronological(series: CsiSeries, fractions=FRACTIONS,
                         min_segment=1):
     """Contiguous train/validation/test segments; remainder goes to training."""
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -313,8 +314,7 @@ def split_chronological(series: CsiSeries, fractions=(0.8, 0.1, 0.1),
     for seg in (n_train, n_val, n_test):
         out.append(CsiSeries(sample_interval=series.sample_interval,
                              start_index=series.start_index + pos,
-                             values=series.values[:, pos:pos + seg].copy(),
-                             track=series.track))
+                             values=series.values[:, pos:pos + seg].copy()))
         pos += seg
     return tuple(out)
 
@@ -371,7 +371,7 @@ class PreparedFeature:
     windows: dict  # split name -> SupervisedWindowSet (normalized values)
 
 
-def prepare_dataset(series: CsiSeries, d, D, fractions=(0.8, 0.1, 0.1),
+def prepare_dataset(series: CsiSeries, d, D, fractions=FRACTIONS,
                     stride=1):
     """Full preprocessing: clean, split, separate re/im, normalize, window.
 

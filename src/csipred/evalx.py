@@ -75,20 +75,18 @@ class MetricReport:
     def nmse_db(self) -> float:
         return to_db(self.nmse)
 
-    CSV_HEADER = "model,track,antenna,seed,nmse,nmse_db,cosine_similarity,windows,config_digest"
+    # (report field, attribute), in the order of the CSV columns.
+    _FIELDS = (("model", "model_id"), ("track", "track"), ("antenna", "antenna"),
+               ("seed", "seed"), ("nmse", "nmse"), ("nmse_db", "nmse_db"),
+               ("cosine_similarity", "cosine"), ("windows", "window_count"),
+               ("config_digest", "config_digest"))
+    CSV_HEADER = ",".join(name for name, _ in _FIELDS)
 
     def csv_row(self) -> str:
-        return (f"{self.model_id},{self.track},{self.antenna},{self.seed},"
-                f"{self.nmse!r},{self.nmse_db!r},{self.cosine!r},"
-                f"{self.window_count},{self.config_digest}")
+        return ",".join(map(str, self.to_json_dict().values()))
 
     def to_json_dict(self):
-        return {"model": self.model_id, "track": self.track,
-                "antenna": self.antenna, "seed": self.seed,
-                "nmse": self.nmse, "nmse_db": self.nmse_db,
-                "cosine_similarity": self.cosine,
-                "windows": self.window_count,
-                "config_digest": self.config_digest}
+        return {name: getattr(self, attr) for name, attr in self._FIELDS}
 
 
 def aggregate_nmse(parts):
@@ -147,9 +145,6 @@ def grid_search(grid: dict, evaluate):
             result = evaluate(dict(config))
             trial.update(status="ok", nmse=float(result["nmse"]),
                          param_count=int(result.get("param_count", 0)))
-            for k, v in result.items():
-                if k not in trial:
-                    trial[k] = v
         except WorkerError:
             raise
         except Exception as exc:  # noqa: BLE001 - failures become table rows

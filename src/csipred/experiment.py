@@ -13,8 +13,7 @@ import contextlib
 import numpy as np
 
 from . import datapipe, hybrid, numcore, synthchan, workers
-from .config import (CHOICES, DEFAULTS, config_digest, parse_seasonalities,
-                     resolve_config)
+from .config import config_digest, parse_seasonalities, resolve_config
 from .errors import (CheckpointMismatch, ConfigError, ContractViolation,
                      DivergenceError)
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
@@ -96,7 +95,9 @@ GROUP_CACHE_BYTES = 5 << 20
 def _stages(cfg, kind):
     """A model kind's stages under cfg: (the additive model's config, the
     recurrent architecture), None for a stage the kind lacks. The hybrid has
-    both, with `hybrid_source` as its architecture."""
+    both, with `hybrid_source` as its architecture and the recurrent
+    forecasts as the additive model's regressor. Training, loading and
+    sizing all read a kind's stages here."""
     np_cfg = np_config(cfg, kind == "hybrid") if kind in ("np", "hybrid") else None
     arch = {"np": None, "hybrid": cfg["hybrid_source"]}.get(kind, kind)
     return np_cfg, arch
@@ -139,37 +140,34 @@ def train_feature(cfg, kind, group, seeds, dataset_digest=""):
     def per_stream(value):
         return value if stacked else [value]
 
+    np_cfg, arch = _stages(cfg, kind)
+    two_stage = np_cfg is not None and arch is not None
     splits = {name: datapipe.stack_windows([pf.windows[name] for pf in group])
-              for name in (group[0].windows if kind == "hybrid" else ("train",))}
-    if kind in ("rnn", "lstm", "bilstm"):
-        model = recurrent_model(cfg, kind, seed)
-        histories = train_recurrent(model, splits["train"], seed=seed)
-        return unstack(model), [{"train": h} for h in per_stream(histories)]
-    if kind == "np":
-        model, histories = np_train(splits["train"], np_config(cfg), seed=seed)
-        return unstack(model), [{"train": h} for h in per_stream(histories)]
-    if kind == "hybrid":
+              for name in (group[0].windows if two_stage else ("train",))}
+    if two_stage:
         model, rnn_hists, np_hists, _ = build_hybrid(
-            splits, recurrent_model(cfg, cfg["hybrid_source"], seed),
-            np_config(cfg, regressor=True), seed=seed,
+            splits, recurrent_model(cfg, arch, seed), np_cfg, seed=seed,
             dataset_digest=dataset_digest)
         models = [HybridModel(*stages) for stages in zip(
             unstack(model.rnn), unstack(model.np_model),
             per_stream(model.provenance))]
         return models, [{"stage1": a, "stage2": b} for a, b in
                         zip(per_stream(rnn_hists), per_stream(np_hists))]
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if arch is None:
+        model, histories = np_train(splits["train"], np_cfg, seed=seed)
+    else:
+        model = recurrent_model(cfg, arch, seed)
+        histories = train_recurrent(model, splits["train"], seed=seed)
+    return unstack(model), [{"train": h} for h in per_stream(histories)]
 
 
 def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
     """Normalized-domain predictions for every window in the set."""
-    if kind in ("rnn", "lstm", "bilstm"):
-        return predict_batch(model, ws.X)
     if kind == "np":
         return np_predict_batch(model, ws.t, ws.X)
     if kind == "hybrid":
         return hybrid_predict_batch(model, ws.t, ws.X)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return predict_batch(model, ws.X)
 
 
 def train_experiment(cfg, series=None):
@@ -209,10 +207,14 @@ def train_experiment(cfg, series=None):
         for feat_id, entry, history in streams:
             features[feat_id] = entry
             histories[feat_id] = history
-    checkpoint = {"format": CHECKPOINT_FORMAT, "kind": kind,
-                  "config": dict(cfg), "dataset_digest": digest,
-                  "features": features}
-    return checkpoint, histories
+    return _checkpoint(cfg, digest, features), histories
+
+
+def _checkpoint(cfg, digest, features):
+    """What training writes for a resolved config, the digest of its windows
+    and the entries of its features."""
+    return {"format": CHECKPOINT_FORMAT, "kind": cfg["model"],
+            "config": dict(cfg), "dataset_digest": digest, "features": features}
 
 
 def _feature_entry(model, scaler, with_params=True):
@@ -221,7 +223,7 @@ def _feature_entry(model, scaler, with_params=True):
             "scaler": {"shift": scaler.shift, "half_range": scaler.half_range}}
 
 
-def _load_model(cfg, kind, train, seed, digest, entry):
+def _load_model(cfg, train, seed, digest, entry):
     """The model training builds for a feature from these train windows, seed
     and dataset digest, marked trained, with the parameters of its `entry`."""
     def filled(model, *path):
@@ -231,69 +233,65 @@ def _load_model(cfg, kind, train, seed, digest, entry):
         model.params = numcore.load_params(model.params, stored)
         model.trained = True
         return model
-    if kind == "np":
-        return filled(NpModel(np_config(cfg), seed, *trend_span(train)))
-    if kind != "hybrid":
-        return filled(recurrent_model(cfg, kind, seed))
-    np_cfg = np_config(cfg, regressor=True)
-    rnn = filled(recurrent_model(cfg, cfg["hybrid_source"], seed), "rnn")
-    return HybridModel(rnn, filled(NpModel(np_cfg, seed, *trend_span(train)), "np"),
+    np_cfg, arch = _stages(cfg, cfg["model"])
+    if np_cfg is None:
+        return filled(recurrent_model(cfg, arch, seed))
+    np_model = NpModel(np_cfg, seed, *trend_span(train))
+    if arch is None:
+        return filled(np_model)
+    rnn = filled(recurrent_model(cfg, arch, seed), "rnn")
+    return HybridModel(rnn, filled(np_model, "np"),
                        hybrid.make_provenance(seed, digest, rnn, np_cfg))
 
 
-def _check_entry(got, want, where):
-    """Refuses a stored entry `got` unless it equals `want` field by field, in
-    value and type, naming the first field that differs or only one holds;
-    `load_params` reads `params`."""
+def _check_entry(got, want, where=""):
+    """Refuses a stored value `got` unless it equals `want` field by field, in
+    value and type, naming the path of the first field that differs or only
+    one holds; `load_params` reads `params`."""
     if isinstance(got, dict) and isinstance(want, dict):
         for key in sorted(got.keys() | want.keys()):
+            path = f"{where}.{key}" if where else key
             if key not in got or key not in want:
                 raise CheckpointMismatch(
-                    f"{where}.{key} is {'missing' if key in want else 'extra'}")
+                    f"{path} is {'missing' if key in want else 'extra'}")
             if key != "params":
-                _check_entry(got[key], want[key], f"{where}.{key}")
+                _check_entry(got[key], want[key], path)
     elif type(got) is not type(want) or got != want:
-        raise CheckpointMismatch(f"{where} is {got!r}, training writes {want!r}")
+        wrote = "an object" if isinstance(want, dict) else repr(want)
+        raise CheckpointMismatch(f"{where} is {got!r}, training writes {wrote}")
 
 
 def _predict_split(checkpoint, split, series):
     """Re-prepare a checkpoint's dataset and predict one split per feature.
 
-    Returns {feature id: (windows, prediction, truth)}, de-normalized. Refuses
-    a checkpoint that is not an experiment object with a known model kind and
-    a full, valid config, whose dataset digest or features do not match, or
-    whose feature entries are not, apart from the model parameters, exactly
-    what training writes for that feature under the config.
+    Returns the resolved config and {feature id: (windows, prediction,
+    truth)}, de-normalized. Refuses a checkpoint that, apart from the model
+    parameters, is not exactly what `train_experiment` writes for its config;
+    each feature's entry is checked as its model is loaded.
     """
-    if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointMismatch("not an experiment checkpoint")
-    missing = {"kind", "config", "dataset_digest", "features"} - checkpoint.keys()
-    if missing:
-        raise CheckpointMismatch(f"checkpoint lacks {', '.join(sorted(missing))}")
-    kind, cfg = checkpoint["kind"], checkpoint["config"]
-    if kind not in CHOICES["model"]:
-        raise CheckpointMismatch(f"unknown model kind {kind!r}")
-    if not isinstance(cfg, dict) or not isinstance(checkpoint["features"], dict):
-        raise CheckpointMismatch("checkpoint config or features is not an object")
-    missing = DEFAULTS.keys() - cfg.keys()
-    if missing:
-        raise CheckpointMismatch(f"checkpoint config lacks {', '.join(sorted(missing))}")
+    if not isinstance(checkpoint, dict) or not isinstance(checkpoint.get("config"), dict):
+        raise CheckpointMismatch("not an experiment checkpoint with a config object")
     try:
-        cfg = resolve_config(cfg)
+        cfg = resolve_config(checkpoint["config"])
     except ConfigError as exc:
         raise CheckpointMismatch(f"checkpoint config: {exc}") from None
     prepared, digest = prepare(cfg, series)
-    if digest != checkpoint["dataset_digest"]:
+    # A digest that is missing is named by the comparison below.
+    if checkpoint.get("dataset_digest", digest) != digest:
         raise CheckpointMismatch(
             "dataset digest mismatch: checkpoint was trained on different windows")
+    # The feature entries are compared below, each as its model is loaded.
+    stored = checkpoint.get("features")
+    _check_entry({**checkpoint, "features": dict.fromkeys(stored)}
+                 if isinstance(stored, dict) else checkpoint,
+                 _checkpoint(cfg, digest, dict.fromkeys(
+                     pf.feature.feature_id for pf in prepared)))
     by_feature = {}
     for index, pf in enumerate(prepared):
         feat_id = pf.feature.feature_id
-        if feat_id not in checkpoint["features"]:
-            raise CheckpointMismatch(f"checkpoint lacks feature {feat_id}")
-        entry = checkpoint["features"][feat_id]
+        entry = stored[feat_id]
         try:
-            model = _load_model(cfg, kind, pf.windows["train"],
+            model = _load_model(cfg, pf.windows["train"],
                                 _feature_seed(cfg["seed"], index), digest, entry)
         except ContractViolation as exc:
             raise CheckpointMismatch(f"feature {feat_id}: {exc}") from None
@@ -302,9 +300,9 @@ def _predict_split(checkpoint, split, series):
         ws = pf.windows[split]
         # Finite but huge parameters can overflow the forward pass.
         with _refuse_overflow(f"feature {feat_id}: its predictions"):
-            pred = predict_windows(kind, model, ws)
+            pred = predict_windows(cfg["model"], model, ws)
         by_feature[feat_id] = (ws, pf.scaler.inverse(pred), pf.scaler.inverse(ws.Y))
-    return by_feature
+    return cfg, by_feature
 
 
 @contextlib.contextmanager
@@ -324,9 +322,8 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
     Predictions are de-normalized before real/imag recombination so metrics
     are computed on original-scale complex values.
     """
-    by_feature = _predict_split(checkpoint, split, series)
-    cfg = checkpoint["config"]
-    kind = checkpoint["kind"]
+    cfg, by_feature = _predict_split(checkpoint, split, series)
+    kind = cfg["model"]
     reports = []
     parts = []
     cos_parts = []
@@ -361,7 +358,7 @@ def predictions_table(checkpoint, split="test", series=None):
     """Rows (feature, origin t, horizon step, prediction, truth), de-normalized."""
     rows = []
     for feat_id, (ws, pred, truth) in _predict_split(checkpoint, split,
-                                                     series).items():
+                                                     series)[1].items():
         for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist()):
             rows.extend((feat_id, t, h, p, y)
                         for h, (p, y) in enumerate(zip(p_row, y_row), start=1))

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .datapipe import CsiSeries
 from .errors import ContractViolation
 
@@ -18,13 +19,13 @@ SPEED_OF_LIGHT = 2.998e8
 
 @dataclass
 class FadingConfig:
-    carrier_hz: float = 2.18e9
-    speed_mps: float = 1.39       # 5 km/h
-    sample_interval: float = 5e-4
-    path_count: int = 32
-    antenna_count: int = 1
-    sample_count: int = 20000
-    seed: int = 0
+    carrier_hz: float = DEFAULTS["carrier_hz"]
+    speed_mps: float = DEFAULTS["speed_kmph"] / 3.6
+    sample_interval: float = DEFAULTS["sample_interval"]
+    path_count: int = DEFAULTS["path_count"]
+    antenna_count: int = DEFAULTS["antenna_count"]
+    sample_count: int = DEFAULTS["sample_count"]
+    seed: int = DEFAULTS["data_seed"]
 
     def __post_init__(self):
         for name in ("carrier_hz", "speed_mps", "sample_interval",
@@ -65,7 +66,7 @@ def generate_fading(cfg: FadingConfig, angles=None, phases=None) -> CsiSeries:
         phase_matrix = 2.0 * np.pi * freqs[:, None] * t[None, :] + phi_n[:, None]
         rows.append(np.exp(1j * phase_matrix).sum(axis=0) / np.sqrt(cfg.path_count))
     return CsiSeries(sample_interval=cfg.sample_interval, start_index=0,
-                     values=np.stack(rows), track=f"fading-seed{cfg.seed}")
+                     values=np.stack(rows))
 
 
 def ar_spectral_radius(theta) -> float:
@@ -120,8 +121,8 @@ def generate_piecewise_line(slope_before, slope_after, break_at, offset, n):
     return y
 
 
-def real_series_to_csi(values, sample_interval=5e-4, track="fixture") -> CsiSeries:
+def real_series_to_csi(values, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
     """Wrap one real stream as a single-antenna series (imag part zero)."""
     v = np.asarray(values, dtype=float)
     return CsiSeries(sample_interval=sample_interval, start_index=0,
-                     values=v[None, :].astype(complex), track=track)
+                     values=v[None, :].astype(complex))

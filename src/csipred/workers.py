@@ -48,7 +48,7 @@ def run_groups(train_group, count, jobs):
                 recv, send = multiprocessing.Pipe(duplex=False)
                 proc = multiprocessing.get_context("fork").Process(
                     target=_serve, daemon=True,
-                    args=(train_group, range(first, count, jobs), send, _cpu()))
+                    args=(train_group, range(first, count, jobs), send))
                 proc.start()
                 send.close()
                 children.append((proc, recv))
@@ -82,9 +82,8 @@ def run_groups(train_group, count, jobs):
                 conn.close()
 
 
-def _serve(train_group, indices, conn, parent_cpu):
+def _serve(train_group, indices, conn):
     """A child's loop: train its groups in order and send each outcome."""
-    _leave_cpu(parent_cpu)
     for index in indices:
         try:
             message = (True, train_group(index))
@@ -99,30 +98,6 @@ def _serve(train_group, indices, conn, parent_cpu):
         if not message[0]:
             break
     conn.close()
-
-
-def _cpu():
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except OSError:
-        return None
-
-
-def _leave_cpu(cpu):
-    """Moves this process off `cpu`, then allows every CPU again.
-
-    A forked child starts on its parent's CPU, and the scheduler can leave the
-    two sharing it for 100 ms or more while another CPU idles.
-    """
-    try:
-        allowed = os.sched_getaffinity(0)
-        if cpu in allowed and len(allowed) > 1:
-            os.sched_setaffinity(0, allowed - {cpu})
-            os.sched_setaffinity(0, allowed)
-    except (AttributeError, OSError):
-        pass
 
 
 # Thread-count calls of the OpenBLAS builds numpy ships or links.

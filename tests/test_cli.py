@@ -273,6 +273,17 @@ MALFORMED = {
         ckpt, lambda e: e["model"].update(note="x")),
     "forward-overflows": lambda ckpt: _edit_params(
         _edit_params(ckpt, "L0_b", _huge), "out_W", _huge),
+    "extra-feature": lambda ckpt: {
+        **ckpt, "features": {**ckpt["features"],
+                             "ant7_re": ckpt["features"]["ant0_re"]}},
+    "extra-top-level-key": lambda ckpt: {**ckpt, "note": "x"},
+    "config-seed-string": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "seed": str(ckpt["config"]["seed"])}},
+    "config-trend-enabled-string": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "trend_enabled": str(
+            ckpt["config"]["trend_enabled"]).lower()}},
+    "kind-not-config-model": lambda ckpt: {
+        **ckpt, "config": {**ckpt["config"], "model": "lstm"}},
 }
 
 # Bodies that need a checkpoint of one other kind, made from a valid one.
