@@ -133,13 +133,9 @@ def cmd_tune(args):
 
     def evaluate(cell):
         cfg = resolve_config(dict(base_cfg), cell)
-        series = experiment.get_series(cfg)
-        checkpoint, _ = experiment.train_experiment(cfg, series=series)
-        reports = experiment.evaluate_checkpoint(checkpoint, split="val",
-                                                 series=series)
-        overall = next(r for r in reports if r.antenna == "all")
-        params = len(checkpoint["features"]) * experiment.stream_param_count(
-            cfg, cfg["model"])
+        prepared, digest = experiment.prepare(cfg)
+        overall = experiment.train_and_score(cfg, prepared, digest, "val")
+        params = len(prepared) * experiment.stream_param_count(cfg, cfg["model"])
         return {"nmse": overall.nmse, "param_count": params}
 
     try:
@@ -166,21 +162,17 @@ def cmd_compare(args):
     rows = []
     per_model = {m: [] for m in COMPARE_MODELS}
     try:
+        # Every run trains and is scored on these windows: the model and the
+        # seed, all that the runs change, cut none of them.
+        prepared, digest = experiment.prepare(base_cfg, series)
         for seed in seeds:
-            digests = set()
             for model in COMPARE_MODELS:
                 cfg = resolve_config(dict(base_cfg),
                                      {"model": model, "seed": seed})
                 _log(f"compare: training {model} (seed {seed})")
-                checkpoint, _ = experiment.train_experiment(cfg, series=series)
-                digests.add(checkpoint["dataset_digest"])
-                reports = experiment.evaluate_checkpoint(
-                    checkpoint, split="test", series=series)
-                overall = next(r for r in reports if r.antenna == "all")
+                overall = experiment.train_and_score(cfg, prepared, digest, "test")
                 rows.append(overall)
                 per_model[model].append(overall.nmse)
-            if len(digests) != 1:
-                raise DataError("models consumed different window sets")
     finally:
         write_reports(rows, out / "comparison.csv", out / "comparison.json")
     summary = {m: {"median_nmse": statistics.median(v),

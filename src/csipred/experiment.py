@@ -1,5 +1,9 @@
 """Experiment orchestration: config -> data -> per-feature models -> metrics.
 
+Every command composes four steps: `prepare`, `train_prepared`,
+`predict_prepared` (which checks the checkpoint) and `report`. `compare` and
+`tune` prepare once per run or cell and call `train_and_score`.
+
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
 of streams that train as one (see `group_size`), and the groups train in
 forked worker processes (see `workers`); results are recombined into
@@ -9,6 +13,7 @@ seeds, so a rerun with the same config is bit-identical.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -142,8 +147,9 @@ def train_feature(cfg, kind, group, seeds, dataset_digest=""):
 
     np_cfg, arch = _stages(cfg, kind)
     two_stage = np_cfg is not None and arch is not None
+    # Stage 2 trains on the train forecasts; perfbench/tracing.py reads val's.
     splits = {name: datapipe.stack_windows([pf.windows[name] for pf in group])
-              for name in (group[0].windows if two_stage else ("train",))}
+              for name in (("train", "val") if two_stage else ("train",))}
     if two_stage:
         model, rnn_hists, np_hists, _ = build_hybrid(
             splits, recurrent_model(cfg, arch, seed), np_cfg, seed=seed,
@@ -171,8 +177,13 @@ def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
 
 
 def train_experiment(cfg, series=None):
-    """Train the configured model on every feature stream, in stacked groups
-    of `group_size` streams.
+    """`train_prepared` on the windows that `prepare` cuts for cfg."""
+    return train_prepared(cfg, *prepare(cfg, series))
+
+
+def train_prepared(cfg, prepared, digest):
+    """Train the configured model on every prepared feature stream, in
+    stacked groups of `group_size` streams.
 
     The groups are independent, and `workers.run_groups` trains them in one
     process per CPU this process may run on (`workers.default_jobs`); the
@@ -181,7 +192,6 @@ def train_experiment(cfg, series=None):
 
     Returns (checkpoint dict, per-feature loss histories).
     """
-    prepared, digest = prepare(cfg, series)
     kind = cfg["model"]
     size = group_size(cfg, kind, len(prepared))
 
@@ -199,8 +209,7 @@ def train_experiment(cfg, series=None):
         return [(pf.feature.feature_id, _feature_entry(model, pf.scaler), history)
                 for pf, model, history in zip(group, models, group_histories)]
 
-    features = {}
-    histories = {}
+    features, histories = {}, {}
     count = -(-len(prepared) // size)
     for streams in workers.run_groups(train_group, count,
                                       workers.default_jobs()):
@@ -208,6 +217,14 @@ def train_experiment(cfg, series=None):
             features[feat_id] = entry
             histories[feat_id] = history
     return _checkpoint(cfg, digest, features), histories
+
+
+def train_and_score(cfg, prepared, digest, split):
+    """Train cfg on prepared windows and score one split of them, checking
+    the checkpoint as `evaluate` does: the report over all antennas."""
+    checkpoint, _ = train_prepared(cfg, prepared, digest)
+    return report(cfg, predict_prepared(cfg, checkpoint, split, prepared,
+                                        digest))[-1]
 
 
 def _checkpoint(cfg, digest, features):
@@ -223,14 +240,20 @@ def _feature_entry(model, scaler, with_params=True):
             "scaler": {"shift": scaler.shift, "half_range": scaler.half_range}}
 
 
-def _load_model(cfg, train, seed, digest, entry):
+def _load_model(cfg, train, seed, digest, entry, feat_id):
     """The model training builds for a feature from these train windows, seed
-    and dataset digest, marked trained, with the parameters of its `entry`."""
+    and dataset digest, marked trained, with the parameters of its `entry`;
+    names the first key on the way to them that the entry lacks."""
     def filled(model, *path):
-        stored = entry
+        stored, where = entry, f"features.{feat_id}"
         for key in ("model", *path, "params"):
-            stored = stored.get(key) if isinstance(stored, dict) else None
-        model.params = numcore.load_params(model.params, stored)
+            if not isinstance(stored, dict) or key not in stored:
+                raise CheckpointMismatch(f"{where}.{key} is missing")
+            stored, where = stored[key], f"{where}.{key}"
+        try:
+            model.params = numcore.load_params(model.params, stored)
+        except ContractViolation as exc:
+            raise CheckpointMismatch(f"feature {feat_id}: {exc}") from None
         model.trained = True
         return model
     np_cfg, arch = _stages(cfg, cfg["model"])
@@ -261,21 +284,12 @@ def _check_entry(got, want, where=""):
         raise CheckpointMismatch(f"{where} is {got!r}, training writes {wrote}")
 
 
-def _predict_split(checkpoint, split, series):
-    """Re-prepare a checkpoint's dataset and predict one split per feature.
-
-    Returns the resolved config and {feature id: (windows, prediction,
-    truth)}, de-normalized. Refuses a checkpoint that, apart from the model
-    parameters, is not exactly what `train_experiment` writes for its config;
-    each feature's entry is checked as its model is loaded.
-    """
-    if not isinstance(checkpoint, dict) or not isinstance(checkpoint.get("config"), dict):
-        raise CheckpointMismatch("not an experiment checkpoint with a config object")
-    try:
-        cfg = resolve_config(checkpoint["config"])
-    except ConfigError as exc:
-        raise CheckpointMismatch(f"checkpoint config: {exc}") from None
-    prepared, digest = prepare(cfg, series)
+def predict_prepared(cfg, checkpoint, split, prepared, digest):
+    """{feature id: (windows, prediction, truth)} of one split, de-normalized,
+    from the windows `prepare` cut for the resolved config `cfg`. Refuses a
+    checkpoint that, apart from the model parameters, is not exactly what
+    `train_prepared` writes for them; each feature's entry is checked as its
+    model is loaded."""
     # A digest that is missing is named by the comparison below.
     if checkpoint.get("dataset_digest", digest) != digest:
         raise CheckpointMismatch(
@@ -290,11 +304,9 @@ def _predict_split(checkpoint, split, series):
     for index, pf in enumerate(prepared):
         feat_id = pf.feature.feature_id
         entry = stored[feat_id]
-        try:
-            model = _load_model(cfg, pf.windows["train"],
-                                _feature_seed(cfg["seed"], index), digest, entry)
-        except ContractViolation as exc:
-            raise CheckpointMismatch(f"feature {feat_id}: {exc}") from None
+        model = _load_model(cfg, pf.windows["train"],
+                            _feature_seed(cfg["seed"], index), digest, entry,
+                            feat_id)
         _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
                      f"features.{feat_id}")
         ws = pf.windows[split]
@@ -302,7 +314,19 @@ def _predict_split(checkpoint, split, series):
         with _refuse_overflow(f"feature {feat_id}: its predictions"):
             pred = predict_windows(cfg["model"], model, ws)
         by_feature[feat_id] = (ws, pf.scaler.inverse(pred), pf.scaler.inverse(ws.Y))
-    return cfg, by_feature
+    return by_feature
+
+
+def _predict_split(checkpoint, split, series):
+    """A checkpoint's resolved config, and `predict_prepared` on the windows
+    that `prepare` cuts for it."""
+    if not isinstance(checkpoint, dict) or not isinstance(checkpoint.get("config"), dict):
+        raise CheckpointMismatch("not an experiment checkpoint with a config object")
+    try:
+        cfg = resolve_config(checkpoint["config"])
+    except ConfigError as exc:
+        raise CheckpointMismatch(f"checkpoint config: {exc}") from None
+    return cfg, predict_prepared(cfg, checkpoint, split, *prepare(cfg, series))
 
 
 @contextlib.contextmanager
@@ -316,50 +340,40 @@ def _refuse_overflow(what):
                                  f"parameters are out of range") from None
 
 
-def evaluate_checkpoint(checkpoint, split="test", series=None):
-    """Per-antenna and aggregate NMSE / cosine similarity on one split.
-
-    Predictions are de-normalized before real/imag recombination so metrics
-    are computed on original-scale complex values.
-    """
-    cfg, by_feature = _predict_split(checkpoint, split, series)
-    kind = cfg["model"]
-    reports = []
-    parts = []
-    cos_parts = []
-    antennas = sorted({f.split("_")[0] for f in by_feature})
+def report(cfg, by_feature):
+    """Per-antenna NMSE / cosine similarity of `predict_prepared`'s output,
+    then their window-weighted aggregate, antenna `all`. The predictions are
+    de-normalized before real/imag recombination, so metrics are computed on
+    original-scale complex values."""
     track = cfg["dataset"] if cfg["dataset"] != "synth" else f"synth-{cfg['data_seed']}"
-    digest16 = config_digest(cfg)
-    for ant in antennas:
+    row = functools.partial(MetricReport, model_id=cfg["model"], track=track,
+                            seed=cfg["seed"], config_digest=config_digest(cfg))
+    reports = []
+    for ant in sorted({f.split("_")[0] for f in by_feature}):
         ws, pred_re, truth_re = by_feature[f"{ant}_re"]
         _, pred_im, truth_im = by_feature[f"{ant}_im"]
         pred_c = assemble_complex(pred_re, pred_im)
         truth_c = assemble_complex(truth_re, truth_im)
-        count = len(ws)
         # Finite but huge predictions can overflow the metrics' squares.
         with _refuse_overflow(f"antenna {ant}: the metrics of its predictions"):
-            v_nmse = nmse(pred_c, truth_c)
-            v_cos = cosine_similarity(pred_c, truth_c)
-        reports.append(MetricReport(model_id=kind, track=track, seed=cfg["seed"],
-                                    nmse=v_nmse, cosine=v_cos,
-                                    window_count=count, config_digest=digest16,
-                                    antenna=ant))
-        parts.append((v_nmse, count))
-        cos_parts.append((v_cos, count))
-    reports.append(MetricReport(model_id=kind, track=track, seed=cfg["seed"],
-                                nmse=aggregate_nmse(parts),
-                                cosine=aggregate_nmse(cos_parts),
-                                window_count=sum(c for _, c in parts),
-                                config_digest=digest16, antenna="all"))
+            reports.append(row(nmse=nmse(pred_c, truth_c),
+                               cosine=cosine_similarity(pred_c, truth_c),
+                               window_count=len(ws), antenna=ant))
+    reports.append(row(
+        nmse=aggregate_nmse([(r.nmse, r.window_count) for r in reports]),
+        cosine=aggregate_nmse([(r.cosine, r.window_count) for r in reports]),
+        window_count=sum(r.window_count for r in reports), antenna="all"))
     return reports
+
+
+def evaluate_checkpoint(checkpoint, split="test", series=None):
+    """`report` of a checkpoint's predictions of one split."""
+    return report(*_predict_split(checkpoint, split, series))
 
 
 def predictions_table(checkpoint, split="test", series=None):
     """Rows (feature, origin t, horizon step, prediction, truth), de-normalized."""
-    rows = []
-    for feat_id, (ws, pred, truth) in _predict_split(checkpoint, split,
-                                                     series)[1].items():
-        for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist()):
-            rows.extend((feat_id, t, h, p, y)
-                        for h, (p, y) in enumerate(zip(p_row, y_row), start=1))
-    return rows
+    _, by_feature = _predict_split(checkpoint, split, series)
+    return [(feat_id, t, h, p, y) for feat_id, (ws, pred, truth) in by_feature.items()
+            for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist())
+            for h, (p, y) in enumerate(zip(p_row, y_row), start=1)]

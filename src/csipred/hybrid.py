@@ -1,9 +1,9 @@
 """Two-stage hybrid predictor: recurrent forecasts feed the additive model.
 
 Stage 1 trains a recurrent model on the training windows. Stage 2 runs it
-over every window of every split to produce D-step forecasts. Stage 3 trains
-the additive model with those forecasts attached as a known-future regressor,
-so it learns to correct the recurrent output.
+over every window of each split it is given to produce D-step forecasts.
+Stage 3 trains the additive model with the training forecasts attached as a
+known-future regressor, so it learns to correct the recurrent output.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csipred import experiment, workers
+from csipred import datapipe, experiment, workers
 from csipred.cli import main
 from csipred.config import (config_digest, format_config,
                             parse_config_file, parse_seasonalities,
@@ -144,6 +144,26 @@ class TestUsageErrors:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["predict", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\n# a comment\nmodel rnn\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"config error: {cfg}: line 3: expected key=value")
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_not_utf8_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "chan.csv"
+        data.write_bytes(b"t,antenna,re,im\n0,0,1.0,0.0\n1,0,\xff,0.0\n")
+        cfg = write_config(tmp_path, {"dataset": data})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[:-1] == ["training model=rnn seed=0"]
+        assert lines[-1].startswith(f"data error: {data}: line 3: ")
+        assert "can't decode byte 0xff" in lines[-1]
 
 
 class TestGenData:
@@ -319,6 +339,8 @@ MALFORMED_BY_KIND = {
         ckpt, lambda e: e["model"].update(provenance={})),
     ("hybrid", "np-t0"): lambda ckpt: _edit_entries(
         ckpt, lambda e: e["model"]["np"].update(t0=e["model"]["np"]["t0"] + 100.0)),
+    ("hybrid", "lacks-rnn"): lambda ckpt: _edit_entries(
+        ckpt, lambda e: e["model"].pop("rnn")),
 }
 
 
@@ -436,6 +458,22 @@ class TestPredictEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data error: ")
         assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("kind,body,path", [
+        ("rnn", "entry-lacks-model", "features.ant0_re.model"),
+        ("hybrid", "lacks-rnn", "features.ant0_re.model.rnn")])
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_missing_entry_is_named(self, kind_checkpoints, tmp_path, capsys,
+                                    kind, body, path, command, out):
+        # The missing key is named before any parameter is decoded.
+        edit = MALFORMED_BY_KIND.get((kind, body)) or MALFORMED[body]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(kind_checkpoints[kind]))),
+                       encoding="utf-8")
+        assert main([command, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.strip() == f"data error: {path} is missing"
 
     def test_evaluate_overflowing_metrics_exits_2(self, trained_dir, tmp_path,
                                                   capsys):
@@ -758,3 +796,46 @@ class TestCompare:
         assert len(rows) == 4
         assert {r["model"] for r in rows} == set(summary)
         assert (out / "resolved.cfg").exists()
+
+
+class TestPrepareOnce:
+    """`compare` cuts its windows once, and `tune` once per cell; the
+    checkpoint of each run is then checked and scored on those windows."""
+
+    @pytest.fixture
+    def prepares(self, monkeypatch):
+        """The number of `prepare_dataset` calls so far, as a one-item list."""
+        calls = [0]
+        prepare_dataset = datapipe.prepare_dataset
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return prepare_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(datapipe, "prepare_dataset", counted)
+        return calls
+
+    def test_compare_prepares_once(self, tmp_path, prepares):
+        cfg = write_config(tmp_path, {"epochs": "1", "compare_seeds": "0,1"})
+        assert main(["compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert len(json.loads((tmp_path / "cmp" / "comparison.json").read_text())) == 8
+        assert prepares == [1]
+
+    def test_tune_prepares_once_per_cell(self, tmp_path, prepares):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=4,8\n", encoding="utf-8")
+        assert main(["tune", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(tmp_path / "tuned")]) == 0
+        assert prepares == [2]
+
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_evaluate_and_predict_prepare_once(self, trained_dir, tmp_path,
+                                               prepares, command, out):
+        _, _, run = trained_dir
+        before = prepares[0]
+        assert main([command, "--checkpoint", str(run / "checkpoint.json"),
+                     "--out", str(tmp_path / out)]) == 0
+        assert prepares[0] - before == 1
