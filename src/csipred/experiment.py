@@ -240,12 +240,12 @@ def _feature_entry(model, scaler, with_params=True):
             "scaler": {"shift": scaler.shift, "half_range": scaler.half_range}}
 
 
-def _load_model(cfg, train, seed, digest, entry, feat_id):
+def _load_model(cfg, train, seed, digest, entry):
     """The model training builds for a feature from these train windows, seed
     and dataset digest, marked trained, with the parameters of its `entry`;
     names the first key on the way to them that the entry lacks."""
     def filled(model, *path):
-        stored, where = entry, f"features.{feat_id}"
+        stored, where = entry, f"features.{train.feature_id}"
         for key in ("model", *path, "params"):
             if not isinstance(stored, dict) or key not in stored:
                 raise CheckpointMismatch(f"{where}.{key} is missing")
@@ -253,7 +253,7 @@ def _load_model(cfg, train, seed, digest, entry, feat_id):
         try:
             model.params = numcore.load_params(model.params, stored)
         except ContractViolation as exc:
-            raise CheckpointMismatch(f"feature {feat_id}: {exc}") from None
+            raise CheckpointMismatch(f"feature {train.feature_id}: {exc}") from None
         model.trained = True
         return model
     np_cfg, arch = _stages(cfg, cfg["model"])
@@ -305,8 +305,7 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
         feat_id = pf.feature.feature_id
         entry = stored[feat_id]
         model = _load_model(cfg, pf.windows["train"],
-                            _feature_seed(cfg["seed"], index), digest, entry,
-                            feat_id)
+                            _feature_seed(cfg["seed"], index), digest, entry)
         _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
                      f"features.{feat_id}")
         ws = pf.windows[split]
