@@ -209,7 +209,8 @@ def train_prepared(cfg, prepared, digest):
         return [(pf.feature.feature_id, _feature_entry(model, pf.scaler), history)
                 for pf, model, history in zip(group, models, group_histories)]
 
-    features, histories = {}, {}
+    features = {}
+    histories = {}
     count = -(-len(prepared) // size)
     for streams in workers.run_groups(train_group, count,
                                       workers.default_jobs()):
@@ -372,7 +373,10 @@ def evaluate_checkpoint(checkpoint, split="test", series=None):
 
 def predictions_table(checkpoint, split="test", series=None):
     """Rows (feature, origin t, horizon step, prediction, truth), de-normalized."""
-    _, by_feature = _predict_split(checkpoint, split, series)
-    return [(feat_id, t, h, p, y) for feat_id, (ws, pred, truth) in by_feature.items()
-            for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist())
-            for h, (p, y) in enumerate(zip(p_row, y_row), start=1)]
+    rows = []
+    for feat_id, (ws, pred, truth) in _predict_split(checkpoint, split,
+                                                     series)[1].items():
+        for t, p_row, y_row in zip(ws.t.tolist(), pred.tolist(), truth.tolist()):
+            rows.extend((feat_id, t, h, p, y)
+                        for h, (p, y) in enumerate(zip(p_row, y_row), start=1))
+    return rows
