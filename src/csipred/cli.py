@@ -3,7 +3,7 @@
 Commands: gen-data, train, predict, evaluate, tune, compare. Shared flags:
 --config (flat key=value file), --seed, --out. Logs go to stderr; all
 machine-readable output goes to files. Exit codes: 0 success, 1 usage/config
-error, 2 data error, 3 numeric divergence, 4 a training worker died.
+error, 2 data error, 3 numeric divergence, 4 a worker process died.
 """
 from __future__ import annotations
 

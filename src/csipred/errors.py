@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: usage/config -> 1, data -> 2,
-numeric divergence -> 3, a training worker that died -> 4.
+numeric divergence -> 3, a worker process that died -> 4.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ class DivergenceError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A training worker process ended without sending its result."""
+    """A worker process ended without sending its result."""
 
 
 class OracleError(RuntimeError):

@@ -5,10 +5,11 @@ Every command composes four steps: `prepare`, `train_prepared`,
 `tune` prepare once per run or cell and call `train_and_score`.
 
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
-of streams that train as one (see `group_size`), and the groups train in
-forked worker processes (see `workers`); results are recombined into
-complex channel vectors for evaluation. All randomness flows from the config
-seeds, so a rerun with the same config is bit-identical.
+of streams that train as one (see `group_size` and `_groups`). The groups
+train, and later predict one stream at a time, in forked worker processes
+(see `workers`); predictions are recombined into complex channel vectors for
+evaluation. All randomness flows from the config seeds, so a rerun with the
+same config is bit-identical.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def stream_param_count(cfg, kind):
 
 
 def group_size(cfg, kind, streams):
-    """Streams per stacked training group, of `streams` in all."""
+    """Streams per stacked group, of `streams` in all."""
     return max(1, min(streams, GROUP_CACHE_BYTES // stream_bytes(cfg, kind)))
 
 
@@ -181,9 +182,18 @@ def train_experiment(cfg, series=None):
     return train_prepared(cfg, *prepare(cfg, series))
 
 
+def _groups(cfg, prepared):
+    """The prepared streams in the stacked groups that train and predict
+    them, in order: (streams, their seeds) of each group of `group_size`."""
+    size = group_size(cfg, cfg["model"], len(prepared))
+    seeds = [_feature_seed(cfg["seed"], index) for index in range(len(prepared))]
+    return [(prepared[start:start + size], seeds[start:start + size])
+            for start in range(0, len(prepared), size)]
+
+
 def train_prepared(cfg, prepared, digest):
-    """Train the configured model on every prepared feature stream, in
-    stacked groups of `group_size` streams.
+    """Train the configured model on every prepared feature stream, in the
+    stacked groups of `_groups`.
 
     The groups are independent, and `workers.run_groups` trains them in one
     process per CPU this process may run on (`workers.default_jobs`); the
@@ -193,13 +203,11 @@ def train_prepared(cfg, prepared, digest):
     Returns (checkpoint dict, per-feature loss histories).
     """
     kind = cfg["model"]
-    size = group_size(cfg, kind, len(prepared))
+    groups = _groups(cfg, prepared)
 
     def train_group(index):
         """(feature id, checkpoint entry, loss history) of each stream."""
-        start = index * size
-        group = prepared[start:start + size]
-        seeds = [_feature_seed(cfg["seed"], start + i) for i in range(len(group))]
+        group, seeds = groups[index]
         try:
             models, group_histories = train_feature(cfg, kind, group, seeds,
                                                     dataset_digest=digest)
@@ -211,8 +219,7 @@ def train_prepared(cfg, prepared, digest):
 
     features = {}
     histories = {}
-    count = -(-len(prepared) // size)
-    for streams in workers.run_groups(train_group, count,
+    for streams in workers.run_groups(train_group, len(groups),
                                       workers.default_jobs()):
         for feat_id, entry, history in streams:
             features[feat_id] = entry
@@ -289,8 +296,12 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
     """{feature id: (windows, prediction, truth)} of one split, de-normalized,
     from the windows `prepare` cut for the resolved config `cfg`. Refuses a
     checkpoint that, apart from the model parameters, is not exactly what
-    `train_prepared` writes for them; each feature's entry is checked as its
-    model is loaded."""
+    `train_prepared` writes for them.
+
+    The streams predict in the groups they train in, through
+    `workers.run_groups`: in each group, one stream at a time, its entry is
+    checked as its model is loaded, and the model predicts. A failure raises
+    the error of the lowest-index failing stream."""
     # A digest that is missing is named by the comparison below.
     if checkpoint.get("dataset_digest", digest) != digest:
         raise CheckpointMismatch(
@@ -301,19 +312,29 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
                  if isinstance(stored, dict) else checkpoint,
                  _checkpoint(cfg, digest, dict.fromkeys(
                      pf.feature.feature_id for pf in prepared)))
+    groups = _groups(cfg, prepared)
+
+    def predict_group(index):
+        """The normalized predictions of each stream."""
+        preds = []
+        for pf, seed in zip(*groups[index]):
+            feat_id = pf.feature.feature_id
+            entry = stored[feat_id]
+            model = _load_model(cfg, pf.windows["train"], seed, digest, entry)
+            _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
+                         f"features.{feat_id}")
+            # Finite but huge parameters can overflow the forward pass.
+            with _refuse_overflow(f"feature {feat_id}: its predictions"):
+                preds.append(predict_windows(cfg["model"], model, pf.windows[split]))
+        return preds
+
     by_feature = {}
-    for index, pf in enumerate(prepared):
-        feat_id = pf.feature.feature_id
-        entry = stored[feat_id]
-        model = _load_model(cfg, pf.windows["train"],
-                            _feature_seed(cfg["seed"], index), digest, entry)
-        _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
-                     f"features.{feat_id}")
-        ws = pf.windows[split]
-        # Finite but huge parameters can overflow the forward pass.
-        with _refuse_overflow(f"feature {feat_id}: its predictions"):
-            pred = predict_windows(cfg["model"], model, ws)
-        by_feature[feat_id] = (ws, pf.scaler.inverse(pred), pf.scaler.inverse(ws.Y))
+    for (group, _), preds in zip(groups, workers.run_groups(
+            predict_group, len(groups), workers.default_jobs())):
+        for pf, pred in zip(group, preds):
+            ws = pf.windows[split]
+            by_feature[pf.feature.feature_id] = (ws, pf.scaler.inverse(pred),
+                                                 pf.scaler.inverse(ws.Y))
     return by_feature
 
 

@@ -4,6 +4,7 @@ Grouping must not change a single byte of what training writes, each stream
 keeps its own generator, batch order and clip norm, and a diverging stream is
 named by the error.
 """
+import json
 import multiprocessing
 import os
 import pickle
@@ -20,7 +21,7 @@ from csipred.errors import ContractViolation, DivergenceError, WorkerError
 from csipred.numcore import fit, unflatten, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
-from test_cli import write_config
+from test_cli import _huge, write_config
 
 FAMILIES = ("rnn", "lstm", "bilstm", "np", "hybrid")
 # Five antennas: 10 streams, so that groups of 4 leave a last group of 2.
@@ -47,8 +48,19 @@ def _train(tmp_path, name, extra=None):
     return [(out / f).read_bytes() for f in ("checkpoint.json", "loss.csv")]
 
 
+def _use(tmp_path, name, run):
+    """`evaluate` and `predict` of run's checkpoint; (exit codes, output
+    directory)."""
+    out = tmp_path / name
+    checkpoint = str(run / "checkpoint.json")
+    return [main(["evaluate", "--checkpoint", checkpoint,
+                  "--out", str(out / "metrics")]),
+            main(["predict", "--checkpoint", checkpoint,
+                  "--out", str(out / "pred.csv")])], out
+
+
 def _jobs(monkeypatch, jobs):
-    """Train in `jobs` processes, whatever the CPU count."""
+    """Train and predict in `jobs` processes, whatever the CPU count."""
     monkeypatch.setattr(workers, "default_jobs", lambda: jobs)
 
 
@@ -237,8 +249,9 @@ def _assert_no_children():
 
 
 class TestJobs:
-    """Groups trained in forked workers: with two workers and groups of 4, 4
-    and 2 streams, this process trains groups 0 and 2 and a child group 1."""
+    """Groups trained and predicted in forked workers: with two workers and
+    groups of 4, 4 and 2 streams, this process runs groups 0 and 2 and a
+    child group 1."""
 
     @staticmethod
     def three_groups(monkeypatch, kind):
@@ -373,3 +386,99 @@ class TestJobs:
             assert _outcome(lambda: workers.run_groups(train_group, count, jobs)) \
                 == serial, count
             _assert_no_children()
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_evaluation_does_not_depend_on_jobs(self, tmp_path, monkeypatch,
+                                                kind):
+        self.three_groups(monkeypatch, kind)
+        code, run = _run(tmp_path, "run", {"model": kind})
+        assert code == 0
+        outputs = []
+        for jobs in (1, 2, 3):
+            _jobs(monkeypatch, jobs)
+            codes, out = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [0, 0]
+            outputs.append([(out / f).read_bytes() for f in (
+                "metrics/metrics.csv", "metrics/metrics.json", "pred.csv")])
+            _assert_no_children()
+        assert outputs[2] == outputs[1] == outputs[0]
+
+    def test_a_prediction_worker_that_dies_exits_4(self, tmp_path, monkeypatch,
+                                                   capsys):
+        self.three_groups(monkeypatch, "rnn")
+        code, run = _run(tmp_path, "run", {"model": "rnn"})
+        assert code == 0
+        parent = os.getpid()
+        predict_windows = experiment.predict_windows
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return predict_windows(*args)
+
+        monkeypatch.setattr(experiment, "predict_windows", dying)
+        _jobs(monkeypatch, 2)
+        capsys.readouterr()
+        codes, out = _use(tmp_path, "dies", run)
+        assert codes == [4, 4]
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if ln.startswith("worker error:")]
+        assert len(lines) == 2
+        for line in lines:
+            assert "killed by signal 9 before it sent group 1" in line
+        assert "Traceback" not in err
+        assert not out.exists()
+        _assert_no_children()
+
+    @pytest.mark.parametrize("lower", ["bad-blob", "overflow"])
+    def test_lowest_failing_stream_decides_across_workers(
+            self, tmp_path, monkeypatch, capsys, lower):
+        # ant2_im is in group 1, which a child predicts, and ant4_re in group
+        # 2. That child starts late: with two processes this process waits
+        # for it before group 2, and with three the child of group 2 fails
+        # first.
+        self.three_groups(monkeypatch, "rnn")
+        code, run = _run(tmp_path, "run", {"model": "rnn"})
+        assert code == 0
+        payload = json.loads((run / "checkpoint.json").read_text())
+
+        def params(feat_id):
+            return payload["features"][feat_id]["model"]["params"]
+
+        def bad_char(blob):
+            return blob[:4] + "!" + blob[5:]
+
+        if lower == "overflow":
+            # Saturated states through an output layer of 1e308s overflow.
+            for name in params("ant2_im"):
+                if name.endswith("_b") or name == "out_W":
+                    params("ant2_im")[name] = _huge(params("ant2_im")[name])
+        else:
+            params("ant2_im")["L0_W"] = bad_char(params("ant2_im")["L0_W"])
+        params("ant4_re")["L0_W"] = bad_char(params("ant4_re")["L0_W"])
+        (run / "checkpoint.json").write_text(json.dumps(payload))
+        parent = os.getpid()
+        load_model = experiment._load_model
+
+        def slow(cfg, train, *args):
+            if os.getpid() != parent and train.feature_id == "ant2_re":
+                time.sleep(0.3)
+            return load_model(cfg, train, *args)
+
+        monkeypatch.setattr(experiment, "_load_model", slow)
+        capsys.readouterr()
+        lines = []
+        for jobs in (1, 2, 3):
+            _jobs(monkeypatch, jobs)
+            codes, out = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [2, 2]
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            lines.append(err.splitlines())
+            assert not out.exists()
+            _assert_no_children()
+        assert lines[2] == lines[1] == lines[0]
+        assert len(lines[0]) == 2 and lines[0][1] == lines[0][0]
+        assert lines[0][0].startswith("data error: feature ant2_im: ")
+        if lower == "overflow":
+            assert "its predictions overflow" in lines[0][0]
