@@ -81,8 +81,14 @@ def cmd_train(args):
 
 
 def _load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in `path`. A file that is not UTF-8 or not JSON, or that
+    holds an integer too long to convert or nesting too deep, is a data
+    error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_predict(args):
@@ -115,6 +121,8 @@ def _parse_grid_file(path):
         if key not in DEFAULTS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
+        if not grid[key]:
+            raise ConfigError(f"{path}: {key} has no values")
     if not grid:
         raise ConfigError(f"{path}: empty grid")
     return grid
@@ -174,7 +182,8 @@ def cmd_compare(args):
                 rows.append(overall)
                 per_model[model].append(overall.nmse)
     finally:
-        write_reports(rows, out / "comparison.csv", out / "comparison.json")
+        if rows:  # the runs that finished, even if a later one failed
+            write_reports(rows, out / "comparison.csv", out / "comparison.json")
     summary = {m: {"median_nmse": statistics.median(v),
                    "seeds": len(v)} for m, v in per_model.items() if v}
     _write_json(out / "summary.json", summary)
@@ -231,7 +240,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         _log(f"data error: {exc}")
         return 2
     except DivergenceError as exc:

@@ -110,10 +110,8 @@ class SupervisedWindowSet:
 def stack_windows(sets) -> SupervisedWindowSet:
     """The window sets of F feature streams, cut at the same origins, as one
     set with X (F, N, d) and Y (F, N, D): the input of a stacked model. One
-    set is returned as it is."""
+    set becomes a stack of one, X (1, N, d)."""
     first = sets[0]
-    if len(sets) == 1:
-        return first
     for ws in sets[1:]:
         if (ws.d, ws.D) != (first.d, first.D) or not np.array_equal(ws.t, first.t):
             raise ContractViolation(

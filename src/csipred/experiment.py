@@ -5,7 +5,8 @@ Every command composes four steps: `prepare`, `train_prepared`,
 `tune` prepare once per run or cell and call `train_and_score`.
 
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
-of streams that train as one (see `group_size` and `_groups`). The groups
+of streams that train as one stack, a group of one stream included (see
+`group_size`). `_run_streams` cuts a run's streams into those groups, which
 train, and later predict one stream at a time, in forked worker processes
 (see `workers`); predictions are recombined into complex channel vectors for
 evaluation. All randomness flows from the config seeds, so a rerun with the
@@ -21,7 +22,7 @@ import numpy as np
 from . import datapipe, hybrid, numcore, synthchan, workers
 from .config import config_digest, parse_seasonalities, resolve_config
 from .errors import (CheckpointMismatch, ConfigError, ContractViolation,
-                     DivergenceError)
+                     DataError, DivergenceError)
 from .evalx import (MetricReport, aggregate_nmse, assemble_complex,
                     cosine_similarity, nmse)
 from .hybrid import HybridModel, build_hybrid, hybrid_predict_batch
@@ -136,16 +137,10 @@ def group_size(cfg, kind, streams):
 def train_feature(cfg, kind, group, seeds, dataset_digest=""):
     """Train one model of the given kind on each feature stream of `group`
     (a list of PreparedFeature, one seed each), as one stacked model; a group
-    of one stream trains as a plain model.
+    of one stream is a stack of one.
 
     Returns the per-stream models and loss histories.
     """
-    stacked = len(group) > 1
-    seed = seeds if stacked else seeds[0]
-
-    def per_stream(value):
-        return value if stacked else [value]
-
     np_cfg, arch = _stages(cfg, kind)
     two_stage = np_cfg is not None and arch is not None
     # Stage 2 trains on the train forecasts; perfbench/tracing.py reads val's.
@@ -153,19 +148,18 @@ def train_feature(cfg, kind, group, seeds, dataset_digest=""):
               for name in (("train", "val") if two_stage else ("train",))}
     if two_stage:
         model, rnn_hists, np_hists, _ = build_hybrid(
-            splits, recurrent_model(cfg, arch, seed), np_cfg, seed=seed,
+            splits, recurrent_model(cfg, arch, seeds), np_cfg, seed=seeds,
             dataset_digest=dataset_digest)
         models = [HybridModel(*stages) for stages in zip(
-            unstack(model.rnn), unstack(model.np_model),
-            per_stream(model.provenance))]
-        return models, [{"stage1": a, "stage2": b} for a, b in
-                        zip(per_stream(rnn_hists), per_stream(np_hists))]
+            unstack(model.rnn), unstack(model.np_model), model.provenance)]
+        return models, [{"stage1": a, "stage2": b}
+                        for a, b in zip(rnn_hists, np_hists)]
     if arch is None:
-        model, histories = np_train(splits["train"], np_cfg, seed=seed)
+        model, histories = np_train(splits["train"], np_cfg, seed=seeds)
     else:
-        model = recurrent_model(cfg, arch, seed)
-        histories = train_recurrent(model, splits["train"], seed=seed)
-    return unstack(model), [{"train": h} for h in per_stream(histories)]
+        model = recurrent_model(cfg, arch, seeds)
+        histories = train_recurrent(model, splits["train"], seed=seeds)
+    return unstack(model), [{"train": h} for h in histories]
 
 
 def predict_windows(kind, model, ws: datapipe.SupervisedWindowSet):
@@ -182,18 +176,26 @@ def train_experiment(cfg, series=None):
     return train_prepared(cfg, *prepare(cfg, series))
 
 
-def _groups(cfg, prepared):
-    """The prepared streams in the stacked groups that train and predict
-    them, in order: (streams, their seeds) of each group of `group_size`."""
+def _run_streams(cfg, prepared, run_group):
+    """`run_group(streams, seeds)` of each stacked group of `group_size`
+    prepared streams, with their seeds, through `workers.run_groups`: the
+    per-stream results that each call returns, joined in stream order."""
     size = group_size(cfg, cfg["model"], len(prepared))
     seeds = [_feature_seed(cfg["seed"], index) for index in range(len(prepared))]
-    return [(prepared[start:start + size], seeds[start:start + size])
-            for start in range(0, len(prepared), size)]
+    starts = range(0, len(prepared), size)
+
+    def run(index):
+        cut = slice(starts[index], starts[index] + size)
+        return run_group(prepared[cut], seeds[cut])
+
+    return [result for results in workers.run_groups(run, len(starts),
+                                                     workers.default_jobs())
+            for result in results]
 
 
 def train_prepared(cfg, prepared, digest):
     """Train the configured model on every prepared feature stream, in the
-    stacked groups of `_groups`.
+    stacked groups of `_run_streams`.
 
     The groups are independent, and `workers.run_groups` trains them in one
     process per CPU this process may run on (`workers.default_jobs`); the
@@ -203,28 +205,22 @@ def train_prepared(cfg, prepared, digest):
     Returns (checkpoint dict, per-feature loss histories).
     """
     kind = cfg["model"]
-    groups = _groups(cfg, prepared)
 
-    def train_group(index):
-        """(feature id, checkpoint entry, loss history) of each stream."""
-        group, seeds = groups[index]
+    def train_group(group, seeds):
+        """(checkpoint entry, loss history) of each stream."""
         try:
-            models, group_histories = train_feature(cfg, kind, group, seeds,
-                                                    dataset_digest=digest)
+            models, histories = train_feature(cfg, kind, group, seeds,
+                                              dataset_digest=digest)
         except DivergenceError as exc:
             exc.feature, exc.kind = group[exc.stream].feature.feature_id, kind
             raise
-        return [(pf.feature.feature_id, _feature_entry(model, pf.scaler), history)
-                for pf, model, history in zip(group, models, group_histories)]
+        return [(_feature_entry(model, pf.scaler), history)
+                for pf, model, history in zip(group, models, histories)]
 
-    features = {}
-    histories = {}
-    for streams in workers.run_groups(train_group, len(groups),
-                                      workers.default_jobs()):
-        for feat_id, entry, history in streams:
-            features[feat_id] = entry
-            histories[feat_id] = history
-    return _checkpoint(cfg, digest, features), histories
+    ids = [pf.feature.feature_id for pf in prepared]
+    entries, histories = zip(*_run_streams(cfg, prepared, train_group))
+    return (_checkpoint(cfg, digest, dict(zip(ids, entries))),
+            dict(zip(ids, histories)))
 
 
 def train_and_score(cfg, prepared, digest, split):
@@ -299,7 +295,7 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
     `train_prepared` writes for them.
 
     The streams predict in the groups they train in, through
-    `workers.run_groups`: in each group, one stream at a time, its entry is
+    `_run_streams`: in each group, one stream at a time, its entry is
     checked as its model is loaded, and the model predicts. A failure raises
     the error of the lowest-index failing stream."""
     # A digest that is missing is named by the comparison below.
@@ -312,12 +308,11 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
                  if isinstance(stored, dict) else checkpoint,
                  _checkpoint(cfg, digest, dict.fromkeys(
                      pf.feature.feature_id for pf in prepared)))
-    groups = _groups(cfg, prepared)
 
-    def predict_group(index):
+    def predict_group(group, seeds):
         """The normalized predictions of each stream."""
         preds = []
-        for pf, seed in zip(*groups[index]):
+        for pf, seed in zip(group, seeds):
             feat_id = pf.feature.feature_id
             entry = stored[feat_id]
             model = _load_model(cfg, pf.windows["train"], seed, digest, entry)
@@ -328,14 +323,10 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
                 preds.append(predict_windows(cfg["model"], model, pf.windows[split]))
         return preds
 
-    by_feature = {}
-    for (group, _), preds in zip(groups, workers.run_groups(
-            predict_group, len(groups), workers.default_jobs())):
-        for pf, pred in zip(group, preds):
-            ws = pf.windows[split]
-            by_feature[pf.feature.feature_id] = (ws, pf.scaler.inverse(pred),
-                                                 pf.scaler.inverse(ws.Y))
-    return by_feature
+    preds = _run_streams(cfg, prepared, predict_group)
+    return {pf.feature.feature_id: (pf.windows[split], pf.scaler.inverse(pred),
+                                    pf.scaler.inverse(pf.windows[split].Y))
+            for pf, pred in zip(prepared, preds)}
 
 
 def _predict_split(checkpoint, split, series):
@@ -377,9 +368,12 @@ def report(cfg, by_feature):
         truth_c = assemble_complex(truth_re, truth_im)
         # Finite but huge predictions can overflow the metrics' squares.
         with _refuse_overflow(f"antenna {ant}: the metrics of its predictions"):
-            reports.append(row(nmse=nmse(pred_c, truth_c),
-                               cosine=cosine_similarity(pred_c, truth_c),
-                               window_count=len(ws), antenna=ant))
+            try:
+                reports.append(row(nmse=nmse(pred_c, truth_c),
+                                   cosine=cosine_similarity(pred_c, truth_c),
+                                   window_count=len(ws), antenna=ant))
+            except ContractViolation as exc:  # e.g. a split of zero truth power
+                raise DataError(f"antenna {ant}: {exc}") from None
     reports.append(row(
         nmse=aggregate_nmse([(r.nmse, r.window_count) for r in reports]),
         cosine=aggregate_nmse([(r.cosine, r.window_count) for r in reports]),

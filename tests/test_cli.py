@@ -154,6 +154,30 @@ class TestUsageErrors:
             f"config error: {cfg}: line 3: expected key=value")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, body, code, prefix", [
+        ("--config", b"epochs=1\nmodel=\xffrnn\n", 1, "config error:"),
+        ("--grid", b"rnn_hidden=4,\xff8\n", 1, "config error:"),
+        ("--checkpoint", b'{"format": "\xff"}', 2, "data error:"),
+        ("--checkpoint", b"[" * 100000 + b"]" * 100000, 2, "data error:"),
+        ("--checkpoint", b"[" + b"1" * 5000 + b"]", 2, "data error:"),
+    ], ids=["config-0xff", "grid-0xff", "checkpoint-0xff", "checkpoint-too-deep",
+            "checkpoint-5000-digit-int"])
+    def test_unreadable_input_file_exits_with_one_line(self, tmp_path, flag,
+                                                       body, code, prefix):
+        path = tmp_path / "input"
+        path.write_bytes(body)
+        out = str(tmp_path / "o")
+        argv = {"--config": ["train", "--config", str(path), "--out", out],
+                "--grid": ["tune", "--config", str(write_config(tmp_path)),
+                           "--grid", str(path), "--out", out],
+                "--checkpoint": ["evaluate", "--checkpoint", str(path),
+                                 "--out", out]}[flag]
+        rc, err = _run_quietly(argv)
+        assert rc == code
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{prefix} {path}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_csv_not_utf8_exits_2(self, tmp_path, capsys):
         data = tmp_path / "chan.csv"
         data.write_bytes(b"t,antenna,re,im\n0,0,1.0,0.0\n1,0,\xff,0.0\n")
@@ -495,6 +519,29 @@ class TestPredictEvaluate:
         assert err.startswith("data error: antenna ant0: ")
         assert not (tmp_path / "metrics").exists()
 
+    def test_split_of_zero_truth_power_exits_2(self, tmp_path):
+        # ant0's last 20% is 0,0: the val and test splits. Each part spans
+        # [-1, 1] on the train split, so its scaler maps 0 back to 0 exactly.
+        cycle = [1.0, 0.5, 0.0, -0.5, -1.0, -0.5, 0.0, 0.5]
+        data = tmp_path / "chan.csv"
+        data.write_text("t,antenna,re,im\n" + "".join(
+            f"{t},0,{cycle[t % 8] if t < 480 else 0.0},"
+            f"{cycle[(t + 2) % 8] if t < 480 else 0.0}\n" for t in range(600)),
+            encoding="utf-8")
+        cfg = write_config(tmp_path, {"epochs": "1", "dataset": data})
+        run, metrics, cmp = (tmp_path / name for name in ("run", "metrics", "cmp"))
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        for argv in (["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                      "--out", str(metrics)],
+                     ["compare", "--config", str(cfg), "--out", str(cmp)]):
+            rc, err = _run_quietly(argv)
+            assert rc == 2
+            assert "Traceback" not in err
+            assert [ln for ln in err.splitlines() if ln.startswith(EXIT_LINES)] == [
+                "data error: antenna ant0: all truth windows have zero norm"]
+        assert not metrics.exists()
+        assert list(cmp.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def kind_checkpoints(trained_dir):
@@ -773,6 +820,18 @@ class TestTune:
         grid.write_text("bogus=1,2\n", encoding="utf-8")
         assert main(["tune", "--config", str(cfg), "--grid", str(grid),
                      "--out", str(tmp_path / "t")]) == 1
+
+    def test_grid_axis_without_values_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=,\n", encoding="utf-8")
+        out = tmp_path / "t"
+        rc, err = _run_quietly(["tune", "--config", str(cfg), "--grid",
+                                str(grid), "--out", str(out)])
+        assert rc == 1
+        assert err.strip().splitlines() == [
+            f"config error: {grid}: rnn_hidden has no values"]
+        assert not out.exists()
 
     def test_empty_grid(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -88,6 +88,25 @@ def test_grouped_training_is_byte_identical_to_groups_of_one(
     assert grouped == serial
 
 
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_groups_of_one_train_as_stacks(monkeypatch, kind):
+    # Each training call that train_feature makes, as experiment looks it
+    # up, gets a list of seeds: there is no plain training path.
+    calls = []
+    for name in ("train_recurrent", "np_train", "build_hybrid"):
+        def spy(*args, _name=name, _call=getattr(experiment, name), **kwargs):
+            calls.append((_name, kwargs["seed"]))
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, spy)
+    monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES", 1)
+    _jobs(monkeypatch, 1)
+    experiment.train_experiment(resolve_config({**TOY, "model": kind}))
+    name = {"np": "np_train", "hybrid": "build_hybrid"}.get(kind, "train_recurrent")
+    assert calls == [(name, [experiment._feature_seed(0, index)])
+                     for index in range(10)]
+
+
 @pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "hybrid"])
 def test_paper_shape_groups_hold_one_stream(kind):
     cfg = resolve_config({**PAPER, "model": kind})
@@ -216,6 +235,14 @@ def test_stacked_model_matches_its_streams():
         for name, value in alone.params.items():
             assert np.array_equal(one.params[name], value)
         assert np.array_equal(y[f], alone.forward(X[f], backward=False)[0])
+
+
+def test_stack_windows_stacks_one_set():
+    ws = datapipe.make_windows(np.arange(40.0), 4, 2)
+    one = datapipe.stack_windows([ws])
+    assert one.X.shape == (1, len(ws), 4) and one.Y.shape == (1, len(ws), 2)
+    assert np.array_equal(one.X[0], ws.X) and np.array_equal(one.Y[0], ws.Y)
+    assert np.array_equal(one.t, ws.t) and one.feature_id == ws.feature_id
 
 
 def test_stack_windows_refuses_windows_cut_elsewhere():
