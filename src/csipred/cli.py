@@ -26,8 +26,10 @@ def _log(msg):
 
 
 def _load_config(args):
+    """The config file, if any, under the flags whose `dest` is a config key."""
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {"seed": args.seed} if args.seed is not None else {}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in DEFAULTS and value is not None}
     return resolve_config(file_values, overrides)
 
 
@@ -49,9 +51,7 @@ def _write_text(path, text):
 
 
 def cmd_gen_data(args):
-    overrides = {"data_seed": args.seed} if args.seed is not None else {}
-    file_values = parse_config_file(args.config) if args.config else {}
-    cfg = resolve_config(file_values, overrides)
+    cfg = _load_config(args)
     series = experiment.get_series({**cfg, "dataset": "synth"})
     save_csi(series, args.out)
     _log(f"wrote {series.length} samples x {series.antenna_count} antennas "
@@ -166,26 +166,24 @@ def cmd_compare(args):
     base_cfg = _load_config(args)
     out = _out_dir(args)
     seeds = parse_compare_seeds(base_cfg["compare_seeds"])
-    series = experiment.get_series(base_cfg)
+    # Every run trains and is scored on these windows: the model and the
+    # seed, all that the runs change, cut none of them.
+    prepared, digest = experiment.prepare(base_cfg)
     rows = []
-    per_model = {m: [] for m in COMPARE_MODELS}
     try:
-        # Every run trains and is scored on these windows: the model and the
-        # seed, all that the runs change, cut none of them.
-        prepared, digest = experiment.prepare(base_cfg, series)
         for seed in seeds:
             for model in COMPARE_MODELS:
                 cfg = resolve_config(dict(base_cfg),
                                      {"model": model, "seed": seed})
                 _log(f"compare: training {model} (seed {seed})")
-                overall = experiment.train_and_score(cfg, prepared, digest, "test")
-                rows.append(overall)
-                per_model[model].append(overall.nmse)
+                rows.append(experiment.train_and_score(cfg, prepared, digest,
+                                                       "test"))
     finally:
         if rows:  # the runs that finished, even if a later one failed
             write_reports(rows, out / "comparison.csv", out / "comparison.json")
-    summary = {m: {"median_nmse": statistics.median(v),
-                   "seeds": len(v)} for m, v in per_model.items() if v}
+    nmses = {m: [r.nmse for r in rows if r.model_id == m] for m in COMPARE_MODELS}
+    summary = {m: {"median_nmse": statistics.median(v), "seeds": len(v)}
+               for m, v in nmses.items()}
     _write_json(out / "summary.json", summary)
     _write_text(out / "resolved.cfg", format_config(base_cfg))
     for m, s in summary.items():
@@ -199,33 +197,29 @@ def build_parser():
         prog="csipred",
         description="Train and compare channel predictors on CSI time series.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
+    config = ("--config", {"help": "flat key=value config file"})
+    seed = ("--seed", {"type": int, "help": "override the config seed"})
+    checkpoint = ("--checkpoint", {"required": True})
+    split = ("--split", {"default": "test", "choices": ("train", "val", "test")})
+    out_csv = ("--out", {"required": True, "help": "output CSV path"})
+    out_dir = ("--out", {"required": True, "help": "output directory"})
+    commands = {
+        "gen-data": (cmd_gen_data, config,
+                     ("--seed", {"type": int, "dest": "data_seed", "metavar": "SEED",
+                                 "help": "override the config data_seed"}), out_csv),
+        "train": (cmd_train, config, seed, out_dir),
+        "predict": (cmd_predict, checkpoint, split, out_csv),
+        "evaluate": (cmd_evaluate, checkpoint, split, out_dir),
+        "tune": (cmd_tune, config, seed,
+                 ("--grid", {"required": True, "help": "grid file: key=v1,v2 lines"}),
+                 out_dir),
+        "compare": (cmd_compare, config, out_dir),
+    }
+    for name, (fn, *flags) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        for flag, kw in flags.items():
+        for flag, kw in flags:
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
-
-    add("gen-data", cmd_gen_data,
-        **{"--out": {"required": True, "help": "output CSV path"}})
-    add("train", cmd_train,
-        **{"--out": {"required": True, "help": "output directory"}})
-    add("predict", cmd_predict,
-        **{"--checkpoint": {"required": True},
-           "--split": {"default": "test", "choices": ("train", "val", "test")},
-           "--out": {"required": True, "help": "output CSV path"}})
-    add("evaluate", cmd_evaluate,
-        **{"--checkpoint": {"required": True},
-           "--split": {"default": "test", "choices": ("train", "val", "test")},
-           "--out": {"required": True, "help": "output directory"}})
-    add("tune", cmd_tune,
-        **{"--grid": {"required": True, "help": "grid file: key=v1,v2 lines"},
-           "--out": {"required": True, "help": "output directory"}})
-    add("compare", cmd_compare,
-        **{"--out": {"required": True, "help": "output directory"}})
     return parser
 
 
