@@ -1,9 +1,18 @@
 """Command-line entry point.
 
-Commands: gen-data, train, predict, evaluate, tune, compare. Shared flags:
---config (flat key=value file), --seed, --out. Logs go to stderr; all
-machine-readable output goes to files. Exit codes: 0 success, 1 usage/config
-error, 2 data error, 3 numeric divergence, 4 a worker process died.
+Each command takes only the flags it reads (--config is a flat key=value
+file, --seed overrides the config's `seed`):
+
+    gen-data --config --seed --out   (--seed sets `data_seed`)
+    train    --config --seed --out
+    tune     --config --seed --grid --out
+    compare  --config --out
+    evaluate --checkpoint --split --out
+    predict  --checkpoint --split --out
+
+Logs go to stderr; all machine-readable output goes to files. Exit codes: 0
+success, 1 usage/config error (running out of memory included), 2 data
+error, 3 numeric divergence, 4 a worker process died.
 """
 from __future__ import annotations
 
@@ -233,6 +242,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
+        return 1
+    except MemoryError as exc:  # here or sent back by a worker
+        _log(f"config error: out of memory: {exc}")
         return 1
     except (DataError, OSError) as exc:
         _log(f"data error: {exc}")

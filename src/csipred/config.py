@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration shared by all CLI commands.
 
-Format: one ``key=value`` per line, ``#`` starts a comment, unknown keys are
-rejected. CLI flags override file keys. The fully resolved config is echoed
-to the output directory so a run can be reproduced from its artifacts alone.
+Format: one ``key=value`` per line, ``#`` starts a comment, unknown and
+repeated keys are rejected. CLI flags override file keys. The fully resolved
+config is echoed to the output directory so a run can be reproduced from its
+artifacts alone.
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ def _coerce(key, raw):
 
 
 def parse_config_file(path) -> dict:
-    out = {}
+    out, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -120,8 +121,11 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {ln}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}: line {ln}: {key} is already set on "
+                              f"line {line_of[key]}")
+        out[key], line_of[key] = value, ln
     return out
 
 

@@ -45,6 +45,14 @@ def get_series(cfg) -> datapipe.CsiSeries:
             antenna_count=cfg["antenna_count"],
             sample_count=cfg["sample_count"],
             seed=cfg["data_seed"])
+        # Each path's phase grows to 2*pi*f_d*t at the last sample, computed
+        # in this order; a phase that overflows makes every sample NaN.
+        last = fading.sample_interval * (fading.sample_count - 1)
+        if not np.isfinite(2.0 * np.pi * fading.doppler_hz * last):
+            raise ConfigError(
+                f"speed_kmph={cfg['speed_kmph']!r}, carrier_hz={cfg['carrier_hz']!r}, "
+                f"sample_interval={cfg['sample_interval']!r} and sample_count="
+                f"{cfg['sample_count']!r} give a Doppler phase that overflows")
         return synthchan.generate_fading(fading)
     return datapipe.load_csi(cfg["dataset"], sample_interval=cfg["sample_interval"])
 

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csipred import datapipe, experiment, workers
-from csipred.cli import main
+from csipred.cli import build_parser, main
 from csipred.config import (config_digest, format_config,
                             parse_config_file, parse_seasonalities,
                             resolve_config)
@@ -898,3 +899,119 @@ class TestPrepareOnce:
         assert main([command, "--checkpoint", str(run / "checkpoint.json"),
                      "--out", str(tmp_path / out)]) == 0
         assert prepares[0] - before == 1
+
+
+class TestFlags:
+    """Each command declares only the flags it reads; any other flag is a
+    usage error that writes nothing."""
+
+    def test_each_command_declares_only_its_flags(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {name: [o for a in p._actions for o in a.option_strings
+                        if o not in ("-h", "--help")]
+                 for name, p in commands.items()}
+        assert flags == {
+            "gen-data": ["--config", "--seed", "--out"],
+            "train": ["--config", "--seed", "--out"],
+            "predict": ["--checkpoint", "--split", "--out"],
+            "evaluate": ["--checkpoint", "--split", "--out"],
+            "tune": ["--config", "--seed", "--grid", "--out"],
+            "compare": ["--config", "--out"],
+        }
+
+    def test_gen_data_seed_sets_data_seed(self, tmp_path):
+        flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)),
+                     "--seed", "3", "--out", str(flag)]) == 0
+        cfg = write_config(tmp_path, {"data_seed": "3"}, name="key.cfg")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(key)]) == 0
+        assert flag.read_bytes() == key.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--config", "--seed"])
+    @pytest.mark.parametrize("command,out", [("evaluate", "metrics"),
+                                             ("predict", "pred.csv")])
+    def test_evaluate_and_predict_refuse_config_and_seed(
+            self, trained_dir, tmp_path, capsys, flag, command, out):
+        _, _, run = trained_dir
+        value = str(tmp_path / "absent.cfg") if flag == "--config" else "7"
+        assert main([command, "--checkpoint", str(run / "checkpoint.json"),
+                     flag, value, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / out).exists()
+
+    def test_compare_refuses_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--seed", "5",
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneLineConfigErrors:
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """The `train_prepared` calls so far, as a list."""
+        calls = []
+        train_prepared = experiment.train_prepared
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train_prepared(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_prepared", counted)
+        return calls
+
+    def test_config_key_set_twice_exits_1(self, tmp_path, trained):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\n# a comment\nepochs = 3\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc, err = _run_quietly(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert err.splitlines() == [
+            f"config error: {cfg}: line 3: epochs is already set on line 1"]
+        assert trained == [] and not out.exists()
+
+    def test_grid_key_set_twice_exits_1(self, tmp_path, trained):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("rnn_hidden=4\nrnn_hidden=8,16\n", encoding="utf-8")
+        out = tmp_path / "t"
+        rc, err = _run_quietly(["tune", "--config", str(cfg), "--grid",
+                                str(grid), "--out", str(out)])
+        assert rc == 1
+        assert err.splitlines() == [
+            f"config error: {grid}: line 2: rnn_hidden is already set on line 1"]
+        assert trained == [] and not out.exists()
+
+    def test_out_of_memory_exits_1(self, tmp_path, monkeypatch):
+        message = "Unable to allocate 71.1 PiB for an array"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiment, "train_prepared", exhausted)
+        out = tmp_path / "o"
+        rc, err = _run_quietly(["train", "--config", str(write_config(tmp_path)),
+                                "--out", str(out)])
+        assert rc == 1
+        assert err.splitlines() == ["training model=rnn seed=0",
+                                    f"config error: out of memory: {message}"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,out", [("gen-data", "chan.csv"),
+                                             ("train", "run")])
+    def test_synthetic_phase_that_overflows_exits_1(self, tmp_path, command, out):
+        cfg = write_config(tmp_path, {"carrier_hz": "1e308", "speed_kmph": "1e308"})
+        out = tmp_path / out
+        rc, err = _run_quietly([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        lines = err.splitlines()
+        assert [ln for ln in lines if ln.startswith(EXIT_LINES)] == lines[-1:]
+        assert lines[-1] == (
+            "config error: speed_kmph=1e+308, carrier_hz=1e+308, "
+            "sample_interval=0.0005 and sample_count=600 give a Doppler phase "
+            "that overflows")
+        assert not out.exists() or list(out.iterdir()) == []

@@ -457,6 +457,30 @@ class TestJobs:
         assert not out.exists()
         _assert_no_children()
 
+    def test_a_prediction_worker_out_of_memory_exits_1(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # Only the child that predicts group 1 runs out; it sends the error.
+        self.three_groups(monkeypatch, "rnn")
+        code, run = _run(tmp_path, "run", {"model": "rnn"})
+        assert code == 0
+        parent = os.getpid()
+        load_model = experiment._load_model
+
+        def exhausted(*args):
+            if os.getpid() != parent:
+                raise MemoryError("Unable to allocate 8.00 EiB for an array")
+            return load_model(*args)
+
+        monkeypatch.setattr(experiment, "_load_model", exhausted)
+        _jobs(monkeypatch, 2)
+        capsys.readouterr()
+        codes, out = _use(tmp_path, "exhausted", run)
+        assert codes == [1, 1]
+        assert capsys.readouterr().err.splitlines() == 2 * [
+            "config error: out of memory: Unable to allocate 8.00 EiB for an array"]
+        assert not out.exists()
+        _assert_no_children()
+
     @pytest.mark.parametrize("lower", ["bad-blob", "overflow"])
     def test_lowest_failing_stream_decides_across_workers(
             self, tmp_path, monkeypatch, capsys, lower):
