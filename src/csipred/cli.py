@@ -10,13 +10,16 @@ file, --seed overrides the config's `seed`):
     evaluate --checkpoint --split --out
     predict  --checkpoint --split --out
 
-Logs go to stderr; all machine-readable output goes to files. Exit codes: 0
-success, 1 usage/config error (running out of memory included), 2 data
-error, 3 numeric divergence, 4 a worker process died.
+Logs go to stderr; all machine-readable output goes to files, each written
+by `datapipe.write_text`. `train` and `compare` create --out only after their
+data is read and cut into windows, and `tune` after every grid cell resolves.
+Exit codes: 0 success, 1 usage/config error (running out of memory
+included), 2 data error, 3 numeric divergence, 4 a worker process died.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
@@ -25,7 +28,7 @@ from pathlib import Path
 from . import experiment
 from .config import (DEFAULTS, config_digest, format_config,
                      parse_compare_seeds, parse_config_file, resolve_config)
-from .datapipe import save_csi
+from .datapipe import save_csi, write_text
 from .errors import ConfigError, DataError, DivergenceError, WorkerError
 from .evalx import grid_cells, grid_search, write_reports, write_trials
 
@@ -51,12 +54,7 @@ def _out_dir(args) -> Path:
 def _write_json(path, payload):
     # Compact `dumps` is the one form CPython encodes in C; `json.dump` and
     # any `indent` fall back to the pure-Python encoder.
-    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, [json.dumps(payload, sort_keys=True) + "\n"])
 
 
 def cmd_gen_data(args):
@@ -69,22 +67,21 @@ def cmd_gen_data(args):
 
 
 def _write_histories(out, histories):
-    lines = ["feature,phase,epoch,loss"]
-    for feat_id in sorted(histories):
-        for phase in sorted(histories[feat_id]):
-            for epoch, loss in enumerate(histories[feat_id][phase], start=1):
-                lines.append(f"{feat_id},{phase},{epoch},{loss!r}")
-    _write_text(out / "loss.csv", "\n".join(lines) + "\n")
+    write_text(out / "loss.csv", itertools.chain(["feature,phase,epoch,loss\n"], (
+        f"{feat_id},{phase},{epoch},{loss!r}\n"
+        for feat_id in sorted(histories) for phase in sorted(histories[feat_id])
+        for epoch, loss in enumerate(histories[feat_id][phase], start=1))))
 
 
 def cmd_train(args):
     cfg = _load_config(args)
-    out = _out_dir(args)
     _log(f"training model={cfg['model']} seed={cfg['seed']}")
-    checkpoint, histories = experiment.train_experiment(cfg)
+    prepared, digest = experiment.prepare(cfg)
+    out = _out_dir(args)
+    checkpoint, histories = experiment.train_prepared(cfg, prepared, digest)
     _write_json(out / "checkpoint.json", checkpoint)
     _write_histories(out, histories)
-    _write_text(out / "resolved.cfg", format_config(cfg))
+    write_text(out / "resolved.cfg", [format_config(cfg)])
     _log(f"checkpoint written to {out / 'checkpoint.json'}")
     return 0
 
@@ -105,9 +102,9 @@ def cmd_predict(args):
     rows = experiment.predictions_table(checkpoint, split=args.split)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["feature,t,horizon,prediction,truth"]
-    lines += [f"{f},{t},{h},{p!r},{y!r}" for f, t, h, p, y in rows]
-    _write_text(out, "\n".join(lines) + "\n")
+    write_text(out, itertools.chain(
+        ["feature,t,horizon,prediction,truth\n"],
+        (f"{f},{t},{h},{p!r},{y!r}\n" for f, t, h, p, y in rows)))
     _log(f"wrote {len(rows)} prediction rows to {out}")
     return 0
 
@@ -124,11 +121,10 @@ def cmd_evaluate(args):
 
 
 def _parse_grid_file(path):
-    """Grid file: `key=v1,v2,...` lines, with the syntax of a config file."""
+    """Grid file: `key=v1,v2,...` lines, with the syntax and the keys of a
+    config file. Values are split at commas, one per cell."""
     grid = {}
     for key, values in parse_config_file(path).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not grid[key]:
             raise ConfigError(f"{path}: {key} has no values")
@@ -155,15 +151,10 @@ def cmd_tune(args):
         params = len(prepared) * experiment.stream_param_count(cfg, cfg["model"])
         return {"nmse": overall.nmse, "param_count": params}
 
-    try:
-        best, trials = grid_search(grid, evaluate)
-    except WorkerError:
-        raise
-    except RuntimeError as exc:  # no cell trained: exit as its first failure
-        raise exc.__cause__ from None
+    best, trials = grid_search(grid, evaluate)
     write_trials(trials, out / "trials.csv")
     best_cfg = resolve_config(dict(base_cfg), best)
-    _write_text(out / "best.cfg", format_config(best_cfg))
+    write_text(out / "best.cfg", [format_config(best_cfg)])
     _log(f"best cell: {best}")
     return 0
 
@@ -173,11 +164,11 @@ COMPARE_MODELS = ("np", "rnn", "bilstm", "hybrid")
 
 def cmd_compare(args):
     base_cfg = _load_config(args)
-    out = _out_dir(args)
     seeds = parse_compare_seeds(base_cfg["compare_seeds"])
     # Every run trains and is scored on these windows: the model and the
     # seed, all that the runs change, cut none of them.
     prepared, digest = experiment.prepare(base_cfg)
+    out = _out_dir(args)
     rows = []
     try:
         for seed in seeds:
@@ -194,7 +185,7 @@ def cmd_compare(args):
     summary = {m: {"median_nmse": statistics.median(v), "seeds": len(v)}
                for m, v in nmses.items()}
     _write_json(out / "summary.json", summary)
-    _write_text(out / "resolved.cfg", format_config(base_cfg))
+    write_text(out / "resolved.cfg", [format_config(base_cfg)])
     for m, s in summary.items():
         _log(f"{m}: median test NMSE over {s['seeds']} seeds = "
              f"{s['median_nmse']:.6g}")

@@ -1,9 +1,9 @@
 """Flat key-value experiment configuration shared by all CLI commands.
 
-Format: one ``key=value`` per line, ``#`` starts a comment, unknown and
-repeated keys are rejected. CLI flags override file keys. The fully resolved
-config is echoed to the output directory so a run can be reproduced from its
-artifacts alone.
+Format: one ``key=value`` per line, ``#`` starts a comment; a key not in
+`DEFAULTS` or set twice is rejected naming the file and line. CLI flags
+override file keys. The fully resolved config is echoed to the output
+directory so a run can be reproduced from its artifacts alone.
 """
 from __future__ import annotations
 
@@ -122,6 +122,8 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {ln}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}: line {ln}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"{path}: line {ln}: {key} is already set on "
                               f"line {line_of[key]}")
@@ -134,6 +136,8 @@ def resolve_config(file_values=None, overrides=None) -> dict:
     cfg = dict(DEFAULTS)
     for source in (file_values or {}, overrides or {}):
         for key, raw in source.items():
+            # A file's keys were checked where it was read; this guards the
+            # flag overrides and the config a checkpoint stores.
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, raw)

@@ -254,13 +254,21 @@ def _data_line(path, row):
     return [ln for ln, text in enumerate(lines[1:], start=2) if text][row]
 
 
-def save_csi(series: CsiSeries, path) -> None:
+def write_text(path, chunks) -> None:
+    """Write an iterable of str chunks to `path` as UTF-8 with LF line ends,
+    as csipred writes every text file. A bare str would go out a character
+    at a time, so it is refused."""
+    if isinstance(chunks, str):
+        raise ContractViolation("write_text takes an iterable of str chunks")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(f"{series.start_index + t},{ant},{re!r},{im!r}\n"
-                      for t, row in enumerate(zip(series.values.real.T.tolist(),
-                                                  series.values.imag.T.tolist()))
-                      for ant, (re, im) in enumerate(zip(*row)))
+        fh.writelines(chunks)
+
+
+def save_csi(series: CsiSeries, path) -> None:
+    rows = zip(series.values.real.T.tolist(), series.values.imag.T.tolist())
+    write_text(path, itertools.chain([CSV_HEADER + "\n"], (
+        f"{series.start_index + t},{ant},{re!r},{im!r}\n"
+        for t, row in enumerate(rows) for ant, (re, im) in enumerate(zip(*row)))))
 
 
 def clean(series: CsiSeries, max_gap=MAX_INTERP_GAP):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datapipe import write_text
 from .errors import ContractViolation, WorkerError
 
 
@@ -99,13 +100,10 @@ def aggregate_nmse(parts):
 
 
 def write_reports(reports, csv_path, json_path):
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MetricReport.CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(csv_path, [MetricReport.CSV_HEADER + "\n"]
+               + [r.csv_row() + "\n" for r in reports])
+    write_text(json_path, [json.dumps([r.to_json_dict() for r in reports],
+                                      indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +130,10 @@ def grid_search(grid: dict, evaluate):
     `evaluate(config)` must return a dict with a "nmse" entry (validation
     NMSE) and may include "param_count". Cells that raise are recorded as
     failed and excluded from selection, except for a `WorkerError`: a
-    training process that died stops the search. Ties break by fewer parameters, then
-    lexicographic config order; the result is independent of axis order.
-    Returns (best config, trial table sorted by config). If every cell
-    fails, raises RuntimeError from the first cell's exception.
+    training process that died stops the search. Ties break by fewer
+    parameters, then lexicographic config order; the result is independent
+    of axis order. Returns (best config, trial table sorted by config). If
+    every cell fails, raises the first cell's own exception.
     """
     trials = []
     first_error = None
@@ -154,21 +152,18 @@ def grid_search(grid: dict, evaluate):
     trials.sort(key=lambda tr: _config_key(tr["config"]))
     ok = [tr for tr in trials if tr["status"] == "ok"]
     if not ok:
-        raise RuntimeError("all grid cells failed") from first_error
+        raise first_error
     best = min(ok, key=lambda tr: (tr["nmse"], tr["param_count"],
                                    _config_key(tr["config"])))
     return dict(best["config"]), trials
 
 
 def write_trials(trials, path):
-    cols = ["status", "nmse", "param_count", "error"]
     axes = sorted({k for tr in trials for k in tr["config"]})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(axes + cols) + "\n")
-        for tr in trials:
-            row = [repr(tr["config"].get(a, "")) for a in axes]
-            row.append(tr["status"])
-            row.append(repr(tr.get("nmse", "")))
-            row.append(str(tr.get("param_count", "")))
-            row.append('"' + tr.get("error", "").replace('"', "'") + '"')
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(axes + ["status", "nmse", "param_count", "error"]) + "\n"]
+    for tr in trials:
+        row = [repr(tr["config"].get(a, "")) for a in axes]
+        row += [tr["status"], str(tr.get("nmse", "")), str(tr.get("param_count", "")),
+                '"' + tr.get("error", "").replace('"', "'") + '"']
+        lines.append(",".join(row) + "\n")
+    write_text(path, lines)

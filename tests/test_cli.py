@@ -691,6 +691,55 @@ class TestConfigFuzz:
         check()
 
 
+# One grid axis per `tune` example: cells that train, cells the config
+# refuses, cells that fail to train, and list-valued keys, which the grid
+# splits at commas into one entry per cell.
+GRID_AXES = {
+    "rnn_hidden": ("4,8", "0,8", "x"),
+    "d": ("300,8", "300"),
+    "model": ("rnn,np", "hybrid,bilstm", "lstm,x"),
+    "epochs": ("1,2", "0"),
+    "seasonalities": ("3:0.02,2:0.05", "3:0"),
+    "compare_seeds": ("0,1", "-1"),
+    "rnn_learning_rate": ("1e300,0.001", "nan"),
+    "np_learning_rate": ("1e300",),
+    "data_seed": ("0,1",),
+}
+COMPARE_SEEDS = ("0", "0,1", "1,1", "", "-1", "x")
+
+
+class TestTuneCompareFuzz:
+    def test_random_run_ends_in_a_documented_exit(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("tune-compare-fuzz")
+        exit_lines = EXIT_LINES + ("worker error:",)
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            keys = data.draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)),
+                                      max_size=2, unique=True))
+            drawn = {k: data.draw(st.sampled_from(FUZZ_VALUES[k])) for k in keys}
+            command = data.draw(st.sampled_from(["tune", "compare"]))
+            if command == "compare":
+                drawn["compare_seeds"] = data.draw(st.sampled_from(COMPARE_SEEDS))
+            cfg = write_config(tmp, {"epochs": "1", **drawn})
+            argv = [command, "--config", str(cfg), "--out", str(tmp / "out")]
+            if command == "tune":
+                axis = data.draw(st.sampled_from(sorted(GRID_AXES)))
+                grid = tmp / "grid.cfg"
+                grid.write_text(f"{axis}={data.draw(st.sampled_from(GRID_AXES[axis]))}\n",
+                                encoding="utf-8")
+                argv[3:3] = ["--grid", str(grid)]
+            rc, err = _run_quietly(argv)
+            assert rc in (0, 1, 2, 3, 4)
+            assert "Traceback" not in err and "Warning" not in err
+            if rc:
+                lines = err.strip().splitlines()
+                assert [ln for ln in lines if ln.startswith(exit_lines)] == lines[-1:]
+
+        check()
+
+
 def _stored_floats(node, key=None):
     """The float64 values in every parameter blob under `node`."""
     if key == "params":
@@ -814,6 +863,19 @@ class TestTune:
         assert "killed by signal 9" in lines[0]
         assert not (out / "trials.csv").exists()
         assert not (out / "best.cfg").exists()
+
+    def test_failed_cell_writes_an_empty_nmse(self, tmp_path):
+        cfg = write_config(tmp_path, {"epochs": "1"})
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("d=300,8\n", encoding="utf-8")
+        out = tmp_path / "tuned"
+        assert main(["tune", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        failed, trained = (out / "trials.csv").read_text().splitlines()[1:]
+        assert failed.startswith("'300',failed,,,\"DataError: ")
+        cell, status, nmse, params = trained.split(",")[:4]
+        assert (cell, status) == ("'8'", "ok")
+        assert nmse == repr(float(nmse)) and int(params) > 0
 
     def test_unknown_grid_key(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -985,6 +1047,41 @@ class TestOneLineConfigErrors:
         assert err.splitlines() == [
             f"config error: {grid}: line 2: rnn_hidden is already set on line 1"]
         assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_unknown_key_names_its_file_and_line(self, tmp_path, trained,
+                                                 command):
+        body = "epochs=1\nbogus=2\n" if command == "train" else \
+            "rnn_hidden=4,8\nbogus=1,2\n"
+        path = tmp_path / "keys.cfg"
+        path.write_text(body, encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {"train": ["train", "--config", str(path)],
+                "tune": ["tune", "--config", str(write_config(tmp_path)),
+                         "--grid", str(path)]}[command]
+        rc, err = _run_quietly(argv + ["--out", str(out)])
+        assert rc == 1
+        assert err.splitlines() == [
+            f"config error: {path}: line 2: unknown config key 'bogus'"]
+        assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_missing_dataset_leaves_no_out_dir(self, tmp_path, trained, command):
+        cfg = write_config(tmp_path, {"dataset": tmp_path / "absent.csv"})
+        out = tmp_path / "o"
+        rc, err = _run_quietly([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert err.splitlines()[-1].startswith("data error: ")
+        assert trained == [] and not out.exists()
+
+    def test_bad_out_path_fails_before_training(self, tmp_path, trained):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+        rc, err = _run_quietly(["train", "--config", str(write_config(tmp_path)),
+                                "--out", str(out)])
+        assert rc == 2
+        assert err.splitlines()[-1].startswith("data error: ")
+        assert trained == []
 
     def test_out_of_memory_exits_1(self, tmp_path, monkeypatch):
         message = "Unable to allocate 71.1 PiB for an array"

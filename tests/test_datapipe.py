@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from csipred.datapipe import (CsiSeries, Scaler, clean, complex_to_features,
                               fit_scaler, load_csi, make_windows,
                               prepare_dataset, recombine_features, save_csi,
-                              split_chronological)
+                              split_chronological, write_text)
 from csipred.errors import (ContractViolation, DataError, DegenerateScaleError,
                             ParseError, UnrecoverableGapError)
 
@@ -36,6 +36,19 @@ class TestCsvRoundTrip:
         loaded = load_csi(path)
         assert loaded.start_index == 100
         assert loaded.length == 5
+
+
+class TestWriteText:
+    def test_chunks_go_out_as_utf8_with_lf_ends(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, (chunk for chunk in ["a,\u00e9\n", "", "b\n"]))
+        assert path.read_bytes() == b"a,\xc3\xa9\nb\n"
+
+    def test_bare_str_refused(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ContractViolation):
+            write_text(path, "a whole text\n")
+        assert not path.exists()
 
 
 def reference_load_csi(path):

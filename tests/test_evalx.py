@@ -175,7 +175,7 @@ class TestGridSearch:
         def evaluate(cfg):
             raise ValueError("boom")
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="boom"):
             grid_search({"a": [1, 2]}, evaluate)
 
     def test_empty_grid_rejected(self):
@@ -194,3 +194,17 @@ class TestGridSearch:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("a,")
         assert len(lines) == 3
+
+    def test_failed_cell_has_empty_nmse(self, tmp_path):
+        def evaluate(cfg):
+            if cfg["a"] == 1:
+                raise ValueError("boom")
+            return {"nmse": 0.1 + cfg["a"], "param_count": 5}
+
+        _, trials = grid_search({"a": [1, 2]}, evaluate)
+        path = tmp_path / "trials.csv"
+        write_trials(trials, path)
+        assert path.read_text().splitlines() == [
+            "a,status,nmse,param_count,error",
+            '1,failed,,,"ValueError: boom"',
+            f'2,ok,{2.1!r},5,""']
