@@ -864,19 +864,6 @@ class TestTune:
         assert not (out / "trials.csv").exists()
         assert not (out / "best.cfg").exists()
 
-    def test_failed_cell_writes_an_empty_nmse(self, tmp_path):
-        cfg = write_config(tmp_path, {"epochs": "1"})
-        grid = tmp_path / "grid.cfg"
-        grid.write_text("d=300,8\n", encoding="utf-8")
-        out = tmp_path / "tuned"
-        assert main(["tune", "--config", str(cfg), "--grid", str(grid),
-                     "--out", str(out)]) == 0
-        failed, trained = (out / "trials.csv").read_text().splitlines()[1:]
-        assert failed.startswith("'300',failed,,,\"DataError: ")
-        cell, status, nmse, params = trained.split(",")[:4]
-        assert (cell, status) == ("'8'", "ok")
-        assert nmse == repr(float(nmse)) and int(params) > 0
-
     def test_unknown_grid_key(self, tmp_path):
         cfg = write_config(tmp_path)
         grid = tmp_path / "grid.cfg"
