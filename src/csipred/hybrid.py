@@ -58,8 +58,9 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     With stacked splits (`datapipe.stack_windows`), a stacked recurrent model
     and a list of seeds, both stages train stacked: the HybridModel holds the
     stacked stages and one provenance per stream, and the histories are per
-    stream. Stage 1 forecasts stream by stream, so that inference memory does
-    not grow with the group.
+    stream. Stage 1 forecasts stream by stream, and `predict_batch` over at
+    most `PREDICT_WINDOWS` windows at a time, so that inference memory grows
+    neither with the group nor with the split.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")

@@ -284,6 +284,7 @@ def fit(model, loss_and_grads, n, cfg, rng):
                 raise DivergenceError(epoch, batch, float(loss[f]), f)
             np.concatenate([grads[k].reshape(F, -1) for k in model.params],
                            axis=1, out=gbuf)
+            del grads  # else they live through the next batch's pass
             for row in gbuf:
                 clipped = clip_grad_norm(row, cfg.grad_clip)
                 if clipped is not row:

@@ -24,6 +24,10 @@ from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
 FORMAT = "csipred-recurrent-v3"
+# `predict_batch` runs the forward pass over at most this many windows at a
+# time. At the paper shape (H=200, L=3) one pass over a 1,928-window split
+# peaked at 2.5 GB of RSS.
+PREDICT_WINDOWS = 256
 
 
 @dataclass
@@ -67,6 +71,10 @@ def _dropout_mask(p, shape, rng):
 # as single GEMMs over all T*B rows. The caches are consumed, so a scan is
 # differentiated at most once. They are allocated once per scan, because
 # per-step arrays interleaved with (B, G*H) temporaries fragment the heap.
+# Between the passes a scan keeps no array that its backward pass can
+# recompute with one elementwise op: the lstm keeps Z, S and C, and
+# `backward()` recomputes tanh(c) from C. `RecurrentModel.loss_and_grads`
+# drops each layer's caches once its backward pass has run.
 # `rnn_cell_forward` and `lstm_cell_forward` compute one step gate by gate;
 # they are the independent reference the scans are tested against.
 #
@@ -170,9 +178,9 @@ def _lstm_scan(x, p):
     Z = np.empty((*lead, T, B, 4 * H))  # gate activations f, i, g, o
     S = np.zeros((*lead, T + 1, B, H))
     C = np.zeros((*lead, T + 1, B, H))
-    TC = np.empty((*lead, T, B, H))     # tanh of the new cell state
+    tc = np.empty((*lead, B, H))        # tanh of the new cell state
     VT = _project(x, p, Z, scale)
-    Zt, St, Ct, TCt = (_steps(a) for a in (Z, S, C, TC))
+    Zt, St, Ct = (_steps(a) for a in (Z, S, C))
     for t in range(T):
         z = Zt[t]
         z += St[t] @ VT
@@ -180,7 +188,7 @@ def _lstm_scan(x, p):
         z *= scale
         z += shift
         f, i, g, o = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
-        c, tc = Ct[t + 1], TCt[t]
+        c = Ct[t + 1]
         np.multiply(f, Ct[t], out=c)
         c += i * g
         np.tanh(c, out=tc)
@@ -192,7 +200,11 @@ def _lstm_scan(x, p):
         # factor of ds in dc; C[t]: f of step t, the factor of the carry.
         # In-place ops through one (T, B, H) temporary: the same expressions
         # with a temporary per operation took 1.3x the time and 3-5 MB more
-        # peak RSS at the paper shape.
+        # peak RSS at the paper shape. tanh(c) is recomputed here, before C
+        # is overwritten, rather than kept through the forward pass: a
+        # (T, B, H) array less in every scan that waits for its backward pass.
+        TC = np.tanh(C[..., 1:, :, :])
+        TCt = _steps(TC)
         f, i, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
         tmp = np.subtract(1.0, f)
         tmp *= f
@@ -299,10 +311,12 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False):
 def scan_cache_bytes(arch, hidden, layers, lag_depth, batch):
     """About the bytes that one stream's forward+backward pass over a batch
     keeps live: per layer and direction the scan caches, (T+1, B, H) arrays
-    (S and the factors da of the rnn; Z, S, C, TC and the backward temporary
-    of the lstm, 8 in all), and one state gradient dS. The top layer counts
-    in full, its one-step bilstm reverse direction too, so that the group
-    sizes stay those of the full-window scans."""
+    (S and the factors da of the rnn; Z, S, C and the backward pass's TC and
+    temporary of the lstm, 8 in all), and one state gradient dS. The top
+    layer counts in full, its one-step bilstm reverse direction too, so that
+    the group sizes stay those of the full-window scans. Every layer counts
+    TC, though only the layer in its backward pass holds one: the count, and
+    so the group sizes, stay those measured when every scan kept its TC."""
     per_layer = {"rnn": 2, "lstm": 8, "bilstm": 16}[arch]
     return 8 * batch * hidden * (lag_depth + 1) * (layers * per_layer + 1)
 
@@ -401,13 +415,16 @@ class RecurrentModel:
         loss = huber_loss(Y, y_hat, self.config.huber_beta, stacked)
         dY = huber_grad(Y, y_hat, self.config.huber_beta, stacked)
         grads = {"out_W": mT(dY) @ last, "out_b": dY.sum(axis=-2)}
+        del last  # for rnn and lstm a view of the top layer's states S
         d_seq = (dY @ self.params["out_W"])[..., None, :]  # step T-1 alone
         for k in reversed(range(self.layers)):
-            # popped, so that each layer's caches go once its pass has run
+            # popped and deleted, so that each layer's caches go once its
+            # pass has run, before the pass of the layer below
             back, mask = backs.pop()
             if mask is not None:
                 d_seq = d_seq * mask
             d_seq, g = back(d_seq)
+            del back
             grads.update({f"L{k}_{name}": val for name, val in g.items()})
         return loss, grads
 
@@ -464,8 +481,20 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
 
 
 def predict_batch(model: RecurrentModel, X):
+    """Forecasts (N, D) for windows X (N, d), or (F, N, D) for a stack.
+
+    Runs the forward pass in ceil(N / PREDICT_WINDOWS) equal parts of the
+    windows, so that memory grows with PREDICT_WINDOWS and not with N. Each
+    part has over 128 rows: with OpenBLAS 0.3.31 (AVX-512) at H=200, rnn and
+    lstm parts of 60 rows or more gave the bytes of one pass, and parts of
+    25-32 rows did not, as the BLAS picks another kernel for small GEMMs.
+    """
     if not model.trained:
         raise ContractViolation("model is not trained")
-    y, _ = model.forward(X, backward=False)
-    return y
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 2 or X.shape[-2] <= PREDICT_WINDOWS:
+        return model.forward(X, backward=False)[0]
+    parts = np.array_split(X, -(-X.shape[-2] // PREDICT_WINDOWS), axis=-2)
+    return np.concatenate([model.forward(x, backward=False)[0] for x in parts],
+                          axis=-2)
 
