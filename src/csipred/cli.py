@@ -11,8 +11,8 @@ file, --seed overrides the config's `seed`):
     predict  --checkpoint --split --out
 
 Logs go to stderr; all machine-readable output goes to files, each written
-by `datapipe.write_text`. `train` and `compare` create --out only after their
-data is read and cut into windows, and `tune` after every grid cell resolves.
+by `datapipe.write_text`. Each command creates its --out, or the directory of
+its --out file, once its data is ready; `tune` once every grid cell resolves.
 Exit codes: 0 success, 1 usage/config error (running out of memory
 included), 2 data error, 3 numeric divergence, 4 a worker process died.
 """
@@ -51,6 +51,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _out_file(path) -> Path:
+    """The --out file `path`, its directory created once the data is ready."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path, payload):
     # Compact `dumps` is the one form CPython encodes in C; `json.dump` and
     # any `indent` fall back to the pure-Python encoder.
@@ -60,7 +67,7 @@ def _write_json(path, payload):
 def cmd_gen_data(args):
     cfg = _load_config(args)
     series = experiment.get_series({**cfg, "dataset": "synth"})
-    save_csi(series, args.out)
+    save_csi(series, _out_file(args.out))
     _log(f"wrote {series.length} samples x {series.antenna_count} antennas "
          f"to {args.out} (config {config_digest(cfg)})")
     return 0
@@ -100,8 +107,7 @@ def _load_checkpoint(path):
 def cmd_predict(args):
     checkpoint = _load_checkpoint(args.checkpoint)
     rows = experiment.predictions_table(checkpoint, split=args.split)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args.out)
     write_text(out, itertools.chain(
         ["feature,t,horizon,prediction,truth\n"],
         (f"{f},{t},{h},{p!r},{y!r}\n" for f, t, h, p, y in rows)))

@@ -58,15 +58,15 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     With stacked splits (`datapipe.stack_windows`), a stacked recurrent model
     and a list of seeds, both stages train stacked: the HybridModel holds the
     stacked stages and one provenance per stream, and the histories are per
-    stream. Stage 1 forecasts stream by stream, and `predict_batch` over at
-    most `PREDICT_WINDOWS` windows at a time, so that inference memory grows
-    neither with the group nor with the split.
+    stream. Stage 1 forecasts stream by stream, and both stages predict in
+    parts of at most `numcore.PREDICT_WINDOWS` windows, so that inference
+    memory grows neither with the group nor with the split. Each stage
+    refuses training windows of another shape than its own: `np_cfg` must
+    name their d and D, as `rnn_model` does.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")
     train = splits["train"]
-    if train.d != rnn_model.d or train.D != rnn_model.D:
-        raise ContractViolation("window shape does not match recurrent model")
     rnn_history = train_recurrent(rnn_model, train, seed=seed)
     stacked = isinstance(seed, list)
     stage1 = unstack(rnn_model)
@@ -77,7 +77,7 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
         return np.stack([predict_batch(m, x) for m, x in zip(stage1, X)])
 
     regressors = {name: forecasts(ws.X) for name, ws in splits.items()}
-    np_cfg = replace(np_cfg, d=train.d, D=train.D, regressor_enabled=True)
+    np_cfg = replace(np_cfg, regressor_enabled=True)
     np_model, np_history = np_train(train, np_cfg, seed=seed,
                                     regressors=regressors["train"])
     provenance = [make_provenance(s, dataset_digest, m, np_cfg)

@@ -25,8 +25,9 @@ from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      batch_rows, encode_params, generators, huber_grad,
-                      huber_loss, init_params, init_uniform, mT, relu)
+                      batch_rows, check_windows, encode_params, generators,
+                      huber_grad, huber_loss, init_params, init_uniform, mT,
+                      predict_in_parts, relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
 # v1 held float lists in per-component sections and the changepoints, which
@@ -308,15 +309,8 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
     With stacked windows (`datapipe.stack_windows`), stacked regressors and a
     list of seeds it trains a stacked model and returns a history per stream.
     """
-    if len(data) == 0:
-        raise ContractViolation("empty training dataset")
-    if data.d != cfg.d or data.D != cfg.D:
-        raise ContractViolation(
-            f"window shape (d={data.d}, D={data.D}) does not match config "
-            f"(d={cfg.d}, D={cfg.D})")
-    if cfg.regressor_enabled:
-        if regressors is None:
-            raise ContractViolation("config enables a regressor but none given")
+    check_windows(data, cfg.d, cfg.D)
+    if regressors is not None:
         regressors = np.asarray(regressors, dtype=float)
         if regressors.shape != data.Y.shape:
             raise ContractViolation("regressor array must be (N, D)")
@@ -343,7 +337,8 @@ def batch_cache_bytes(cfg: NpConfig, batch):
 
 
 def np_predict_batch(model: NpModel, t_origins, X, regressors=None):
-    if not model.trained:
-        raise ContractViolation("model is not trained")
-    out, _ = model.forward(t_origins, X, regressors)
-    return out
+    """Forecasts (N, D) for origins t (N,), windows X (N, d) and regressors."""
+    t, X = np.asarray(t_origins, dtype=float), np.asarray(X, dtype=float)
+    return predict_in_parts(model, lambda s: model.forward(
+        t[..., s], X[..., s, :],
+        None if regressors is None else regressors[..., s, :])[0], X.shape[-2])

@@ -1,6 +1,6 @@
 """Minimal numeric substrate: activations, Huber loss, Adam, finite differences,
-the one minibatch training loop (`fit`) every model family uses, and the
-stacks of per-stream models that it trains as one.
+the one minibatch training loop (`fit`) and the window rules every model
+family uses, and the stacks of per-stream models that `fit` trains as one.
 
 Everything works on plain float64 numpy arrays. Gradients elsewhere in the
 package are hand-derived; `finite_diff_grad` is the independent check.
@@ -24,6 +24,8 @@ GRAD_CLIP_NORM = 5.0
 # For paper-shape bilstm (1.6M parameters) whole-vector temporaries took 1.8x
 # the time, and whole-vector work rows kept during training raised peak RSS.
 ADAM_BLOCK = 1 << 15
+# The most windows whose forward pass `predict_in_parts` holds at one time.
+PREDICT_WINDOWS = 256
 
 
 def sigmoid(x):
@@ -231,6 +233,27 @@ def clip_grad_norm(flat, max_norm):
         peak = np.abs(flat).max()
         norm = peak * np.sqrt(np.dot(flat / peak, flat / peak))
     return flat if norm <= max_norm else flat * (max_norm / norm)
+
+
+def check_windows(data, d, D):
+    """Refuse training windows that are none, or not of d lags and D labels."""
+    if len(data) == 0:
+        raise ContractViolation("empty training dataset")
+    if data.d != d or data.D != D:
+        raise ContractViolation(f"window shape (d={data.d}, D={data.D}) does "
+                                f"not match the model (d={d}, D={D})")
+
+
+def predict_in_parts(model, forward, n):
+    """A trained `model`'s `forward(s)` over ceil(n / PREDICT_WINDOWS) equal
+    slices s of n windows, joined on axis -2; for n > 256, parts of over 128.
+    At H=200 (OpenBLAS 0.3.31, AVX-512) rnn and lstm parts of 60 rows or more
+    gave the bytes of one pass, and parts of 25-32 rows did not."""
+    if not model.trained:
+        raise ContractViolation("model is not trained")
+    parts = max(1, -(-n // PREDICT_WINDOWS))
+    return np.concatenate([forward(slice(k * n // parts, (k + 1) * n // parts))
+                           for k in range(parts)], axis=-2)
 
 
 def fit(model, loss_and_grads, n, cfg, rng):

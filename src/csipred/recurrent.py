@@ -15,19 +15,16 @@ from .config import DEFAULTS
 from .datapipe import SupervisedWindowSet
 from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
-# perfbench/tracing.py patches it under this module's name.
-from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
-                      batch_rows, encode_params, flatten, generators,
-                      huber_grad, huber_loss, init_params, init_uniform, mT,
-                      sigmoid, unflatten)
+# perfbench/tracing.py patches it under this module's name, and
+# PREDICT_WINDOWS because callers of `predict_batch` read it from here.
+from .numcore import (GRAD_CLIP_NORM, PREDICT_WINDOWS, clip_grad_norm,  # noqa: F401
+                      batch_rows, check_windows, encode_params, fit, flatten,
+                      generators, huber_grad, huber_loss, init_params,
+                      init_uniform, mT, predict_in_parts, sigmoid, unflatten)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
 FORMAT = "csipred-recurrent-v3"
-# `predict_batch` runs the forward pass over at most this many windows at a
-# time. At the paper shape (H=200, L=3) one pass over a 1,928-window split
-# peaked at 2.5 GB of RSS.
-PREDICT_WINDOWS = 256
 
 
 @dataclass
@@ -464,12 +461,7 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
     A stacked model trains on stacked windows (`datapipe.stack_windows`) with
     a list of seeds, one generator per stream, and returns a history per stream.
     """
-    if len(data) == 0:
-        raise ContractViolation("empty training dataset")
-    if data.d != model.d or data.D != model.D:
-        raise ContractViolation(
-            f"window shape (d={data.d}, D={data.D}) does not match model "
-            f"(d={model.d}, D={model.D})")
+    check_windows(data, model.d, model.D)
     rng = generators(seed)
 
     def batch_loss(idx):
@@ -481,20 +473,7 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
 
 
 def predict_batch(model: RecurrentModel, X):
-    """Forecasts (N, D) for windows X (N, d), or (F, N, D) for a stack.
-
-    Runs the forward pass in ceil(N / PREDICT_WINDOWS) equal parts of the
-    windows, so that memory grows with PREDICT_WINDOWS and not with N. Each
-    part has over 128 rows: with OpenBLAS 0.3.31 (AVX-512) at H=200, rnn and
-    lstm parts of 60 rows or more gave the bytes of one pass, and parts of
-    25-32 rows did not, as the BLAS picks another kernel for small GEMMs.
-    """
-    if not model.trained:
-        raise ContractViolation("model is not trained")
+    """Forecasts (N, D) for windows X (N, d), or (F, N, D) for a stack."""
     X = np.asarray(X, dtype=float)
-    if X.ndim < 2 or X.shape[-2] <= PREDICT_WINDOWS:
-        return model.forward(X, backward=False)[0]
-    parts = np.array_split(X, -(-X.shape[-2] // PREDICT_WINDOWS), axis=-2)
-    return np.concatenate([model.forward(x, backward=False)[0] for x in parts],
-                          axis=-2)
-
+    return predict_in_parts(model, lambda s: model.forward(
+        X[..., s, :], backward=False)[0], X.shape[-2])

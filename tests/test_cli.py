@@ -211,6 +211,21 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_creates_the_directory_of_its_out_file(self, tmp_path):
+        out = tmp_path / "no" / "dir" / "chan.csv"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        from csipred.datapipe import load_csi
+
+        assert load_csi(out).length == 600
+
+    def test_overflowing_phase_creates_no_directory(self, tmp_path):
+        cfg = write_config(tmp_path, {"carrier_hz": "1e308", "speed_kmph": "1e308"})
+        out = tmp_path / "no" / "chan.csv"
+        rc, _ = _run_quietly(["gen-data", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert not out.parent.exists()
+
 
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):

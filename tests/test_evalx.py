@@ -65,6 +65,9 @@ class TestNmse:
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
             nmse(np.zeros((2, 3), dtype=complex), np.zeros((2, 2), dtype=complex))
+        with pytest.raises(ContractViolation, match="shape mismatch"):
+            cosine_similarity(np.ones((2, 3), dtype=complex),
+                              np.ones((2, 2), dtype=complex))
 
     def test_one_dimensional_input_is_one_window(self):
         h = np.array([1.0 + 1j, 2.0 - 1j])

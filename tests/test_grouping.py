@@ -430,6 +430,30 @@ class TestJobs:
             _assert_no_children()
         assert outputs[2] == outputs[1] == outputs[0]
 
+    def test_hybrid_on_a_bilstm_stage_round_trips(self, tmp_path, monkeypatch):
+        """`hybrid_source=bilstm`: train, evaluate and predict exit 0, stage 1
+        of every entry is a bilstm, and the outputs do not depend on jobs."""
+        extra = {"model": "hybrid", "hybrid_source": "bilstm"}
+        cfg = resolve_config({**TOY, **extra})
+        monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                            4 * experiment.stream_bytes(cfg, "hybrid"))
+        code, run = _run(tmp_path, "run", extra)
+        assert code == 0
+        entries = json.loads((run / "checkpoint.json").read_text())["features"]
+        assert len(entries) == 10
+        for entry in entries.values():
+            assert entry["model"]["rnn"]["arch"] == "bilstm"
+            assert entry["model"]["provenance"]["rnn_config"]["arch"] == "bilstm"
+        outputs = []
+        for jobs in (1, 2):
+            _jobs(monkeypatch, jobs)
+            codes, out = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [0, 0]
+            outputs.append([(out / f).read_bytes() for f in (
+                "metrics/metrics.csv", "metrics/metrics.json", "pred.csv")])
+            _assert_no_children()
+        assert outputs[1] == outputs[0]
+
     def test_a_prediction_worker_that_dies_exits_4(self, tmp_path, monkeypatch,
                                                    capsys):
         self.three_groups(monkeypatch, "rnn")

@@ -45,6 +45,11 @@ def built():
 
 
 class TestBuild:
+    def test_additive_config_of_other_windows_is_refused(self):
+        with pytest.raises(ContractViolation, match="window shape"):
+            build_hybrid(make_splits(n=200), small_rnn(),
+                         NpConfig(d=6, D=4, epochs=1), seed=0)
+
     def test_stage_outputs(self, built):
         splits, model, rnn_hist, np_hist, regressors = built
         assert model.rnn.trained and model.np_model.trained

@@ -1,6 +1,6 @@
 """What a training step and a prediction keep alive: a batch's gradients and
-a layer's scan caches go once they are used, and prediction memory depends
-on PREDICT_WINDOWS, not on the number of windows."""
+a layer's scan caches go once they are used, and prediction memory of every
+model family depends on PREDICT_WINDOWS, not on the number of windows."""
 import tracemalloc
 import weakref
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csipred import recurrent
+from csipred.nprophet import NpConfig, NpModel, np_predict_batch
 from csipred.numcore import fit
 from csipred.recurrent import (PREDICT_WINDOWS, RecurrentModel, TrainConfig,
                                predict_batch)
@@ -116,6 +117,51 @@ def test_prediction_peak_does_not_grow_with_the_windows():
         tracemalloc.start()
         try:
             predict_batch(model, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def _trained_np_model():
+    """An additive model of the default config with every parameter drawn,
+    so that each component adds to the forecast."""
+    model = NpModel(NpConfig(), seed=3, t0=0.0, t_span=5000.0)
+    rng = np.random.default_rng(10)
+    for value in model.params.values():
+        value[...] = 0.1 * rng.normal(size=value.shape)
+    model.trained = True
+    return model
+
+
+@pytest.mark.parametrize("n,parts", [(PREDICT_WINDOWS + 1, 2), (600, 3)])
+def test_additive_prediction_in_parts_equals_one_pass(n, parts):
+    model = _trained_np_model()
+    rng = np.random.default_rng(11)
+    t, X = np.arange(n) + 48.0, rng.normal(size=(n, model.cfg.d))
+    sizes = []
+
+    def forward(t_origins, lags, regressors=None):
+        sizes.append(len(lags))
+        return NpModel.forward(model, t_origins, lags, regressors)
+
+    model.forward = forward
+    y = np_predict_batch(model, t, X)
+    assert len(sizes) == parts and sum(sizes) == n
+    assert max(sizes) - min(sizes) <= 1
+    whole, _ = NpModel.forward(model, t, X)
+    assert y.tobytes() == whole.tobytes()
+
+
+def test_additive_prediction_peak_does_not_grow_with_the_windows():
+    model = _trained_np_model()
+    rng = np.random.default_rng(12)
+    peaks = []
+    for n in (PREDICT_WINDOWS, 2000):
+        t, X = np.arange(n) + 48.0, rng.normal(size=(n, model.cfg.d))
+        tracemalloc.start()
+        try:
+            np_predict_batch(model, t, X)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -133,6 +133,9 @@ class TestAdam:
         p = np.zeros(3)
         with pytest.raises(ContractViolation):
             adam_update(p, np.zeros(4), AdamState.for_param(p), 0.01)
+        for lr in (0.0, -0.01):
+            with pytest.raises(ContractViolation, match="learning rate"):
+                adam_update(p, np.zeros(3), AdamState.for_param(p), lr)
 
     def test_flat_step_is_bit_equal_to_adam_update_per_array(self):
         rng = np.random.default_rng(3)

@@ -97,6 +97,8 @@ class TestLstmCell:
         w = random_lstm_weights(rng, 2, 3)
         with pytest.raises(ContractViolation):
             lstm_cell_forward([1.0], LstmState(np.zeros(2), np.zeros(2)), w)
+        with pytest.raises(ContractViolation, match="rnn_cell_forward"):
+            rnn_cell_forward([1.0], np.zeros(2), w["Wf"], w["Vf"], w["bf"])
 
     def test_state_boundedness(self):
         rng = np.random.default_rng(5)
@@ -180,6 +182,8 @@ class TestBilstm:
         with pytest.raises(ContractViolation):
             bilstm_forward(np.zeros((1, 0, 1)), stacked(w), stacked(w),
                            "hadamard")
+        with pytest.raises(ContractViolation, match="combine mode 'sum'"):
+            bilstm_forward(np.zeros((1, 2, 1)), stacked(w), stacked(w), "sum")
 
 
 class TestStackedScans:
@@ -477,6 +481,10 @@ class TestTraining:
 
 
 class TestPredict:
+    def test_unknown_architecture(self):
+        with pytest.raises(ContractViolation, match="architecture 'gru'"):
+            RecurrentModel("gru", 8, 4)
+
     def test_untrained_raises(self):
         model = RecurrentModel("rnn", 8, 4, hidden_size=4, layers=1, seed=0)
         with pytest.raises(ContractViolation):

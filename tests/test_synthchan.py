@@ -70,6 +70,8 @@ class TestFading:
         cfg = FadingConfig(path_count=4, sample_count=10)
         with pytest.raises(ContractViolation):
             generate_fading(cfg, angles=[0.0])
+        with pytest.raises(ContractViolation, match="phases"):
+            generate_fading(cfg, phases=[0.0] * 3)
 
 
 class TestAr:
