@@ -3,13 +3,26 @@
 CSV contract (bit-exact): header ``t,antenna,re,im``, one row per
 (sample index, antenna), UTF-8, LF line endings. Sample indices per antenna
 must cover one contiguous range (gaps are repaired by `clean` up to a limit).
+
+Parse cache: `load_csi` keeps what it parsed from ``<name>.csv`` in a sidecar
+``<name>.csv.csipred-cache.npz`` in the same directory. Its key is the sha256
+of the CSV's bytes, a cache-format tag and the numpy version, so a later load
+of the same bytes reads the sidecar instead of parsing them again, and an
+edited file misses. A sidecar is written after each parse that succeeds, by
+a rename from a temporary file; one that is missing, unreadable, keyed to
+other bytes or fails its own checks is ignored and rewritten, and a directory
+that cannot be written to gets none. Deleting a sidecar is always safe.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
+import os
 import re
+import stat
+import zipfile
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -26,6 +39,9 @@ _CSV_ROW = np.dtype([("t", np.int64), ("antenna", np.int64),
                      ("re", np.float64), ("im", np.float64)])
 _NEWLINE = re.compile(rb"\r\n|\r|\n")  # the line ends the CSV reader splits on
 _CR_BLANK = re.compile(rb"(?<![^\n\r])\r")  # a CR that starts a line
+CACHE_SUFFIX = ".csipred-cache.npz"
+# Bumped whenever the parse or the sidecar layout changes.
+_CACHE_FORMAT = "csipred-csi-cache-v1"
 # The default train/validation/test split fractions.
 FRACTIONS = tuple(DEFAULTS[f"{name}_frac"] for name in ("train", "val", "test"))
 
@@ -134,8 +150,31 @@ def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
     `duplicate_rows` in file order; a duplicate with other values is an error.
     Every antenna must cover the same first and last index; missing samples
     in between become NaN. Each `ParseError` names the file and the line.
+
+    The file is read once. A regular file's parse comes from its sidecar
+    when that holds the parse of these bytes, and is stored there otherwise
+    (see the module docstring).
     """
-    rows = _read_rows(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    key = (f"{_CACHE_FORMAT} numpy-{np.__version__} "
+           f"sha256-{hashlib.sha256(raw).hexdigest()}")
+    sidecar = f"{os.fspath(path)}{CACHE_SUFFIX}"
+    parsed = _read_sidecar(sidecar, key) if regular else None
+    if parsed is None:
+        parsed = _parse(path, raw)
+        if regular:
+            _write_sidecar(sidecar, key, *parsed)
+    start, values, duplicates = parsed
+    return CsiSeries(sample_interval=sample_interval, start_index=start,
+                     values=values, duplicate_rows=duplicates)
+
+
+def _parse(path, raw):
+    """(start index, values, duplicate rows) of the CSV bytes `raw` read from
+    `path`, which the error messages name."""
+    rows = _read_rows(path, raw)
     t, ant, re_, im = rows["t"], rows["antenna"], rows["re"], rows["im"]
     # Rows sorted by (antenna, t); the stable sort keeps repeats in file order.
     order = np.lexsort((t, ant))
@@ -154,7 +193,7 @@ def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
         col = next((c for c, v in (("re", re_), ("im", im))
                     if not np.isfinite(v[row])), None)
         raise ParseError(
-            f"{path}: line {_data_line(path, row)}: " + (
+            f"{path}: line {_data_line(raw, row)}: " + (
                 f"non-finite value in column {col!r}" if col else
                 f"conflicting duplicate for t={t[row]}, antenna={ant[row]}"))
     duplicates = list(zip(ant[repeat].tolist(), t[repeat].tolist()))
@@ -176,18 +215,69 @@ def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
     kept = order[first]
     values.real[ant_row, u_t - t_min] = re_[kept]
     values.imag[ant_row, u_t - t_min] = im[kept]
-    return CsiSeries(sample_interval=sample_interval, start_index=t_min,
-                     values=values, duplicate_rows=duplicates)
+    return t_min, values, duplicates
 
 
-def _read_rows(path):
-    """Check the header and parse every data line in one `np.loadtxt` call.
+def _cache_digest(*arrays):
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _read_sidecar(sidecar, key):
+    """The (start index, values, duplicate rows) that `sidecar` stores for
+    `key`; None if it is missing, unreadable, keyed otherwise or fails its
+    dtype, shape or digest checks."""
+    try:
+        with (open(sidecar, "rb") as fh,
+              np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz):
+            if str(npz["key"]) != key:
+                return None
+            start, values, dups = npz["start"], npz["values"], npz["duplicates"]
+            digest = str(npz["digest"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if (start.dtype != np.int64 or start.shape != ()
+            or values.dtype != np.complex128 or values.ndim != 2
+            or dups.dtype != np.int64 or dups.ndim != 2 or dups.shape[1] != 2
+            or digest != _cache_digest(start, values, dups)):
+        return None
+    return int(start), values, list(map(tuple, dups.tolist()))
+
+
+def _write_sidecar(sidecar, key, start, values, duplicates):
+    """Store a parse in `sidecar` by a rename from a temporary file beside it.
+    Where that cannot be written, nothing is stored and nothing is said: the
+    sidecar only saves a parse."""
+    arrays = {"start": np.array(start, dtype=np.int64), "values": values,
+              "duplicates": np.array(duplicates, dtype=np.int64).reshape(-1, 2)}
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except OSError:  # a directory that cannot be written, or a stale name
+        return
+    try:
+        with fh:
+            np.savez(fh, key=np.array(key),
+                     digest=np.array(_cache_digest(*arrays.values())), **arrays)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _read_rows(path, raw):
+    """Check the header of the CSV bytes `raw` and parse every data line in
+    one `np.loadtxt` call.
 
     Returns the rows as a structured array.
     """
-    with open(path, "rb") as fh:
-        header = fh.readline(len(CSV_HEADER) + 2)
-        data = fh.read()
+    fh = io.BytesIO(raw)
+    header = fh.readline(len(CSV_HEADER) + 2)
+    data = fh.read()
     if header.rstrip(b"\n") != CSV_HEADER.encode():
         header = header.decode("utf-8", "replace").rstrip("\n")
         raise ParseError(f"{path}: bad header {header!r}")
@@ -247,10 +337,10 @@ def _line_at(data, pos):
     return len(_NEWLINE.split(data[:pos])) + 1
 
 
-def _data_line(path, row):
-    """File line number of data row `row`; blank lines hold no row."""
-    with open(path, "rb") as fh:
-        lines = _NEWLINE.split(fh.read())
+def _data_line(raw, row):
+    """Line number of data row `row` in the file bytes `raw`; blank lines
+    hold no row."""
+    lines = _NEWLINE.split(raw)
     return [ln for ln, text in enumerate(lines[1:], start=2) if text][row]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
-from .numcore import unstack
+from .numcore import check_windows, unstack
 from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
                        np_train)
 from .recurrent import RecurrentModel, predict_batch, train_recurrent
@@ -62,11 +62,13 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     parts of at most `numcore.PREDICT_WINDOWS` windows, so that inference
     memory grows neither with the group nor with the split. Each stage
     refuses training windows of another shape than its own: `np_cfg` must
-    name their d and D, as `rnn_model` does.
+    name their d and D, as `rnn_model` does. The additive config is checked
+    before stage 1 trains, so a mismatch costs no training.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")
     train = splits["train"]
+    check_windows(train, np_cfg.d, np_cfg.D)
     rnn_history = train_recurrent(rnn_model, train, seed=seed)
     stacked = isinstance(seed, list)
     stage1 = unstack(rnn_model)

@@ -341,4 +341,4 @@ def np_predict_batch(model: NpModel, t_origins, X, regressors=None):
     t, X = np.asarray(t_origins, dtype=float), np.asarray(X, dtype=float)
     return predict_in_parts(model, lambda s: model.forward(
         t[..., s], X[..., s, :],
-        None if regressors is None else regressors[..., s, :])[0], X.shape[-2])
+        None if regressors is None else regressors[..., s, :])[0], X)

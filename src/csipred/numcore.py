@@ -244,13 +244,18 @@ def check_windows(data, d, D):
                                 f"not match the model (d={d}, D={D})")
 
 
-def predict_in_parts(model, forward, n):
+def predict_in_parts(model, forward, X):
     """A trained `model`'s `forward(s)` over ceil(n / PREDICT_WINDOWS) equal
-    slices s of n windows, joined on axis -2; for n > 256, parts of over 128.
-    At H=200 (OpenBLAS 0.3.31, AVX-512) rnn and lstm parts of 60 rows or more
-    gave the bytes of one pass, and parts of 25-32 rows did not."""
+    slices s of the n windows of X (..., n, d), joined on axis -2; for
+    n > 256, parts of over 128. At H=200 (OpenBLAS 0.3.31, AVX-512) rnn and
+    lstm parts of 60 rows or more gave the bytes of one pass, and parts of
+    25-32 rows did not."""
     if not model.trained:
         raise ContractViolation("model is not trained")
+    if X.ndim < 2:
+        raise ContractViolation(
+            f"expected lag windows of shape (..., N, d), got {X.shape}")
+    n = X.shape[-2]
     parts = max(1, -(-n // PREDICT_WINDOWS))
     return np.concatenate([forward(slice(k * n // parts, (k + 1) * n // parts))
                            for k in range(parts)], axis=-2)

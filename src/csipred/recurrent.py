@@ -476,4 +476,4 @@ def predict_batch(model: RecurrentModel, X):
     """Forecasts (N, D) for windows X (N, d), or (F, N, D) for a stack."""
     X = np.asarray(X, dtype=float)
     return predict_in_parts(model, lambda s: model.forward(
-        X[..., s, :], backward=False)[0], X.shape[-2])
+        X[..., s, :], backward=False)[0], X)

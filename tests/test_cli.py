@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import signal
 import warnings
 
@@ -963,6 +964,58 @@ class TestPrepareOnce:
         assert main([command, "--checkpoint", str(run / "checkpoint.json"),
                      "--out", str(tmp_path / out)]) == 0
         assert prepares[0] - before == 1
+
+
+class TestParseCache:
+    def test_outputs_do_not_depend_on_the_sidecar(self, tmp_path):
+        """`train`, `evaluate` and `predict` write the same bytes and stderr
+        lines with the CSV's sidecar absent, present, or not writable."""
+        data = tmp_path / "data" / "chan.csv"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)),
+                     "--out", str(data)]) == 0
+        sidecar = data.parent / f"chan.csv{datapipe.CACHE_SUFFIX}"
+        run = tmp_path / "run"
+        ckpt = run / "checkpoint.json"
+        commands = [
+            ["train", "--config", str(write_config(tmp_path, {"dataset": data})),
+             "--out", str(run)],
+            ["evaluate", "--checkpoint", str(ckpt), "--out", str(run / "eval")],
+            ["predict", "--checkpoint", str(ckpt), "--out", str(run / "pred.csv")]]
+
+        def outputs(before_each):
+            shutil.rmtree(run, ignore_errors=True)
+            errs = []
+            for argv in commands:
+                before_each()
+                rc, err = _run_quietly(argv)
+                assert rc == 0
+                errs.append(err.splitlines())
+            return errs, {p.relative_to(run): p.read_bytes()
+                          for p in sorted(run.rglob("*")) if p.is_file()}
+
+        def cold():
+            if sidecar.is_file():
+                sidecar.unlink()
+
+        def warm():
+            assert sidecar.is_file()
+
+        def blocked():  # a directory where the sidecar would go
+            cold()
+            sidecar.mkdir(exist_ok=True)
+
+        expected = outputs(cold)
+        assert len(expected[1]) == 6
+        assert outputs(warm) == expected
+        assert outputs(blocked) == expected
+        sidecar.rmdir()
+        if os.geteuid() != 0:  # root writes into a read-only directory
+            data.parent.chmod(0o555)
+            try:
+                assert outputs(lambda: None) == expected
+            finally:
+                data.parent.chmod(0o755)
+        assert sorted(p.name for p in data.parent.iterdir()) == ["chan.csv"]
 
 
 class TestFlags:

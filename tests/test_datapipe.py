@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from csipred.datapipe import (CsiSeries, Scaler, clean, complex_to_features,
+from csipred import datapipe
+from csipred.datapipe import (CACHE_SUFFIX, CsiSeries, Scaler, clean,
+                              complex_to_features,
                               fit_scaler, load_csi, make_windows,
                               prepare_dataset, recombine_features, save_csi,
                               split_chronological, write_text)
@@ -250,6 +254,136 @@ class TestLoadErrors:
                 "0,1,1.0,2.0\n")  # antenna 1 stops at t=0
         with pytest.raises(ParseError):
             load_csi(self.write(tmp_path, text))
+
+
+class TestParseCache:
+    # Antenna 0 misses t=1 and t=3; each antenna has an exact duplicate.
+    TEXT = ("t,antenna,re,im\n"
+            "0,0,1.0,2.0\n2,0,-0.0,0.5\n0,0,1.0,2.0\n4,0,1e-300,3.0\n"
+            "0,1,3.0,4.0\n1,1,5.0,6.0\n2,1,7.0,8.0\n3,1,1.5,2.5\n"
+            "4,1,9.0,0.0\n2,1,7.0,8.0\n")
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths `load_csi` has parsed so far, not read from a sidecar."""
+        calls = []
+        parse = datapipe._parse
+
+        def counted(path, raw):
+            calls.append(path)
+            return parse(path, raw)
+
+        monkeypatch.setattr(datapipe, "_parse", counted)
+        return calls
+
+    def write(self, tmp_path, text=TEXT):
+        path = tmp_path / "chan.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return path, tmp_path / f"chan.csv{CACHE_SUFFIX}"
+
+    def assert_same(self, a, b):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.values.shape == b.values.shape
+        assert a.start_index == b.start_index
+        assert a.duplicate_rows == b.duplicate_rows
+
+    def test_hit_equals_a_fresh_parse(self, tmp_path, parses):
+        path, sidecar = self.write(tmp_path)
+        fresh = load_csi(path)
+        assert sidecar.exists() and len(parses) == 1
+        hit = load_csi(path, sample_interval=0.25)
+        assert len(parses) == 1
+        self.assert_same(hit, fresh)
+        assert hit.duplicate_rows == [(0, 0), (1, 2)]
+        assert np.isnan(hit.values[0, [1, 3]].real).all()
+        assert hit.sample_interval == 0.25
+        start, values, duplicates = reference_load_csi(path)
+        assert (hit.start_index, hit.values.tobytes(), hit.duplicate_rows) == (
+            start, values.tobytes(), duplicates)
+
+    def test_same_size_edit_misses(self, tmp_path, parses):
+        path, _ = self.write(tmp_path)
+        before = load_csi(path)
+        stat = path.stat()
+        self.write(tmp_path, self.TEXT.replace("3,1,1.5,2.5", "3,1,1.5,2.0"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = load_csi(path)
+        assert len(parses) == 2
+        assert after.values[1, 3] == 1.5 + 2.0j != before.values[1, 3]
+
+    def _truncate(sidecar):
+        sidecar.write_bytes(sidecar.read_bytes()[:200])
+
+    def _flip_a_value_byte(sidecar):
+        with np.load(sidecar, allow_pickle=False) as npz:
+            stored = npz["values"].tobytes()
+        data = bytearray(sidecar.read_bytes())
+        data[data.index(stored) + 5] ^= 0x01  # members are stored uncompressed
+        sidecar.write_bytes(bytes(data))
+
+    def _tamper_values(sidecar):
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        arrays["values"] = arrays["values"] * 2
+        np.savez(sidecar, **arrays)
+
+    def _wrong_dtype(sidecar):
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        arrays["values"] = arrays["values"].astype(np.complex64)
+        arrays["digest"] = np.array(datapipe._cache_digest(
+            arrays["start"], arrays["values"], arrays["duplicates"]))
+        np.savez(sidecar, **arrays)
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_a_value_byte,
+                                        _tamper_values, _wrong_dtype])
+    def test_damaged_sidecar_is_ignored_and_rewritten(self, tmp_path, parses,
+                                                       damage):
+        path, sidecar = self.write(tmp_path)
+        fresh = load_csi(path)
+        damage(sidecar)
+        self.assert_same(load_csi(path), fresh)
+        assert len(parses) == 2
+        self.assert_same(load_csi(path), fresh)
+        assert len(parses) == 2  # the rewritten sidecar was read
+
+    def test_parse_error_writes_no_sidecar(self, tmp_path, parses):
+        path, _ = self.write(tmp_path, self.TEXT + "2,1,7.0,8.5\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                load_csi(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            f"{path}: line 12: conflicting duplicate for t=2, antenna=1")
+        assert len(parses) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.csv"]
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root writes into a read-only directory")
+    def test_read_only_directory_loads_and_writes_nothing(self, tmp_path, parses):
+        path, sidecar = self.write(tmp_path)
+        fresh = load_csi(path)
+        sidecar.unlink()
+        tmp_path.chmod(0o555)
+        try:
+            self.assert_same(load_csi(path), fresh)
+            self.assert_same(load_csi(path), fresh)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.csv"]
+        finally:
+            tmp_path.chmod(0o755)
+        assert len(parses) == 3
+
+    def test_sidecar_that_cannot_be_replaced_is_skipped(self, tmp_path, parses):
+        path, sidecar = self.write(tmp_path)
+        fresh = load_csi(path)
+        sidecar.unlink()
+        sidecar.mkdir()
+        self.assert_same(load_csi(path), fresh)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chan.csv", sidecar.name]
+        assert sidecar.is_dir() and len(parses) == 2
 
 
 class TestClean:

@@ -50,6 +50,15 @@ class TestBuild:
             build_hybrid(make_splits(n=200), small_rnn(),
                          NpConfig(d=6, D=4, epochs=1), seed=0)
 
+    def test_additive_config_is_refused_before_stage_1_trains(self):
+        rnn = small_rnn()
+        with pytest.raises(ContractViolation, match=(
+                r"window shape \(d=8, D=4\) does not match the model "
+                r"\(d=6, D=4\)")):
+            build_hybrid(make_splits(n=200), rnn, NpConfig(d=6, D=4, epochs=1),
+                         seed=0)
+        assert not rnn.trained
+
     def test_stage_outputs(self, built):
         splits, model, rnn_hist, np_hist, regressors = built
         assert model.rnn.trained and model.np_model.trained

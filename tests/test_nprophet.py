@@ -385,6 +385,11 @@ class TestForecastAndCheckpoint:
         with pytest.raises(ContractViolation):
             np_predict_batch(model, np.zeros(1), np.zeros((1, 5)))
 
+    def test_one_dimensional_windows_refused(self):
+        model, _ = self._trained()
+        with pytest.raises(ContractViolation, match=r"got \(6,\)"):
+            np_predict_batch(model, np.zeros(1), np.zeros(6))
+
     def test_round_trip_bit_identical(self):
         model, w = self._trained()
         payload = json.loads(json.dumps(model.to_dict()))

@@ -508,6 +508,14 @@ class TestPredict:
         with pytest.raises(ContractViolation):
             predict_batch(model, np.zeros((1, 5)))
 
+    def test_one_dimensional_windows_refused(self):
+        wtr, _ = _sinusoid_windows(n=400, d=8, D=4)
+        model = RecurrentModel("rnn", 8, 4, hidden_size=4, layers=1,
+                               config=TrainConfig(epochs=1), seed=0)
+        train_recurrent(model, wtr, seed=0)
+        with pytest.raises(ContractViolation, match=r"got \(8,\)"):
+            predict_batch(model, np.zeros(8))
+
 
 class TestInferenceMemory:
     @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
