@@ -205,6 +205,10 @@ def format_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_digest(obj) -> str:
+    """sha256 hex digest of `obj` as JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def config_digest(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    return json_digest(cfg)[:16]

@@ -1,8 +1,9 @@
 """Dataset ingestion, cleaning, normalization, splitting, and window building.
 
 CSV contract (bit-exact): header ``t,antenna,re,im``, one row per
-(sample index, antenna), UTF-8, LF line endings. Sample indices per antenna
-must cover one contiguous range (gaps are repaired by `clean` up to a limit).
+(sample index, antenna), UTF-8. Every line, the header included, ends in LF,
+CRLF or CR, and an empty line is skipped. Sample indices per antenna must
+cover one contiguous range (gaps are repaired by `clean` up to a limit).
 
 Parse cache: `load_csi` keeps what it parsed from ``<name>.csv`` in a sidecar
 ``<name>.csv.csipred-cache.npz`` in the same directory. Its key is the sha256
@@ -38,10 +39,10 @@ CSV_HEADER = "t,antenna,re,im"
 _CSV_ROW = np.dtype([("t", np.int64), ("antenna", np.int64),
                      ("re", np.float64), ("im", np.float64)])
 _NEWLINE = re.compile(rb"\r\n|\r|\n")  # the line ends the CSV reader splits on
-_CR_BLANK = re.compile(rb"(?<![^\n\r])\r")  # a CR that starts a line
 CACHE_SUFFIX = ".csipred-cache.npz"
-# Bumped whenever the parse or the sidecar layout changes.
-_CACHE_FORMAT = "csipred-csi-cache-v1"
+# Bumped whenever the parse or the sidecar layout changes; v1 refused a CR
+# or CRLF header and a blank CR or CRLF line.
+_CACHE_FORMAT = "csipred-csi-cache-v2"
 # The default train/validation/test split fractions.
 FRACTIONS = tuple(DEFAULTS[f"{name}_frac"] for name in ("train", "val", "test"))
 
@@ -74,18 +75,12 @@ class CleaningReport:
     duplicates_collapsed: int = 0
     samples_interpolated: int = 0
 
-    @property
-    def empty(self) -> bool:
-        return self.duplicates_collapsed == 0 and self.samples_interpolated == 0
-
 
 @dataclass
 class FeatureSeries:
     """One real-valued stream: a single antenna's real or imaginary part."""
 
     feature_id: str
-    antenna: int
-    part: str  # "re" or "im"
     values: np.ndarray
     start_index: int
 
@@ -142,10 +137,11 @@ def stack_windows(sets) -> SupervisedWindowSet:
 def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
     """Parse the CSI CSV format into a (possibly gap-containing) series.
 
-    Lines end in LF, CR or CRLF. A line that is empty before its LF is
-    skipped; any other line must hold four comma-separated fields that
-    Python's `int` (t, antenna) and `float` (re, im) accept, with finite
-    values, and t and antenna must fit in int64. There is no comment syntax.
+    Every line, the header included, ends in LF, CRLF or CR, and an empty
+    line is skipped whatever its end. Any other line after the header must
+    hold four comma-separated fields that Python's `int` (t, antenna) and
+    `float` (re, im) accept, with finite values, and t and antenna must fit
+    in int64. There is no comment syntax.
     Exact duplicates of a (t, antenna) row are collapsed and recorded in
     `duplicate_rows` in file order; a duplicate with other values is an error.
     Every antenna must cover the same first and last index; missing samples
@@ -275,11 +271,9 @@ def _read_rows(path, raw):
 
     Returns the rows as a structured array.
     """
-    fh = io.BytesIO(raw)
-    header = fh.readline(len(CSV_HEADER) + 2)
-    data = fh.read()
-    if header.rstrip(b"\n") != CSV_HEADER.encode():
-        header = header.decode("utf-8", "replace").rstrip("\n")
+    header, data = (_NEWLINE.split(raw, 1) + [b""])[:2]
+    if header != CSV_HEADER.encode():
+        header = header[:len(CSV_HEADER) + 2].decode("utf-8", "replace")
         raise ParseError(f"{path}: bad header {header!r}")
     _check_lines(path, data)
     if data.isascii() and b"_" not in data:
@@ -306,19 +300,13 @@ def _read_rows(path, raw):
 
 def _check_lines(path, data):
     """Reject the lines np.loadtxt accepts and Python's int/float do not."""
-    # A line empty before a CR or CRLF end: loadtxt skips it, Python splits
-    # it into one field.
-    cr_blank = _CR_BLANK.search(data) if b"\r" in data else None
-    if cr_blank:
-        raise ParseError(f"{path}: line {_line_at(data, cr_blank.start())}: "
-                         "expected 4 fields")
     # U+001C..U+001F: whitespace to loadtxt, not to Python.
     control = min((i for i in map(data.find, (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
                    if i >= 0), default=None)
     if control is not None:
         raise ParseError(f"{path}: line {_line_at(data, control)}: control "
                          f"character U+{data[control]:04X} in a field")
-    if re.fullmatch(rb"\n*", data):
+    if re.fullmatch(rb"[\r\n]*", data):
         raise ParseError(f"{path}: no data rows")
 
 
@@ -420,20 +408,11 @@ def complex_to_features(series: CsiSeries):
     feats = []
     for ant in range(series.antenna_count):
         row = series.values[ant]
-        feats.append(FeatureSeries(f"ant{ant}_re", ant, "re",
-                                   row.real.copy(), series.start_index))
-        feats.append(FeatureSeries(f"ant{ant}_im", ant, "im",
-                                   row.imag.copy(), series.start_index))
+        feats.append(FeatureSeries(f"ant{ant}_re", row.real.copy(),
+                                   series.start_index))
+        feats.append(FeatureSeries(f"ant{ant}_im", row.imag.copy(),
+                                   series.start_index))
     return feats
-
-
-def recombine_features(features) -> np.ndarray:
-    """Inverse of `complex_to_features` (bijection check)."""
-    by_ant: dict[int, dict[str, np.ndarray]] = {}
-    for f in features:
-        by_ant.setdefault(f.antenna, {})[f.part] = f.values
-    ants = sorted(by_ant)
-    return np.stack([by_ant[a]["re"] + 1j * by_ant[a]["im"] for a in ants])
 
 
 def fit_scaler(train_values) -> Scaler:

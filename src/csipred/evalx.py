@@ -1,6 +1,8 @@
 """Evaluation metrics over complex channel vectors, reports, and grid search."""
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -84,7 +86,10 @@ class MetricReport:
     CSV_HEADER = ",".join(name for name, _ in _FIELDS)
 
     def csv_row(self) -> str:
-        return ",".join(map(str, self.to_json_dict().values()))
+        """The report's fields as one CSV line, quoted where a field needs it."""
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(self.to_json_dict().values())
+        return line.getvalue()
 
     def to_json_dict(self):
         return {name: getattr(self, attr) for name, attr in self._FIELDS}
@@ -164,6 +169,6 @@ def write_trials(trials, path):
     for tr in trials:
         row = [repr(tr["config"].get(a, "")) for a in axes]
         row += [tr["status"], str(tr.get("nmse", "")), str(tr.get("param_count", "")),
-                '"' + tr.get("error", "").replace('"', "'") + '"']
+                '"' + tr.get("error", "").replace('"', '""') + '"']
         lines.append(",".join(row) + "\n")
     write_text(path, lines)

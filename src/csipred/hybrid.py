@@ -8,21 +8,16 @@ known-future regressor, so it learns to correct the recurrent output.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import json_digest
 from .errors import ContractViolation
 from .numcore import check_windows, unstack
 from .nprophet import (NpConfig, NpModel, config_dict, np_predict_batch,
                        np_train)
 from .recurrent import RecurrentModel, predict_batch, train_recurrent
-
-
-def _digest(payload) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _weights_digest(params) -> str:
@@ -98,7 +93,7 @@ def make_provenance(seed, dataset_digest, rnn_model, np_cfg):
         "np_config": config_dict(np_cfg),
         "rnn_weights_digest": _weights_digest(rnn_model.params),
     }
-    out["digest"] = _digest(out)
+    out["digest"] = json_digest(out)
     return out
 
 

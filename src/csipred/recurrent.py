@@ -15,9 +15,8 @@ from .config import DEFAULTS
 from .datapipe import SupervisedWindowSet
 from .errors import ContractViolation
 # `fit` does the clipping; `clip_grad_norm` stays bound here because
-# perfbench/tracing.py patches it under this module's name, and
-# PREDICT_WINDOWS because callers of `predict_batch` read it from here.
-from .numcore import (GRAD_CLIP_NORM, PREDICT_WINDOWS, clip_grad_norm,  # noqa: F401
+# perfbench/tracing.py patches it under this module's name.
+from .numcore import (GRAD_CLIP_NORM, clip_grad_norm,  # noqa: F401
                       batch_rows, check_windows, encode_params, fit, flatten,
                       generators, huber_grad, huber_loss, init_params,
                       init_uniform, mT, predict_in_parts, sigmoid, unflatten)

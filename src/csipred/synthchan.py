@@ -1,8 +1,8 @@
 """Synthetic verification data.
 
 A Monte-Carlo sum-of-sinusoids Rayleigh fading generator (random path angles
-and phases, unit mean power) plus deterministic fixtures: lines, sinusoids,
-piecewise lines, and AR processes.
+and phases, unit mean power) plus deterministic fixtures: lines, sinusoids
+and AR processes.
 """
 from __future__ import annotations
 
@@ -110,19 +110,3 @@ def generate_line(slope, offset, n):
 def generate_sinusoid(amplitude, period, n, phase=0.0):
     t = np.arange(n, dtype=float)
     return amplitude * np.sin(2.0 * np.pi * t / period + phase)
-
-
-def generate_piecewise_line(slope_before, slope_after, break_at, offset, n):
-    t = np.arange(n, dtype=float)
-    y = offset + slope_before * t
-    after = t >= break_at
-    y[after] = (offset + slope_before * break_at
-                + slope_after * (t[after] - break_at))
-    return y
-
-
-def real_series_to_csi(values, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
-    """Wrap one real stream as a single-antenna series (imag part zero)."""
-    v = np.asarray(values, dtype=float)
-    return CsiSeries(sample_interval=sample_interval, start_index=0,
-                     values=v[None, :].astype(complex))

@@ -1,6 +1,7 @@
 import argparse
 import base64
 import contextlib
+import csv
 import io
 import json
 import os
@@ -1016,6 +1017,76 @@ class TestParseCache:
             finally:
                 data.parent.chmod(0o755)
         assert sorted(p.name for p in data.parent.iterdir()) == ["chan.csv"]
+
+
+class TestLineEnds:
+    """A CSV with CRLF or CR line ends, the header's included, is the same
+    data as its LF copy."""
+
+    @pytest.fixture(scope="class")
+    def copies(self, tmp_path_factory):
+        """gen-data's LF CSV and its CRLF and CR copies, each `chan.csv` in
+        a sibling directory."""
+        tmp = tmp_path_factory.mktemp("ends")
+        lf = tmp / "lf" / "chan.csv"
+        assert main(["gen-data", "--config", str(write_config(tmp)),
+                     "--out", str(lf)]) == 0
+        text = lf.read_bytes()
+        assert b"\r" not in text
+        for name, end in (("crlf", b"\r\n"), ("cr", b"\r")):
+            (tmp / name).mkdir()
+            (tmp / name / "chan.csv").write_bytes(text.replace(b"\n", end))
+        return {name: tmp / name for name in ("lf", "crlf", "cr")}
+
+    def test_copies_load_to_the_lf_parse(self, copies):
+        lf = datapipe.load_csi(copies["lf"] / "chan.csv")
+        for name in ("crlf", "cr"):
+            series = datapipe.load_csi(copies[name] / "chan.csv")
+            assert series.start_index == lf.start_index
+            assert series.values.tobytes() == lf.values.tobytes()
+            assert series.duplicate_rows == lf.duplicate_rows == []
+
+    @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm", "np", "hybrid"])
+    def test_commands_write_the_same_bytes(self, copies, monkeypatch, model):
+        commands = [
+            ["train", "--config", f"{model}.cfg", "--out", model],
+            ["evaluate", "--checkpoint", f"{model}/checkpoint.json",
+             "--out", f"{model}/eval"],
+            ["predict", "--checkpoint", f"{model}/checkpoint.json",
+             "--out", f"{model}/pred.csv"]]
+        runs = []
+        for name in ("lf", "crlf", "cr"):
+            monkeypatch.chdir(copies[name])
+            write_config(copies[name], {"dataset": "chan.csv", "epochs": "1",
+                                        "model": model}, name=f"{model}.cfg")
+            errs = []
+            for argv in commands:
+                rc, err = _run_quietly(argv)
+                assert rc == 0
+                errs.append(err.splitlines())
+            out = copies[name] / model
+            runs.append((errs, {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}))
+        assert len(runs[0][1]) == 6
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_report_of_a_dataset_path_with_a_comma(tmp_path):
+    """metrics.csv quotes a track that holds a comma, so every row keeps
+    the header's 9 fields."""
+    data = tmp_path / "a,b" / "chan.csv"
+    assert main(["gen-data", "--config", str(write_config(tmp_path)),
+                 "--out", str(data)]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(
+        tmp_path, {"dataset": data, "epochs": "1"})), "--out", str(run)]) == 0
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                 "--out", str(run / "eval")]) == 0
+    with open(run / "eval" / "metrics.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3  # the header, ant0 and all
+    assert all(len(row) == 9 for row in rows)
+    assert [row[1] for row in rows] == ["track", str(data), str(data)]
 
 
 class TestFlags:

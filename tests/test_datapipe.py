@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csipred import datapipe
-from csipred.datapipe import (CACHE_SUFFIX, CsiSeries, Scaler, clean,
-                              complex_to_features,
+from csipred.datapipe import (CACHE_SUFFIX, CleaningReport, CsiSeries, Scaler,
+                              clean, complex_to_features,
                               fit_scaler, load_csi, make_windows,
-                              prepare_dataset, recombine_features, save_csi,
+                              prepare_dataset, save_csi,
                               split_chronological, write_text)
 from csipred.errors import (ContractViolation, DataError, DegenerateScaleError,
                             ParseError, UnrecoverableGapError)
@@ -64,11 +64,11 @@ def reference_load_csi(path):
     per_antenna = {}
     duplicates = []
     with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
+        header = fh.readline().rstrip("\r\n")
         if header != "t,antenna,re,im":
             raise ParseError(f"{path}: bad header {header!r}")
         for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split(",")
@@ -119,6 +119,19 @@ def assert_loads_like_reference(path):
     assert series.duplicate_rows == duplicates
 
 
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def with_line_ends(draw, lines):
+    """`lines` as one text, each line ended by a drawn LF, CRLF or CR; the
+    last line may have no end."""
+    ends = [draw(LINE_ENDS) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
 FIELD_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324])
 
@@ -126,7 +139,8 @@ FIELD_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
 @st.composite
 def csv_texts(draw):
     """A multi-antenna series as CSV text: random start index and antenna
-    ids, NaN gaps, exact duplicates and blank lines, rows in random order."""
+    ids, NaN gaps, exact duplicates and blank lines, rows in random order,
+    every line ended by LF, CRLF or CR."""
     antennas = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=4,
                              unique=True))
     n = draw(st.integers(1, 12))
@@ -144,7 +158,7 @@ def csv_texts(draw):
                     draw(st.sampled_from(rows)))  # exact duplicate
     for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), "")  # blank line
-    return "t,antenna,re,im\n" + "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+    return draw(with_line_ends(["t,antenna,re,im", *rows]))
 
 
 # Pieces whose spelling the two parsers could read differently: Python's
@@ -170,10 +184,10 @@ class TestLoaderMatchesReference:
     @given(st.lists(st.one_of(JUNK, st.sampled_from([
         "0,0,1.0,2.0", "1,0,1.0,2.0", "1,1,-0.0,0.5", "1,1,0.0,0.5",
         "0,1,0.0,0.5"])),
-        max_size=6).map("\n".join))
-    def test_arbitrary_text(self, tmp_path, body):
+        max_size=6).flatmap(lambda body: with_line_ends(["t,antenna,re,im", *body])))
+    def test_arbitrary_text(self, tmp_path, text):
         path = tmp_path / "chan.csv"
-        path.write_text("t,antenna,re,im\n" + body, encoding="utf-8", newline="")
+        path.write_text(text, encoding="utf-8", newline="")
         assert_loads_like_reference(path)
 
     @pytest.mark.parametrize("body", [
@@ -182,6 +196,9 @@ class TestLoaderMatchesReference:
         "0,0,1.0,2.0\r\n1,0,1.0,2.0\r2,0,1.0,2.0",  # CRLF, CR, no final LF
         "0,0,1.0,2.0\n\n\n1,0,1.0,2.0\n",  # blank lines
         "0,0,0.0,1.0\n0,0,-0.0,1.0\n1,0,1,1\n",  # equal repeat, first zero kept
+        "0,0,1.0,2.0\n\r\n1,0,1.0,2.0\n",  # blank CRLF line
+        "\r\n0,0,1.0,2.0\n1,0,1.0,2.0\n",
+        "0,0,1.0,2.0\r\r1,0,1.0,2.0\n",  # blank CR line
     ])
     def test_edge_cases_accepted(self, tmp_path, body):
         path = tmp_path / "chan.csv"
@@ -233,9 +250,6 @@ class TestLoadErrors:
         ("0,0,1.0,2.0\n1,0,1.0,2.0,\n", 3),
         ("0,0,1.0,2.0\n1,0,1.0,2.0\n0,0,1.0,2.5\n", 4),
         ("0,0,1.0,2.0\n1,0,inf,2.0\n", 3),
-        ("0,0,1.0,2.0\n\r\n1,0,1.0,2.0\n", 3),  # blank CRLF line
-        ("\r\n0,0,1.0,2.0\n", 2),
-        ("0,0,1.0,2.0\r\r1,0,1.0,2.0\n", 3),  # blank CR line
         ("0,0,1.0,2.0\r1,0,\x1c1.0,2.0\n", 3),  # not whitespace to Python
         ("0,0,1.0,2.0\n1,0,1__0,2.0\n", 3),
         ("0,0,1.0,2.0\n9223372036854775808,0,1.0,2.0\n", 3),  # beyond int64
@@ -248,6 +262,27 @@ class TestLoadErrors:
         assert str(info.value).startswith(f"{path}: line {line}: ")
         with pytest.raises(ParseError):
             reference_load_csi(path)
+
+    @pytest.mark.parametrize("body", ["\r\n", "\r\n\r\n", "\r\r", "\n\r\n\r"])
+    def test_body_of_blank_lines_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,antenna,re,im\r\n" + body, encoding="utf-8",
+                        newline="")
+        with pytest.raises(ParseError) as info:
+            load_csi(path)
+        assert str(info.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("text,shown", [
+        ("t,antenna,re,im,extra\r\n0,0,1.0,2.0\n", "t,antenna,re,im,e"),
+        ("time\r0,0,1.0,2.0\r", "time"),
+        ("\ufefft,antenna,re,im\r\n0,0,1.0,2.0\r\n", "\ufefft,antenna,re,i"),
+    ])
+    def test_bad_header_shows_its_first_17_bytes(self, tmp_path, text, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as info:
+            load_csi(path)
+        assert str(info.value) == f"{path}: bad header {shown!r}"
 
     def test_antenna_range_mismatch(self, tmp_path):
         text = ("t,antenna,re,im\n0,0,1.0,2.0\n1,0,1.0,2.0\n"
@@ -348,6 +383,28 @@ class TestParseCache:
         self.assert_same(load_csi(path), fresh)
         assert len(parses) == 2  # the rewritten sidecar was read
 
+    def test_sidecar_keyed_v1_is_ignored_and_rewritten(self, tmp_path, parses):
+        """A sidecar of the same bytes under the v1 tag, whose parse refused
+        CR and CRLF headers, is not read, even with arrays that pass their
+        own checks."""
+        path, sidecar = self.write(tmp_path)
+        fresh = load_csi(path)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        key = str(arrays["key"])
+        assert key.startswith("csipred-csi-cache-v2 ")
+        arrays["key"] = np.array(key.replace("-v2 ", "-v1 ", 1))
+        arrays["values"] = arrays["values"] * 2
+        arrays["digest"] = np.array(datapipe._cache_digest(
+            arrays["start"], arrays["values"], arrays["duplicates"]))
+        np.savez(sidecar, **arrays)
+        self.assert_same(load_csi(path), fresh)
+        assert len(parses) == 2
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert str(npz["key"]) == key
+        self.assert_same(load_csi(path), fresh)
+        assert len(parses) == 2
+
     def test_parse_error_writes_no_sidecar(self, tmp_path, parses):
         path, _ = self.write(tmp_path, self.TEXT + "2,1,7.0,8.5\n")
         messages = []
@@ -390,7 +447,7 @@ class TestClean:
     def test_noop_on_complete_series(self):
         series = random_series(np.random.default_rng(1))
         out, report = clean(series)
-        assert report.empty
+        assert report == CleaningReport()
         assert np.array_equal(out.values, series.values)
 
     def test_linear_interpolation_hand_value(self):
@@ -462,7 +519,10 @@ class TestFeatureStreams:
         assert len(feats) == 6
         assert {f.feature_id for f in feats} == {
             f"ant{a}_{p}" for a in range(3) for p in ("re", "im")}
-        assert np.array_equal(recombine_features(feats), series.values)
+        by_id = {f.feature_id: f.values for f in feats}
+        for a in range(3):
+            assert np.array_equal(by_id[f"ant{a}_re"], series.values[a].real)
+            assert np.array_equal(by_id[f"ant{a}_im"], series.values[a].imag)
 
     def test_streams_are_real_views_of_parts(self):
         series = random_series(np.random.default_rng(5), antennas=1, n=10)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -197,6 +198,20 @@ class TestGridSearch:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("a,")
         assert len(lines) == 3
+
+    def test_failed_cell_message_with_quotes_reads_back(self, tmp_path):
+        def evaluate(cfg):
+            if cfg["a"] == 1:
+                raise ValueError('no "x", y')
+            return {"nmse": 0.5}
+
+        _, trials = grid_search({"a": [1, 2]}, evaluate)
+        path = tmp_path / "trials.csv"
+        write_trials(trials, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["1", "failed", "", "", 'ValueError: no "x", y']
+        assert rows[2][-1] == ""
 
     def test_failed_cell_has_empty_nmse(self, tmp_path):
         def evaluate(cfg):

@@ -9,9 +9,8 @@ import pytest
 
 from csipred import recurrent
 from csipred.nprophet import NpConfig, NpModel, np_predict_batch
-from csipred.numcore import fit
-from csipred.recurrent import (PREDICT_WINDOWS, RecurrentModel, TrainConfig,
-                               predict_batch)
+from csipred.numcore import PREDICT_WINDOWS, fit
+from csipred.recurrent import RecurrentModel, TrainConfig, predict_batch
 
 
 def test_fit_releases_a_batch_gradients_before_the_next_batch():

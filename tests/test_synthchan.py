@@ -4,8 +4,7 @@ import pytest
 from csipred.errors import ContractViolation
 from csipred.synthchan import (FadingConfig, ar_spectral_radius, generate_ar,
                                generate_fading, generate_line,
-                               generate_piecewise_line, generate_sinusoid,
-                               real_series_to_csi)
+                               generate_sinusoid)
 
 # Frozen: f_d = v * f_c / c = (5/3.6) * 2.18e9 / 2.998e8
 DOPPLER_5KMH_2P18GHZ = 10.099325476243422
@@ -112,13 +111,3 @@ class TestDeterministicFixtures:
         assert y[0] == 0.0
         assert y[2] == pytest.approx(2.0, abs=1e-12)  # quarter period
         assert y[8] == pytest.approx(0.0, abs=1e-12)  # full period
-
-    def test_piecewise_line(self):
-        y = generate_piecewise_line(1.0, -2.0, 3, 0.0, 6)
-        assert y.tolist() == [0.0, 1.0, 2.0, 3.0, 1.0, -1.0]
-
-    def test_real_series_to_csi(self):
-        series = real_series_to_csi([1.0, 2.0])
-        assert series.values.shape == (1, 2)
-        assert np.all(series.values.imag == 0.0)
-        assert series.values[0, 1] == 2.0 + 0j
