@@ -121,17 +121,21 @@ class SupervisedWindowSet:
 def stack_windows(sets) -> SupervisedWindowSet:
     """The window sets of F feature streams, cut at the same origins, as one
     set with X (F, N, d) and Y (F, N, D): the input of a stacked model. One
-    set becomes a stack of one, X (1, N, d)."""
+    set becomes a stack of one, X (1, N, d), a view of its arrays; F > 1
+    sets are copied."""
     first = sets[0]
     for ws in sets[1:]:
         if (ws.d, ws.D) != (first.d, first.D) or not np.array_equal(ws.t, first.t):
             raise ContractViolation(
                 f"windows of {ws.feature_id} are not cut as those of "
                 f"{first.feature_id}")
+    if len(sets) == 1:
+        X, Y = first.X[None], first.Y[None]
+    else:
+        X, Y = np.stack([ws.X for ws in sets]), np.stack([ws.Y for ws in sets])
     return SupervisedWindowSet(first.d, first.D,
                                ",".join(ws.feature_id for ws in sets), first.t,
-                               np.stack([ws.X for ws in sets]),
-                               np.stack([ws.Y for ws in sets]))
+                               X, Y)
 
 
 def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
@@ -425,16 +429,21 @@ def fit_scaler(train_values) -> Scaler:
 
 def make_windows(values, d, D, start_index=0, feature_id="", stride=1
                  ) -> SupervisedWindowSet:
-    """One window per valid origin t: lags t-d..t-1 predict labels t+1..t+D."""
+    """One window per valid origin t: lags t-d..t-1 predict labels t+1..t+D.
+
+    `values` (n,) gives X (N, d) and Y (N, D); the streams of `values`
+    (F, n), all cut at the same origins, give a stack, X (F, N, d) and Y
+    (F, N, D)."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
+    n = v.shape[-1]
     if n < d + D + 1:
         raise ContractViolation(
             f"series of length {n} too short for d={d}, D={D}")
     origins = np.arange(d, n - D, stride)
-    # Fancy indexing copies, so the windows share no memory with `values`.
-    X = sliding_window_view(v, d)[origins - d]
-    Y = sliding_window_view(v, D)[origins + 1]
+    # Copies in C order, so the windows share no memory with `values` and
+    # each stream's rows of a stack are contiguous.
+    X = sliding_window_view(v, d, axis=-1)[..., :n - D - d:stride, :].copy()
+    Y = sliding_window_view(v, D, axis=-1)[..., d + 1:n - D + 1:stride, :].copy()
     return SupervisedWindowSet(d=d, D=D, feature_id=feature_id,
                                t=origins + start_index, X=X, Y=Y)
 
@@ -451,28 +460,36 @@ def prepare_dataset(series: CsiSeries, d, D, fractions=FRACTIONS,
     """Full preprocessing: clean, split, separate re/im, normalize, window.
 
     The scaler for every feature is fitted on the training split only; windows
-    are built per split so none straddles a boundary. Returns the prepared
-    features plus a digest over all window arrays (fairness contract).
+    are built per split so none straddles a boundary. Each split is
+    normalized and windowed for all feature streams at once, and each
+    stream's window sets are views of its row of those stacks. Returns the
+    prepared features plus a digest over all window arrays, stream by stream
+    (fairness contract).
     """
     cleaned, _ = clean(series)
     min_seg = d + D + 3
-    splits = dict(zip(("train", "val", "test"),
-                      split_chronological(cleaned, fractions, min_segment=min_seg)))
-    split_feats = {name: complex_to_features(seg) for name, seg in splits.items()}
+    segments = split_chronological(cleaned, fractions, min_segment=min_seg)
+    split_feats = [complex_to_features(seg) for seg in segments]
+    train = np.stack([feat.values for feat in split_feats[0]])
+    lo, hi = train.min(axis=1), train.max(axis=1)
+    if (hi - lo <= 0.0).any():
+        raise DegenerateScaleError("constant feature: zero range on training split")
+    shift, half_range = lo[:, None], (hi - lo)[:, None] / 2.0
+    stacks = [make_windows(
+        (np.stack([feat.values for feat in feats]) - shift) / half_range - 1.0,
+        d, D, start_index=seg.start_index, stride=stride)
+        for feats, seg in zip(split_feats, segments)]
     prepared = []
     digest = hashlib.sha256()
-    for k, train_feat in enumerate(split_feats["train"]):
-        feat_id = train_feat.feature_id
-        scaler = fit_scaler(train_feat.values)
+    for k, feat in enumerate(split_feats[0]):
         windows = {}
-        for split_name, feats in split_feats.items():
-            feat = feats[k]
-            norm = scaler.transform(feat.values)
-            windows[split_name] = make_windows(
-                norm, d, D, start_index=feat.start_index, feature_id=feat_id,
-                stride=stride)
-            digest.update(windows[split_name].X.tobytes())
-            digest.update(windows[split_name].Y.tobytes())
-        prepared.append(PreparedFeature(feature=train_feat, scaler=scaler,
-                                        windows=windows))
+        for name, ws in zip(("train", "val", "test"), stacks):
+            windows[name] = SupervisedWindowSet(d, D, feat.feature_id, ws.t,
+                                                ws.X[k], ws.Y[k])
+            digest.update(ws.X[k])
+            digest.update(ws.Y[k])
+        prepared.append(PreparedFeature(
+            feature=feat, scaler=Scaler(shift=float(lo[k]),
+                                        half_range=float(half_range[k, 0])),
+            windows=windows))
     return prepared, digest.hexdigest()

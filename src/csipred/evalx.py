@@ -164,11 +164,18 @@ def grid_search(grid: dict, evaluate):
 
 
 def write_trials(trials, path):
+    """One CSV line per trial: the `repr` of each config value, through the
+    `csv` writer of `MetricReport.csv_row` so that a CSV reader gets each
+    repr back, then status, NMSE, parameter count and the error, always
+    quoted."""
     axes = sorted({k for tr in trials for k in tr["config"]})
     lines = [",".join(axes + ["status", "nmse", "param_count", "error"]) + "\n"]
     for tr in trials:
-        row = [repr(tr["config"].get(a, "")) for a in axes]
-        row += [tr["status"], str(tr.get("nmse", "")), str(tr.get("param_count", "")),
-                '"' + tr.get("error", "").replace('"', '""') + '"']
+        config = io.StringIO()
+        csv.writer(config, lineterminator="").writerow(
+            [repr(tr["config"].get(a, "")) for a in axes])
+        row = [config.getvalue(), tr["status"], str(tr.get("nmse", "")),
+               str(tr.get("param_count", "")),
+               '"' + tr.get("error", "").replace('"', '""') + '"']
         lines.append(",".join(row) + "\n")
     write_text(path, lines)

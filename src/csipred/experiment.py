@@ -6,11 +6,12 @@ Every command composes four steps: `prepare`, `train_prepared`,
 
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
 of streams that train as one stack, a group of one stream included (see
-`group_size`). `_run_streams` cuts a run's streams into those groups, which
-train, and later predict one stream at a time, in forked worker processes
-(see `workers`); predictions are recombined into complex channel vectors for
-evaluation. All randomness flows from the config seeds, so a rerun with the
-same config is bit-identical.
+`group_size`), and predicts in stacks sized by its windows (see
+`predict_size`). `_run_streams` cuts a run's streams into groups of either
+size and runs them in forked worker processes (see `workers`); predictions
+are recombined into complex channel vectors for evaluation. All randomness
+flows from the config seeds, so a rerun with the same config is
+bit-identical.
 """
 from __future__ import annotations
 
@@ -66,15 +67,16 @@ def prepare(cfg, series=None):
                                     stride=cfg["window_stride"])
 
 
-def recurrent_model(cfg, arch, seed) -> RecurrentModel:
-    """An untrained recurrent model of the given architecture, shaped by cfg."""
+def recurrent_model(cfg, arch, seed, draw=True) -> RecurrentModel:
+    """An untrained recurrent model of the given architecture, shaped by cfg;
+    `draw` false leaves its parameters undrawn."""
     train_cfg = TrainConfig(learning_rate=cfg["rnn_learning_rate"],
                             epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                             huber_beta=cfg["huber_beta"], dropout=cfg["dropout"])
     return RecurrentModel(arch, cfg["d"], cfg["D"], hidden_size=cfg["rnn_hidden"],
                           layers=cfg["rnn_layers"],
                           bilstm_combine=cfg["bilstm_combine"], config=train_cfg,
-                          seed=seed)
+                          seed=seed, draw=draw)
 
 
 def np_config(cfg, regressor=False) -> NpConfig:
@@ -133,13 +135,25 @@ def stream_param_count(cfg, kind):
     """Trainable parameters of one stream's model for this config and model
     kind (the sum of the hybrid's two stages), as training builds it."""
     np_cfg, arch = _stages(cfg, kind)
-    return ((0 if np_cfg is None else NpModel(np_cfg).param_count())
-            + (0 if arch is None else recurrent_model(cfg, arch, 0).param_count()))
+    return ((0 if np_cfg is None else NpModel(np_cfg, draw=False).param_count())
+            + (0 if arch is None else
+               recurrent_model(cfg, arch, 0, draw=False).param_count()))
 
 
 def group_size(cfg, kind, streams):
     """Streams per stacked group, of `streams` in all."""
     return max(1, min(streams, GROUP_CACHE_BYTES // stream_bytes(cfg, kind)))
+
+
+def predict_size(streams, windows, jobs):
+    """Streams per prediction stack, of `streams` in all, each predicting
+    `windows` windows in `jobs` processes: an equal share of the streams per
+    process, but no more than keep a stacked part of `predict_in_parts` within
+    `PREDICT_WINDOWS` windows, and at least one. A stacked forward gives each
+    stream the bytes of its own (see `recurrent`), so the size changes no
+    output; larger stacks of larger parts were slower."""
+    bound = numcore.PREDICT_WINDOWS
+    return max(1, min(-(-streams // jobs), bound // min(windows, bound)))
 
 
 def train_feature(cfg, kind, group, seeds, dataset_digest=""):
@@ -158,10 +172,8 @@ def train_feature(cfg, kind, group, seeds, dataset_digest=""):
         model, rnn_hists, np_hists, _ = build_hybrid(
             splits, recurrent_model(cfg, arch, seeds), np_cfg, seed=seeds,
             dataset_digest=dataset_digest)
-        models = [HybridModel(*stages) for stages in zip(
-            unstack(model.rnn), unstack(model.np_model), model.provenance)]
-        return models, [{"stage1": a, "stage2": b}
-                        for a, b in zip(rnn_hists, np_hists)]
+        return _streams(model), [{"stage1": a, "stage2": b}
+                                 for a, b in zip(rnn_hists, np_hists)]
     if arch is None:
         model, histories = np_train(splits["train"], np_cfg, seed=seeds)
     else:
@@ -184,11 +196,10 @@ def train_experiment(cfg, series=None):
     return train_prepared(cfg, *prepare(cfg, series))
 
 
-def _run_streams(cfg, prepared, run_group):
-    """`run_group(streams, seeds)` of each stacked group of `group_size`
-    prepared streams, with their seeds, through `workers.run_groups`: the
-    per-stream results that each call returns, joined in stream order."""
-    size = group_size(cfg, cfg["model"], len(prepared))
+def _run_streams(cfg, prepared, run_group, size):
+    """`run_group(streams, seeds)` of each stacked group of `size` prepared
+    streams, with their seeds, through `workers.run_groups`: the per-stream
+    results that each call returns, joined in stream order."""
     seeds = [_feature_seed(cfg["seed"], index) for index in range(len(prepared))]
     starts = range(0, len(prepared), size)
 
@@ -226,7 +237,8 @@ def train_prepared(cfg, prepared, digest):
                 for pf, model, history in zip(group, models, histories)]
 
     ids = [pf.feature.feature_id for pf in prepared]
-    entries, histories = zip(*_run_streams(cfg, prepared, train_group))
+    entries, histories = zip(*_run_streams(
+        cfg, prepared, train_group, group_size(cfg, kind, len(prepared))))
     return (_checkpoint(cfg, digest, dict(zip(ids, entries))),
             dict(zip(ids, histories)))
 
@@ -252,10 +264,32 @@ def _feature_entry(model, scaler, with_params=True):
             "scaler": {"shift": scaler.shift, "half_range": scaler.half_range}}
 
 
-def _load_model(cfg, train, seed, digest, entry):
-    """The model training builds for a feature from these train windows, seed
-    and dataset digest, marked trained, with the parameters of its `entry`;
-    names the first key on the way to them that the entry lacks."""
+def _stack_model(cfg, seeds, train):
+    """The stacked model that training builds for streams of these seeds, cut
+    at the origins of these train windows, with parameters left undrawn for
+    `_load_model` to fill stream by stream: no random numbers are drawn."""
+    np_cfg, arch = _stages(cfg, cfg["model"])
+    rnn = None if arch is None else recurrent_model(cfg, arch, seeds, draw=False)
+    if np_cfg is None:
+        return rnn
+    np_model = NpModel(np_cfg, seeds, *trend_span(train), draw=False)
+    return np_model if rnn is None else HybridModel(rnn, np_model, [None] * len(seeds))
+
+
+def _streams(model):
+    """The per-stream models of a stacked model (see `numcore.unstack`), a
+    hybrid's with its stages' rows and its provenance."""
+    if isinstance(model, HybridModel):
+        return [HybridModel(*stages) for stages in zip(
+            unstack(model.rnn), unstack(model.np_model), model.provenance)]
+    return unstack(model)
+
+
+def _load_model(cfg, train, model, digest, entry):
+    """`model`, one stream of a `_stack_model` stack, with its row filled from
+    the parameters of its `entry` and marked trained; for a hybrid, with the
+    provenance training gives it for this dataset digest. Names the first key
+    on the way to the parameters that the entry lacks."""
     def filled(model, *path):
         stored, where = entry, f"features.{train.feature_id}"
         for key in ("model", *path, "params"):
@@ -263,20 +297,16 @@ def _load_model(cfg, train, seed, digest, entry):
                 raise CheckpointMismatch(f"{where}.{key} is missing")
             stored, where = stored[key], f"{where}.{key}"
         try:
-            model.params = numcore.load_params(model.params, stored)
+            numcore.load_params(model.params, stored)
         except ContractViolation as exc:
             raise CheckpointMismatch(f"feature {train.feature_id}: {exc}") from None
         model.trained = True
         return model
-    np_cfg, arch = _stages(cfg, cfg["model"])
-    if np_cfg is None:
-        return filled(recurrent_model(cfg, arch, seed))
-    np_model = NpModel(np_cfg, seed, *trend_span(train))
-    if arch is None:
-        return filled(np_model)
-    rnn = filled(recurrent_model(cfg, arch, seed), "rnn")
-    return HybridModel(rnn, filled(np_model, "np"),
-                       hybrid.make_provenance(seed, digest, rnn, np_cfg))
+    if not isinstance(model, HybridModel):
+        return filled(model)
+    rnn = filled(model.rnn, "rnn")
+    return HybridModel(rnn, filled(model.np_model, "np"), hybrid.make_provenance(
+        rnn.seed, digest, rnn, model.np_model.cfg))
 
 
 def _check_entry(got, want, where=""):
@@ -302,10 +332,10 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
     checkpoint that, apart from the model parameters, is not exactly what
     `train_prepared` writes for them.
 
-    The streams predict in the groups they train in, through
-    `_run_streams`: in each group, one stream at a time, its entry is
-    checked as its model is loaded, and the model predicts. A failure raises
-    the error of the lowest-index failing stream."""
+    The streams predict in stacks of `predict_size`, through `_run_streams`:
+    in each stack, stream by stream, an entry is checked as its row of the
+    stacked model is loaded, and then the stack predicts in one call. A
+    failure raises the error of the lowest-index failing stream."""
     # A digest that is missing is named by the comparison below.
     if checkpoint.get("dataset_digest", digest) != digest:
         raise CheckpointMismatch(
@@ -316,25 +346,50 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
                  if isinstance(stored, dict) else checkpoint,
                  _checkpoint(cfg, digest, dict.fromkeys(
                      pf.feature.feature_id for pf in prepared)))
+    kind = cfg["model"]
 
     def predict_group(group, seeds):
         """The normalized predictions of each stream."""
-        preds = []
-        for pf, seed in zip(group, seeds):
+        stack = _stack_model(cfg, seeds, group[0].windows["train"])
+        models, failure = [], None
+        for pf, model in zip(group, _streams(stack)):
             feat_id = pf.feature.feature_id
-            entry = stored[feat_id]
-            model = _load_model(cfg, pf.windows["train"], seed, digest, entry)
-            _check_entry(entry, _feature_entry(model, pf.scaler, with_params=False),
-                         f"features.{feat_id}")
+            try:
+                model = _load_model(cfg, pf.windows["train"], model, digest,
+                                    stored[feat_id])
+                _check_entry(stored[feat_id],
+                             _feature_entry(model, pf.scaler, with_params=False),
+                             f"features.{feat_id}")
+            except Exception as exc:  # noqa: BLE001 - raised after the streams before it
+                failure = exc
+                break
+            models.append(model)
+        if failure is None:
+            for part in (stack.rnn, stack.np_model) if kind == "hybrid" else (stack,):
+                part.trained = True
+            windows = datapipe.stack_windows([pf.windows[split] for pf in group])
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return list(predict_windows(kind, stack, windows))
+            except FloatingPointError:
+                pass  # named below by the lowest stream that overflows
+        preds = []
+        for pf, model in zip(group, models):
             # Finite but huge parameters can overflow the forward pass.
-            with _refuse_overflow(f"feature {feat_id}: its predictions"):
-                preds.append(predict_windows(cfg["model"], model, pf.windows[split]))
+            with _refuse_overflow(f"feature {pf.feature.feature_id}: its predictions"):
+                preds.append(predict_windows(kind, model, pf.windows[split]))
+        if failure is not None:
+            raise failure
         return preds
 
-    preds = _run_streams(cfg, prepared, predict_group)
-    return {pf.feature.feature_id: (pf.windows[split], pf.scaler.inverse(pred),
+    size = predict_size(len(prepared), len(prepared[0].windows[split]),
+                        workers.default_jobs())
+    # Reversed and popped, so that each normalized prediction is freed once
+    # it is de-normalized.
+    preds = _run_streams(cfg, prepared, predict_group, size)[::-1]
+    return {pf.feature.feature_id: (pf.windows[split], pf.scaler.inverse(preds.pop()),
                                     pf.scaler.inverse(pf.windows[split].Y))
-            for pf, pred in zip(prepared, preds)}
+            for pf in prepared}
 
 
 def _predict_split(checkpoint, split, series):

@@ -26,7 +26,7 @@ from .errors import ContractViolation
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm, fit,  # noqa: F401
                       batch_rows, check_windows, encode_params, generators,
-                      huber_grad, huber_loss, init_params, init_uniform, mT,
+                      huber_grad, huber_loss, init_params, mT,
                       predict_in_parts, relu)
 
 DEFAULT_SEASONALITIES = parse_seasonalities(DEFAULTS["seasonalities"])
@@ -146,7 +146,8 @@ class NpModel:
     same leading axis. All streams share `t0` and `t_span`.
     """
 
-    def __init__(self, cfg: NpConfig, seed=0, t0=0.0, t_span=1.0):
+    def __init__(self, cfg: NpConfig, seed=0, t0=0.0, t_span=1.0, draw=True):
+        """`draw` false leaves the parameters undrawn (see `init_params`)."""
         self.cfg = cfg
         self.seed = seed
         self.t0 = float(t0)
@@ -156,25 +157,24 @@ class NpModel:
         # Uniformly spaced over the first `changepoint_range` of the span,
         # in normalized time.
         self.changepoints = cfg.changepoint_range * np.arange(1, m + 1) / (m + 1.0)
-        self.params = init_params(self._init_params, seed)
+        self.params = init_params(self._param_specs(), seed, draw)
 
-    def _init_params(self, rng):
+    def _param_specs(self):
+        """{name: (shape, fan_in)} of one stream's parameters, in draw order;
+        fan_in None for those that start at zero."""
         cfg = self.cfg
-        p = {}
         m = cfg.n_changepoints
-        p["trend_g0"] = np.zeros(1)
-        p["trend_r0"] = np.zeros(1)
-        p["trend_dg"] = np.zeros(m)
-        p["trend_dr"] = np.zeros(m)
+        p = {"trend_g0": ((1,), None), "trend_r0": ((1,), None),
+             "trend_dg": ((m,), None), "trend_dr": ((m,), None)}
         for i, (k, _period) in enumerate(cfg.seasonalities):
-            p[f"season{i}_a"] = np.zeros(k)
-            p[f"season{i}_b"] = np.zeros(k)
+            p[f"season{i}_a"] = ((k,), None)
+            p[f"season{i}_b"] = ((k,), None)
         dims = [cfg.d] + [cfg.ar_hidden] * cfg.ar_layers + [cfg.D]
         for i in range(len(dims) - 1):
-            p[f"ar_U{i + 1}"] = init_uniform(rng, (dims[i + 1], dims[i]), dims[i])
+            p[f"ar_U{i + 1}"] = ((dims[i + 1], dims[i]), dims[i])
             if i < len(dims) - 2:
-                p[f"ar_b{i + 1}"] = init_uniform(rng, (dims[i + 1],), dims[i])
-        p["reg_W"] = np.zeros((cfg.D, cfg.D))  # zero init: no contribution untrained
+                p[f"ar_b{i + 1}"] = ((dims[i + 1],), dims[i])
+        p["reg_W"] = ((cfg.D, cfg.D), None)  # zero init: no contribution untrained
         return p
 
     # -- forward -----------------------------------------------------------

@@ -165,13 +165,25 @@ def mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-def init_params(init, seed):
-    """`init(rng)` for one seed; for a list of seeds, the parameters of each
-    seed stacked into one array per name, with a row per seed."""
-    if not isinstance(seed, list):
+def init_params(specs, seed, draw=True):
+    """Parameters of the shapes that `specs`, {name: (shape, fan_in)}, gives:
+    each drawn by `init_uniform` from `np.random.default_rng(seed)` in the
+    order of `specs`, or zeros where fan_in is None. For a list of seeds, the
+    parameters of each seed stacked into one array per name, with a row per
+    seed. With `draw` false, nothing is drawn: the arrays are left
+    uninitialised, for `load_params` to fill."""
+    rows = (len(seed),) if isinstance(seed, list) else ()
+    if not draw:
+        return {k: np.empty(rows + shape) for k, (shape, _) in specs.items()}
+
+    def init(rng):
+        return {k: np.zeros(shape) if fan_in is None
+                else init_uniform(rng, shape, fan_in)
+                for k, (shape, fan_in) in specs.items()}
+    if not rows:
         return init(np.random.default_rng(seed))
     per = [init(np.random.default_rng(s)) for s in seed]
-    return {k: np.stack([p[k] for p in per]) for k in per[0]}
+    return {k: np.stack([p[k] for p in per]) for k in specs}
 
 
 def generators(seed):
@@ -346,15 +358,16 @@ def encode_params(params: dict) -> dict:
             for k, v in params.items()}
 
 
-def load_params(fresh: dict, stored) -> dict:
-    """`fresh`, the parameters of a newly built model of the same config, filled
-    from `stored` as written by `encode_params`. Refused unless `stored` has the
-    same names, each a strict base64 string of exactly its array's bytes, all
-    of them finite."""
-    if not isinstance(stored, dict) or stored.keys() != fresh.keys():
+def load_params(params: dict, stored) -> dict:
+    """`params`, the arrays of a model of the same config (as `init_params`
+    shapes them, drawn or not, or views of one row of a stack), filled in
+    place from `stored` as written by `encode_params`. Refused unless `stored`
+    has the same names, each a strict base64 string of exactly its array's
+    bytes, all of them finite."""
+    if not isinstance(stored, dict) or stored.keys() != params.keys():
         raise ContractViolation("checkpoint parameter names do not match the "
                                 "model config")
-    for name, arr in fresh.items():
+    for name, arr in params.items():
         blob = stored[name]
         try:
             raw = binascii.a2b_base64(blob, strict_mode=True)
@@ -368,4 +381,4 @@ def load_params(fresh: dict, stored) -> dict:
         if not np.isfinite(arr).all():
             raise ContractViolation(f"checkpoint parameter {name} holds a "
                                     f"non-finite value")
-    return fresh
+    return params

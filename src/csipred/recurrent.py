@@ -18,8 +18,8 @@ from .errors import ContractViolation
 # perfbench/tracing.py patches it under this module's name.
 from .numcore import (GRAD_CLIP_NORM, clip_grad_norm,  # noqa: F401
                       batch_rows, check_windows, encode_params, fit, flatten,
-                      generators, huber_grad, huber_loss, init_params,
-                      init_uniform, mT, predict_in_parts, sigmoid, unflatten)
+                      generators, huber_grad, huber_loss, init_params, mT,
+                      predict_in_parts, sigmoid, unflatten)
 
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
@@ -335,7 +335,8 @@ class RecurrentModel:
     def __init__(self, arch, lag_depth, horizon,
                  hidden_size=DEFAULTS["rnn_hidden"], layers=DEFAULTS["rnn_layers"],
                  bilstm_combine=DEFAULTS["bilstm_combine"],
-                 config: TrainConfig | None = None, seed=0):
+                 config: TrainConfig | None = None, seed=0, draw=True):
+        """`draw` false leaves the parameters undrawn (see `init_params`)."""
         if arch not in ARCHITECTURES:
             raise ContractViolation(f"unknown architecture {arch!r}")
         self.arch = arch
@@ -347,27 +348,28 @@ class RecurrentModel:
         self.config = config or TrainConfig()
         self.seed = seed
         self.trained = False
-        self.params = init_params(self._init_params, seed)
+        self.params = init_params(self._param_specs(), seed, draw)
 
     def _layer_out_dim(self):
         if self.arch == "bilstm" and self.bilstm_combine == "concat":
             return 2 * self.hidden_size
         return self.hidden_size
 
-    def _init_params(self, rng):
-        params = {}
+    def _param_specs(self):
+        """{name: (shape, fan_in)} of one stream's parameters, in draw order."""
+        specs = {}
         H = self.hidden_size
         GH = H if self.arch == "rnn" else 4 * H
         for k in range(self.layers):
             n_in = 1 if k == 0 else self._layer_out_dim()
             for pre in ("f_", "b_") if self.arch == "bilstm" else ("",):
-                params[f"L{k}_{pre}W"] = init_uniform(rng, (GH, n_in), n_in)
-                params[f"L{k}_{pre}V"] = init_uniform(rng, (GH, H), H)
-                params[f"L{k}_{pre}b"] = init_uniform(rng, (GH,), H)
+                specs[f"L{k}_{pre}W"] = ((GH, n_in), n_in)
+                specs[f"L{k}_{pre}V"] = ((GH, H), H)
+                specs[f"L{k}_{pre}b"] = ((GH,), H)
         out_in = self._layer_out_dim()
-        params["out_W"] = init_uniform(rng, (self.D, out_in), out_in)
-        params["out_b"] = init_uniform(rng, (self.D,), out_in)
-        return params
+        specs["out_W"] = ((self.D, out_in), out_in)
+        specs["out_b"] = ((self.D,), out_in)
+        return specs
 
     def _layer_params(self, k, prefix=""):
         return {n: self.params[f"L{k}_{prefix}{n}"] for n in ("W", "V", "b")}

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 
 import numpy as np
@@ -5,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csipred import datapipe
-from csipred.datapipe import (CACHE_SUFFIX, CleaningReport, CsiSeries, Scaler,
-                              clean, complex_to_features,
-                              fit_scaler, load_csi, make_windows,
-                              prepare_dataset, save_csi,
+from csipred.datapipe import (CACHE_SUFFIX, MAX_INTERP_GAP, CleaningReport,
+                              CsiSeries, PreparedFeature, Scaler, clean,
+                              complex_to_features, fit_scaler, load_csi,
+                              make_windows, prepare_dataset, save_csi,
                               split_chronological, write_text)
 from csipred.errors import (ContractViolation, DataError, DegenerateScaleError,
                             ParseError, UnrecoverableGapError)
@@ -652,3 +654,109 @@ class TestPrepareDataset:
             w = pf.windows["train"]
             assert w.X.min() >= -1.0 - 1e-12
             assert w.X.max() <= 1.0 + 1e-12
+
+
+def reference_prepare_dataset(series, d, D, fractions=datapipe.FRACTIONS,
+                              stride=1):
+    """Stream-by-stream reference of `prepare_dataset`: a scaler per stream,
+    then a normalization, a `make_windows` call and two digest updates per
+    stream and split, in that order."""
+    cleaned, _ = clean(series)
+    splits = dict(zip(("train", "val", "test"), split_chronological(
+        cleaned, fractions, min_segment=d + D + 3)))
+    split_feats = {name: complex_to_features(seg) for name, seg in splits.items()}
+    prepared = []
+    digest = hashlib.sha256()
+    for k, train_feat in enumerate(split_feats["train"]):
+        scaler = fit_scaler(train_feat.values)
+        windows = {}
+        for name, feats in split_feats.items():
+            feat = feats[k]
+            windows[name] = make_windows(
+                scaler.transform(feat.values), d, D, start_index=feat.start_index,
+                feature_id=train_feat.feature_id, stride=stride)
+            digest.update(windows[name].X.tobytes())
+            digest.update(windows[name].Y.tobytes())
+        prepared.append(PreparedFeature(feature=train_feat, scaler=scaler,
+                                        windows=windows))
+    return prepared, digest.hexdigest()
+
+
+def _outcome(prepare, *args, **kwargs):
+    """`prepare`'s result, or the type and message of the data error it raises."""
+    try:
+        return prepare(*args, **kwargs)
+    except (DataError, ContractViolation) as exc:
+        return type(exc), str(exc)
+
+
+def assert_prepares_like_reference(series, d, D, fractions, stride):
+    got = _outcome(prepare_dataset, series, d, D, fractions=fractions, stride=stride)
+    want = _outcome(reference_prepare_dataset, series, d, D, fractions=fractions,
+                    stride=stride)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (got, got_digest), (want, want_digest) = got, want
+    assert got_digest == want_digest
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.feature.feature_id == w.feature.feature_id
+        assert g.feature.start_index == w.feature.start_index
+        assert g.feature.values.tobytes() == w.feature.values.tobytes()
+        for field in ("shift", "half_range"):
+            value = getattr(g.scaler, field)
+            assert type(value) is float and value == getattr(w.scaler, field)
+        assert g.windows.keys() == w.windows.keys()
+        for name, gw in g.windows.items():
+            ww = w.windows[name]
+            assert (gw.d, gw.D, gw.feature_id) == (ww.d, ww.D, ww.feature_id)
+            for field in ("t", "X", "Y"):
+                a, b = getattr(gw, field), getattr(ww, field)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def prepare_cases(draw):
+    """(series, d, D, fractions, stride): a few antennas of random complex
+    samples with NaN gaps of at most MAX_INTERP_GAP samples (gaps that meet
+    may run longer), and perhaps one stream held constant."""
+    d, D, stride = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(
+        st.integers(1, 4))
+    val = draw(st.sampled_from([0.1, 0.15, 0.2, 0.3]))
+    test = draw(st.sampled_from([0.1, 0.15, 0.2, 0.3]))
+    fractions = (1.0 - val - test, val, test)
+    shortest = math.ceil((d + D + 3) / min(val, test))
+    n = shortest + draw(st.integers(-1, 120))
+    antennas = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(antennas, n)) + 1j * rng.normal(size=(antennas, n))
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(1, MAX_INTERP_GAP))
+        if n - 1 - length > 1:
+            start = draw(st.integers(1, n - 1 - length))
+            values[draw(st.integers(0, antennas - 1)), start:start + length] = (
+                complex(np.nan, np.nan))
+    if draw(st.integers(0, 5)) == 0:
+        part = draw(st.sampled_from(["real", "imag"]))
+        getattr(values, part)[draw(st.integers(0, antennas - 1))] = 0.25
+    series = CsiSeries(5e-4, draw(st.integers(-1000, 1000)), values)
+    return series, d, D, fractions, stride
+
+
+class TestPrepareMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(prepare_cases())
+    def test_drawn_series(self, case):
+        assert_prepares_like_reference(*case)
+
+    def test_constant_stream_is_refused_as_by_the_reference(self):
+        values = np.exp(1j * np.arange(400) / 7.0)[None].repeat(3, axis=0)
+        values.imag[1] = -0.5
+        series = CsiSeries(5e-4, 0, values)
+        with pytest.raises(DegenerateScaleError) as got:
+            prepare_dataset(series, 8, 4)
+        with pytest.raises(DegenerateScaleError) as want:
+            reference_prepare_dataset(series, 8, 4)
+        assert str(got.value) == str(want.value)

@@ -226,3 +226,21 @@ class TestGridSearch:
             "a,status,nmse,param_count,error",
             '1,failed,,,"ValueError: boom"',
             f'2,ok,{2.1!r},5,""']
+
+    def test_string_config_values_read_back_as_their_reprs(self, tmp_path):
+        # repr("a'b.csv") is "a'b.csv", in double quotes, which a CSV reader
+        # would take as quoting unless the field is quoted itself.
+        _, trials = grid_search({"dataset": ["a'b.csv", "c.csv"],
+                                 "note": ['x,"y"', "z"]},
+                                lambda cfg: {"nmse": 0.5})
+        path = tmp_path / "trials.csv"
+        write_trials(trials, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["dataset", "note", "status", "nmse", "param_count",
+                           "error"]
+        assert [row[:2] for row in rows[1:]] == [
+            [repr(tr["config"]["dataset"]), repr(tr["config"]["note"])]
+            for tr in trials]
+        assert {row[0] for row in rows[1:]} == {repr("a'b.csv"), repr("c.csv")}
+        assert all(row[2:] == ["ok", "0.5", "0", ""] for row in rows[1:])

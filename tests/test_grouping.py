@@ -5,6 +5,7 @@ keeps its own generator, batch order and clip norm, and a diverging stream is
 named by the error.
 """
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -14,11 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from csipred import datapipe, experiment, workers
+from csipred import datapipe, experiment, nprophet, numcore, recurrent, workers
 from csipred.cli import main
 from csipred.config import resolve_config
 from csipred.errors import ContractViolation, DivergenceError, WorkerError
-from csipred.numcore import fit, unflatten, unstack
+from csipred.numcore import PREDICT_WINDOWS, fit, unflatten, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
 from test_cli import _huge, write_config
@@ -557,3 +558,123 @@ class TestJobs:
         assert lines[0][0].startswith("data error: feature ant2_im: ")
         if lower == "overflow":
             assert "its predictions overflow" in lines[0][0]
+
+
+def _outputs(out):
+    return [(out / f).read_bytes() for f in (
+        "metrics/metrics.csv", "metrics/metrics.json", "pred.csv")]
+
+
+class TestPredictionStacks:
+    """Prediction in stacks of `predict_size` streams: with TOY's 7 test
+    windows per stream, one stack of 10 streams in one process, stacks of 5
+    in two and of 4 in three."""
+
+    def test_sizes(self):
+        # paper-shape: two streams of 31 test windows in two processes;
+        # mimo-cli: 32 streams of 11; a test split of 3,128 windows.
+        assert experiment.predict_size(2, 31, 2) == 1
+        assert experiment.predict_size(32, 11, 2) == 16
+        assert experiment.predict_size(32, 3128, 2) == 1
+        assert experiment.predict_size(10, 7, 3) == 4
+        assert experiment.predict_size(10, 100, 1) == 2
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_stacks_predict_the_bytes_of_stacks_of_one(self, tmp_path,
+                                                       monkeypatch, kind):
+        code, run = _run(tmp_path, "run", {"model": kind})
+        assert code == 0
+        predict_size = experiment.predict_size
+        monkeypatch.setattr(experiment, "predict_size", lambda *args: 1)
+        _jobs(monkeypatch, 1)
+        codes, out = _use(tmp_path, "ones", run)
+        assert codes == [0, 0]
+        want = _outputs(out)
+        sizes = []
+
+        def spy(*args):
+            sizes.append(predict_size(*args))
+            return sizes[-1]
+
+        monkeypatch.setattr(experiment, "predict_size", spy)
+        for jobs in (1, 2, 3):
+            _jobs(monkeypatch, jobs)
+            codes, out = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [0, 0]
+            assert _outputs(out) == want
+            _assert_no_children()
+        assert sizes == [10, 10, 5, 5, 4, 4]
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("samples,per_stack", [("1000", 2), ("4000", 1)],
+                             ids=["91-windows", "391-windows"])
+    def test_no_stacked_part_exceeds_the_bound(self, tmp_path, monkeypatch,
+                                               kind, samples, per_stack):
+        # 91 test windows per stream give stacks of two streams, one part
+        # each; 391 give stacks of one, in two parts.
+        extra = {"model": kind, "antenna_count": "2", "sample_count": samples,
+                 "window_stride": "1", "epochs": "1"}
+        code, run = _run(tmp_path, "run", extra)
+        assert code == 0
+        parts = []
+        for owner in (recurrent.RecurrentModel, nprophet.NpModel):
+            def spy(model, t_or_X, *args, _forward=owner.forward, **kwargs):
+                X = t_or_X if isinstance(model, recurrent.RecurrentModel) else args[0]
+                parts.append(X.shape[:-1])
+                return _forward(model, t_or_X, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "forward", spy)
+        _jobs(monkeypatch, 1)
+        codes, _ = _use(tmp_path, "use", run)
+        assert codes == [0, 0]
+        assert {shape[0] for shape in parts} == {per_stack}
+        assert max(math.prod(shape) for shape in parts) <= PREDICT_WINDOWS
+
+    @pytest.mark.parametrize("malformed", [False, True],
+                             ids=["stack-overflows", "stream-3-malformed"])
+    def test_the_lowest_failing_stream_of_a_stack_decides(
+            self, tmp_path, monkeypatch, capsys, malformed):
+        # Stream 1 (ant0_im) overflows; stream 3 (ant1_im) may fail to load.
+        # In one process all ten streams are one stack.
+        code, run = _run(tmp_path, "run", {"model": "rnn"})
+        assert code == 0
+        payload = json.loads((run / "checkpoint.json").read_text())
+        params = payload["features"]["ant0_im"]["model"]["params"]
+        for name in params:
+            if name.endswith("_b") or name == "out_W":
+                params[name] = _huge(params[name])
+        if malformed:
+            blob = payload["features"]["ant1_im"]["model"]["params"]["L0_W"]
+            payload["features"]["ant1_im"]["model"]["params"]["L0_W"] = (
+                blob[:4] + "!" + blob[5:])
+        (run / "checkpoint.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        for jobs in (1, 2, 3):
+            _jobs(monkeypatch, jobs)
+            codes, out = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [2, 2]
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert len(err.splitlines()) == 2
+            for line in err.splitlines():
+                assert line.startswith("data error: feature ant0_im: its "
+                                       "predictions overflow")
+            assert not out.exists()
+            _assert_no_children()
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch, kind):
+        code, run = _run(tmp_path, "run", {"model": kind})
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        # Wherever a module binds the initializer, this one or an import.
+        for module in (numcore, recurrent, nprophet):
+            monkeypatch.setattr(module, "init_uniform", refuse, raising=False)
+        for jobs in (1, 2):
+            _jobs(monkeypatch, jobs)
+            codes, _ = _use(tmp_path, f"jobs{jobs}", run)
+            assert codes == [0, 0]
+            _assert_no_children()
