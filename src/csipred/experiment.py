@@ -8,9 +8,10 @@ Each (antenna, real/imag) stream trains its own predictor, in stacked groups
 of streams that train as one stack, a group of one stream included (see
 `group_size`), and predicts in stacks sized by its windows (see
 `predict_size`). `_run_streams` cuts a run's streams into groups of either
-size and runs them in forked worker processes (see `workers`); predictions
-are recombined into complex channel vectors for evaluation. All randomness
-flows from the config seeds, so a rerun with the same config is
+size and runs them in forked worker processes (see `workers`): one per CPU
+to train, and to predict as many as the work merits (see `predict_jobs`).
+Predictions are recombined into complex channel vectors for evaluation. All
+randomness flows from the config seeds, so a rerun with the same config is
 bit-identical.
 """
 from __future__ import annotations
@@ -107,6 +108,12 @@ def _feature_seed(seed, index):
 # stream alone exceeds it. Larger groups gained little more speed and raised
 # the peak RSS of a 16-antenna `csipred` session.
 GROUP_CACHE_BYTES = 5 << 20
+# Prediction forks one more process per this many multiply-adds of
+# `predict_jobs`'s estimate, up to one per CPU. Below it a fork costs more
+# than it saves: on 2 vCPUs a fork and reap took 3.5 ms, two processes cost
+# `run_groups` 6-7 ms more than one, and the whole mimo-shape forecast (32
+# streams of 11 windows, 14-55 M) ran faster in one process in every family.
+FORK_WORK = 75_000_000
 
 
 def _stages(cfg, kind):
@@ -131,13 +138,22 @@ def stream_bytes(cfg, kind):
                    cfg["batch_size"]))
 
 
+def _stage_sizes(cfg, kind):
+    """(trainable parameters, steps per window) of each stage of one stream's
+    model for this config and model kind, as training builds it: a
+    recurrent stage scans `d` steps, the additive stage one."""
+    np_cfg, arch = _stages(cfg, kind)
+    sizes = [] if np_cfg is None else [(NpModel(np_cfg, draw=False).param_count(), 1)]
+    if arch is not None:
+        sizes.append((recurrent_model(cfg, arch, 0, draw=False).param_count(),
+                      cfg["d"]))
+    return sizes
+
+
 def stream_param_count(cfg, kind):
     """Trainable parameters of one stream's model for this config and model
     kind (the sum of the hybrid's two stages), as training builds it."""
-    np_cfg, arch = _stages(cfg, kind)
-    return ((0 if np_cfg is None else NpModel(np_cfg, draw=False).param_count())
-            + (0 if arch is None else
-               recurrent_model(cfg, arch, 0, draw=False).param_count()))
+    return sum(params for params, _ in _stage_sizes(cfg, kind))
 
 
 def group_size(cfg, kind, streams):
@@ -154,6 +170,18 @@ def predict_size(streams, windows, jobs):
     output; larger stacks of larger parts were slower."""
     bound = numcore.PREDICT_WINDOWS
     return max(1, min(-(-streams // jobs), bound // min(windows, bound)))
+
+
+def predict_jobs(cfg, kind, streams, windows, jobs):
+    """Processes, of at most `jobs`, that predict `streams` streams of
+    `windows` windows each: one per `FORK_WORK` multiply-adds of the work,
+    and at least one. Each stage of each stream costs its parameters times
+    their load (strict base64 decoding took about 45 ns per float64, the
+    time of about 100 multiply-adds) plus one multiply-add per window and
+    step."""
+    work = streams * sum(params * (100 + windows * steps)
+                         for params, steps in _stage_sizes(cfg, kind))
+    return max(1, min(jobs, work // FORK_WORK))
 
 
 def train_feature(cfg, kind, group, seeds, dataset_digest=""):
@@ -196,10 +224,11 @@ def train_experiment(cfg, series=None):
     return train_prepared(cfg, *prepare(cfg, series))
 
 
-def _run_streams(cfg, prepared, run_group, size):
+def _run_streams(cfg, prepared, run_group, size, jobs):
     """`run_group(streams, seeds)` of each stacked group of `size` prepared
-    streams, with their seeds, through `workers.run_groups`: the per-stream
-    results that each call returns, joined in stream order."""
+    streams, with their seeds, through `workers.run_groups` in `jobs`
+    processes: the per-stream results that each call returns, joined in
+    stream order."""
     seeds = [_feature_seed(cfg["seed"], index) for index in range(len(prepared))]
     starts = range(0, len(prepared), size)
 
@@ -207,8 +236,7 @@ def _run_streams(cfg, prepared, run_group, size):
         cut = slice(starts[index], starts[index] + size)
         return run_group(prepared[cut], seeds[cut])
 
-    return [result for results in workers.run_groups(run, len(starts),
-                                                     workers.default_jobs())
+    return [result for results in workers.run_groups(run, len(starts), jobs)
             for result in results]
 
 
@@ -238,7 +266,8 @@ def train_prepared(cfg, prepared, digest):
 
     ids = [pf.feature.feature_id for pf in prepared]
     entries, histories = zip(*_run_streams(
-        cfg, prepared, train_group, group_size(cfg, kind, len(prepared))))
+        cfg, prepared, train_group, group_size(cfg, kind, len(prepared)),
+        workers.default_jobs()))
     return (_checkpoint(cfg, digest, dict(zip(ids, entries))),
             dict(zip(ids, histories)))
 
@@ -332,10 +361,11 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
     checkpoint that, apart from the model parameters, is not exactly what
     `train_prepared` writes for them.
 
-    The streams predict in stacks of `predict_size`, through `_run_streams`:
-    in each stack, stream by stream, an entry is checked as its row of the
-    stacked model is loaded, and then the stack predicts in one call. A
-    failure raises the error of the lowest-index failing stream."""
+    The streams predict in stacks of `predict_size`, through `_run_streams`
+    in `predict_jobs` processes: in each stack, stream by stream, an entry
+    is checked as its row of the stacked model is loaded, and then the stack
+    predicts in one call. A failure raises the error of the lowest-index
+    failing stream."""
     # A digest that is missing is named by the comparison below.
     if checkpoint.get("dataset_digest", digest) != digest:
         raise CheckpointMismatch(
@@ -382,11 +412,15 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
             raise failure
         return preds
 
-    size = predict_size(len(prepared), len(prepared[0].windows[split]),
-                        workers.default_jobs())
+    streams, windows = len(prepared), len(prepared[0].windows[split])
+    jobs = workers.default_jobs()
+    # Stacks are sized for one process per CPU whatever the process count,
+    # so that the memory of a stack does not depend on the work.
+    size = predict_size(streams, windows, jobs)
     # Reversed and popped, so that each normalized prediction is freed once
     # it is de-normalized.
-    preds = _run_streams(cfg, prepared, predict_group, size)[::-1]
+    preds = _run_streams(cfg, prepared, predict_group, size,
+                         predict_jobs(cfg, kind, streams, windows, jobs))[::-1]
     return {pf.feature.feature_id: (pf.windows[split], pf.scaler.inverse(preds.pop()),
                                     pf.scaler.inverse(pf.windows[split].Y))
             for pf in prepared}

@@ -9,7 +9,8 @@ two outputs:
     PYTHONPATH=src python tests/identity_outputs.py --jobs 2 > new.txt
     diff old.txt new.txt
 
-`--jobs N` trains and predicts in N processes, whatever the CPU count. The
+`--jobs N` trains and predicts in N processes, whatever the CPU count and
+however small the prediction (`experiment.FORK_WORK` is lowered to 1). The
 list: every model family at the benchmark's mimo-cli and paper-shape
 overrides; every family on a test split of more than `PREDICT_WINDOWS`
 windows per stream, and on five antennas of a few dozen windows each;
@@ -33,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from csipred import cli, workers  # noqa: E402
+from csipred import cli, experiment, workers  # noqa: E402
 from perfbench.workloads import MIMO, PAPER  # noqa: E402
 from test_cli import FAST, MALFORMED, MALFORMED_BY_KIND  # noqa: E402
 
@@ -117,6 +118,7 @@ def main(argv=None):
                         help="processes that train and predict")
     args = parser.parse_args(argv)
     workers.default_jobs = lambda: args.jobs
+    experiment.FORK_WORK = 1
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         gen = _write_config("mimo-gen.cfg", {k: MIMO[k] for k in (

@@ -10,7 +10,9 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from csipred.numcore import PREDICT_WINDOWS, fit, unflatten, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
 from test_cli import _huge, write_config
+
+# The benchmark's workloads, from the checkout.
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from perfbench import workloads as bench  # noqa: E402
 
 FAMILIES = ("rnn", "lstm", "bilstm", "np", "hybrid")
 # Five antennas: 10 streams, so that groups of 4 leave a last group of 2.
@@ -61,8 +67,10 @@ def _use(tmp_path, name, run):
 
 
 def _jobs(monkeypatch, jobs):
-    """Train and predict in `jobs` processes, whatever the CPU count."""
+    """Train and predict in `jobs` processes, whatever the CPU count: a
+    prediction forks at any work."""
     monkeypatch.setattr(workers, "default_jobs", lambda: jobs)
+    monkeypatch.setattr(experiment, "FORK_WORK", 1)
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -678,3 +686,77 @@ class TestPredictionStacks:
             codes, _ = _use(tmp_path, f"jobs{jobs}", run)
             assert codes == [0, 0]
             _assert_no_children()
+
+
+class TestPredictJobs:
+    """Prediction forks only when the work outweighs the fork: the process
+    count that `predict_jobs` gives at the benchmark's shapes, for hosts of
+    two to four CPUs, and its estimate in multiply-adds."""
+
+    @staticmethod
+    def case(name, kind):
+        """(config, streams, test windows per stream) of a named case."""
+        overrides = {**(bench.MIMO if name.startswith("mimo") else bench.PAPER),
+                     "model": kind}
+        cfg = resolve_config(overrides)
+        if name == "warm-up":
+            # The benchmark's warm-up: one antenna, a split of 3 test windows.
+            span = cfg["d"] + cfg["D"]
+            cfg = resolve_config({**overrides, "antenna_count": "1",
+                                  "sample_count": str(10 * (span + 4)),
+                                  "window_stride": str(span)})
+        windows = 15928 if name == "mimo-full" else bench.window_count(cfg, "test")
+        return cfg, 2 * cfg["antenna_count"], windows
+
+    def estimate(self, monkeypatch, name, kind):
+        """The work of a case: its process count at one process per
+        multiply-add and no CPU bound."""
+        monkeypatch.setattr(experiment, "FORK_WORK", 1)
+        cfg, streams, windows = self.case(name, kind)
+        return experiment.predict_jobs(cfg, kind, streams, windows, 1 << 62)
+
+    @pytest.mark.parametrize("name,kind,low,high", [
+        *[("mimo", kind, 13.5e6, 55.5e6) for kind in FAMILIES],
+        *[("paper", kind, 653e6, 5118e6) for kind in ("rnn", "lstm", "bilstm",
+                                                       "hybrid")],
+        ("paper", "np", 1.3e6, 1.4e6),
+        ("warm-up", "lstm", 394e6, 395e6), ("warm-up", "bilstm", 786e6, 787e6),
+        *[("mimo-full", kind, 2.6e9, 66.4e9) for kind in FAMILIES]])
+    def test_estimates(self, monkeypatch, name, kind, low, high):
+        assert low <= self.estimate(monkeypatch, name, kind) <= high
+
+    def test_the_warm_up_split_holds_three_windows(self):
+        assert self.case("warm-up", "lstm")[1:] == (2, 3)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    @pytest.mark.parametrize("name,kind,forks", [
+        *[("mimo", kind, False) for kind in FAMILIES],
+        *[("paper", kind, kind != "np") for kind in FAMILIES],
+        ("warm-up", "lstm", True), ("warm-up", "bilstm", True),
+        *[("mimo-full", kind, True) for kind in FAMILIES]])
+    def test_processes(self, name, kind, forks, jobs):
+        cfg, streams, windows = self.case(name, kind)
+        assert experiment.predict_jobs(cfg, kind, streams, windows, jobs) == (
+            jobs if forks else 1)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_a_mimo_shaped_evaluate_and_predict_start_no_child(
+            self, tmp_path, monkeypatch, kind):
+        cfg = tmp_path / "mimo.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in
+                               {**bench.MIMO, "model": kind}.items()),
+                       encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        forks = []
+
+        def refuse():
+            forks.append(os.getpid())
+            raise AssertionError("prediction forked")
+
+        monkeypatch.setattr(workers, "default_jobs", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        codes, _ = _use(tmp_path, "use", run)
+        assert codes == [0, 0]
+        assert forks == []
+        _assert_no_children()
