@@ -24,7 +24,7 @@ import os
 import re
 import stat
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 import numpy as np
@@ -116,26 +116,6 @@ class SupervisedWindowSet:
 
     def __len__(self):
         return self.t.shape[0]
-
-
-def stack_windows(sets) -> SupervisedWindowSet:
-    """The window sets of F feature streams, cut at the same origins, as one
-    set with X (F, N, d) and Y (F, N, D): the input of a stacked model. One
-    set becomes a stack of one, X (1, N, d), a view of its arrays; F > 1
-    sets are copied."""
-    first = sets[0]
-    for ws in sets[1:]:
-        if (ws.d, ws.D) != (first.d, first.D) or not np.array_equal(ws.t, first.t):
-            raise ContractViolation(
-                f"windows of {ws.feature_id} are not cut as those of "
-                f"{first.feature_id}")
-    if len(sets) == 1:
-        X, Y = first.X[None], first.Y[None]
-    else:
-        X, Y = np.stack([ws.X for ws in sets]), np.stack([ws.Y for ws in sets])
-    return SupervisedWindowSet(first.d, first.D,
-                               ",".join(ws.feature_id for ws in sets), first.t,
-                               X, Y)
 
 
 def load_csi(path, sample_interval=DEFAULTS["sample_interval"]) -> CsiSeries:
@@ -455,16 +435,43 @@ class PreparedFeature:
     windows: dict  # split name -> SupervisedWindowSet (normalized values)
 
 
+@dataclass
+class PreparedDataset:
+    """F prepared feature streams: each split's windows of all of them as one
+    stack, X (F, N, d) and Y (F, N, D), and each stream's series and scaler.
+    `prepared[k]` is stream k's PreparedFeature and `prepared[a:b]` the
+    PreparedDataset of streams a..b-1, both with row views of these stacks."""
+
+    features: list  # FeatureSeries per stream
+    scalers: list  # Scaler per stream
+    stacks: dict  # split name -> SupervisedWindowSet of every stream
+
+    def __len__(self):
+        return len(self.features)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, slice):
+            return PreparedDataset(self.features[rows], self.scalers[rows], {
+                name: replace(ws, X=ws.X[rows], Y=ws.Y[rows])
+                for name, ws in self.stacks.items()})
+        # An index past the last stream raises IndexError here, which ends
+        # a `for pf in prepared` loop.
+        feature = self.features[rows]
+        return PreparedFeature(feature, self.scalers[rows], {
+            name: replace(ws, feature_id=feature.feature_id, X=ws.X[rows],
+                          Y=ws.Y[rows])
+            for name, ws in self.stacks.items()})
+
+
 def prepare_dataset(series: CsiSeries, d, D, fractions=FRACTIONS,
                     stride=1):
     """Full preprocessing: clean, split, separate re/im, normalize, window.
 
     The scaler for every feature is fitted on the training split only; windows
     are built per split so none straddles a boundary. Each split is
-    normalized and windowed for all feature streams at once, and each
-    stream's window sets are views of its row of those stacks. Returns the
-    prepared features plus a digest over all window arrays, stream by stream
-    (fairness contract).
+    normalized and windowed for all feature streams at once, into the stacks
+    of a PreparedDataset. Returns it plus a digest over all window arrays,
+    stream by stream (fairness contract).
     """
     cleaned, _ = clean(series)
     min_seg = d + D + 3
@@ -479,17 +486,11 @@ def prepare_dataset(series: CsiSeries, d, D, fractions=FRACTIONS,
         (np.stack([feat.values for feat in feats]) - shift) / half_range - 1.0,
         d, D, start_index=seg.start_index, stride=stride)
         for feats, seg in zip(split_feats, segments)]
-    prepared = []
     digest = hashlib.sha256()
-    for k, feat in enumerate(split_feats[0]):
-        windows = {}
-        for name, ws in zip(("train", "val", "test"), stacks):
-            windows[name] = SupervisedWindowSet(d, D, feat.feature_id, ws.t,
-                                                ws.X[k], ws.Y[k])
-            digest.update(ws.X[k])
-            digest.update(ws.Y[k])
-        prepared.append(PreparedFeature(
-            feature=feat, scaler=Scaler(shift=float(lo[k]),
-                                        half_range=float(half_range[k, 0])),
-            windows=windows))
-    return prepared, digest.hexdigest()
+    for k, ws in itertools.product(range(len(train)), stacks):
+        digest.update(ws.X[k])
+        digest.update(ws.Y[k])
+    scalers = [Scaler(shift=float(s), half_range=float(h))
+               for s, h in zip(lo, half_range[:, 0])]
+    return PreparedDataset(split_feats[0], scalers, dict(zip(
+        ("train", "val", "test"), stacks))), digest.hexdigest()

@@ -186,15 +186,15 @@ def predict_jobs(cfg, kind, streams, windows, jobs):
 
 def train_feature(cfg, kind, group, seeds, dataset_digest=""):
     """Train one model of the given kind on each feature stream of `group`
-    (a list of PreparedFeature, one seed each), as one stacked model; a group
-    of one stream is a stack of one.
+    (a PreparedDataset, one seed per stream), as one stacked model on its
+    split stacks; a group of one stream is a stack of one.
 
     Returns the per-stream models and loss histories.
     """
     np_cfg, arch = _stages(cfg, kind)
     two_stage = np_cfg is not None and arch is not None
     # Stage 2 trains on the train forecasts; perfbench/tracing.py reads val's.
-    splits = {name: datapipe.stack_windows([pf.windows[name] for pf in group])
+    splits = {name: group.stacks[name]
               for name in (("train", "val") if two_stage else ("train",))}
     if two_stage:
         model, rnn_hists, np_hists, _ = build_hybrid(
@@ -380,7 +380,7 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
 
     def predict_group(group, seeds):
         """The normalized predictions of each stream."""
-        stack = _stack_model(cfg, seeds, group[0].windows["train"])
+        stack = _stack_model(cfg, seeds, group.stacks["train"])
         models, failure = [], None
         for pf, model in zip(group, _streams(stack)):
             feat_id = pf.feature.feature_id
@@ -397,10 +397,9 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
         if failure is None:
             for part in (stack.rnn, stack.np_model) if kind == "hybrid" else (stack,):
                 part.trained = True
-            windows = datapipe.stack_windows([pf.windows[split] for pf in group])
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    return list(predict_windows(kind, stack, windows))
+                    return list(predict_windows(kind, stack, group.stacks[split]))
             except FloatingPointError:
                 pass  # named below by the lowest stream that overflows
         preds = []
@@ -412,7 +411,7 @@ def predict_prepared(cfg, checkpoint, split, prepared, digest):
             raise failure
         return preds
 
-    streams, windows = len(prepared), len(prepared[0].windows[split])
+    streams, windows = len(prepared), len(prepared.stacks[split])
     jobs = workers.default_jobs()
     # Stacks are sized for one process per CPU whatever the process count,
     # so that the memory of a stack does not depend on the work.

@@ -50,15 +50,15 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     recurrent model and the additive model consume the same windows.
     Returns (HybridModel, rnn loss history, np loss history, regressors dict).
 
-    With stacked splits (`datapipe.stack_windows`), a stacked recurrent model
-    and a list of seeds, both stages train stacked: the HybridModel holds the
-    stacked stages and one provenance per stream, and the histories are per
-    stream. Stage 1 forecasts stream by stream, and both stages predict in
-    parts of at most `numcore.PREDICT_WINDOWS` windows, so that inference
-    memory grows neither with the group nor with the split. Each stage
-    refuses training windows of another shape than its own: `np_cfg` must
-    name their d and D, as `rnn_model` does. The additive config is checked
-    before stage 1 trains, so a mismatch costs no training.
+    With the split stacks of a `datapipe.PreparedDataset`, a stacked recurrent
+    model and a list of seeds, both stages train stacked: the HybridModel
+    holds the stacked stages and one provenance per stream, and the histories
+    are per stream. Stage 1 forecasts stream by stream, and both stages
+    predict in parts of at most `numcore.PREDICT_WINDOWS` windows, so that
+    inference memory grows neither with the group nor with the split. Each
+    stage refuses training windows of another shape than its own: `np_cfg`
+    must name their d and D, as `rnn_model` does. The additive config is
+    checked before stage 1 trains, so a mismatch costs no training.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")

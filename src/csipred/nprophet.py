@@ -306,8 +306,8 @@ def trend_span(data: SupervisedWindowSet):
 def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
     """Joint Adam fit of all enabled components; returns (model, loss history).
 
-    With stacked windows (`datapipe.stack_windows`), stacked regressors and a
-    list of seeds it trains a stacked model and returns a history per stream.
+    With a split stack of a `datapipe.PreparedDataset`, stacked regressors and
+    a list of seeds it trains a stacked model and returns a history per stream.
     """
     check_windows(data, cfg.d, cfg.D)
     if regressors is not None:

@@ -459,8 +459,8 @@ class RecurrentModel:
 def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
     """Minibatch Adam on Huber loss with full-window BPTT; returns loss history.
 
-    A stacked model trains on stacked windows (`datapipe.stack_windows`) with
-    a list of seeds, one generator per stream, and returns a history per stream.
+    A stacked model trains on a split stack of a `datapipe.PreparedDataset`
+    with a list of seeds, one generator per stream, and returns a history per stream.
     """
     check_windows(data, model.d, model.D)
     rng = generators(seed)

@@ -20,7 +20,7 @@ import pytest
 from csipred import datapipe, experiment, nprophet, numcore, recurrent, workers
 from csipred.cli import main
 from csipred.config import resolve_config
-from csipred.errors import ContractViolation, DivergenceError, WorkerError
+from csipred.errors import DivergenceError, WorkerError
 from csipred.numcore import PREDICT_WINDOWS, fit, unflatten, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig, train_recurrent
 
@@ -230,35 +230,79 @@ def test_unflatten_of_a_stack_gives_row_views():
 def test_stacked_model_matches_its_streams():
     rng = np.random.default_rng(0)
     cfg = TrainConfig(epochs=2, batch_size=8, dropout=0.2)
-    windows = [datapipe.make_windows(np.sin(np.arange(90) / (4.0 + f)), 5, 2)
-               for f in range(3)]
+    series = np.sin(np.arange(90) / (4.0 + np.arange(3)[:, None]))
     stack = RecurrentModel("lstm", 5, 2, hidden_size=3, layers=2, config=cfg,
                            seed=[4, 5, 6])
-    hists = train_recurrent(stack, datapipe.stack_windows(windows), seed=[4, 5, 6])
+    hists = train_recurrent(stack, datapipe.make_windows(series, 5, 2),
+                            seed=[4, 5, 6])
     X = rng.normal(size=(3, 7, 5))
     y, _ = stack.forward(X, backward=False)
-    for f, (one, ws) in enumerate(zip(unstack(stack), windows)):
+    for f, one in enumerate(unstack(stack)):
         alone = RecurrentModel("lstm", 5, 2, hidden_size=3, layers=2, config=cfg,
                                seed=4 + f)
+        ws = datapipe.make_windows(series[f], 5, 2)
         assert train_recurrent(alone, ws, seed=4 + f) == hists[f]
         for name, value in alone.params.items():
             assert np.array_equal(one.params[name], value)
         assert np.array_equal(y[f], alone.forward(X[f], backward=False)[0])
 
 
-def test_stack_windows_stacks_one_set():
-    ws = datapipe.make_windows(np.arange(40.0), 4, 2)
-    one = datapipe.stack_windows([ws])
-    assert one.X.shape == (1, len(ws), 4) and one.Y.shape == (1, len(ws), 2)
-    assert np.array_equal(one.X[0], ws.X) and np.array_equal(one.Y[0], ws.Y)
-    assert np.array_equal(one.t, ws.t) and one.feature_id == ws.feature_id
+def _groups_of_four(monkeypatch, kind):
+    """Train and predict in this process, in groups of 4 of TOY's 10 streams
+    (the prediction stacks hold all 10); returns the resolved config."""
+    cfg = resolve_config({**TOY, "model": kind})
+    monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                        4 * experiment.stream_bytes(cfg, kind))
+    _jobs(monkeypatch, 1)
+    return cfg
 
 
-def test_stack_windows_refuses_windows_cut_elsewhere():
-    a = datapipe.make_windows(np.arange(40.0), 4, 2)
-    b = datapipe.make_windows(np.arange(41.0), 4, 2)
-    with pytest.raises(ContractViolation):
-        datapipe.stack_windows([a, b])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_groups_and_stacks_are_views_of_the_split_stacks(monkeypatch, kind):
+    cfg = _groups_of_four(monkeypatch, kind)
+    trained, forecast = [], []
+    for name in ("train_recurrent", "np_train", "build_hybrid"):
+        def spy(*args, _call=getattr(experiment, name), **kwargs):
+            data = next(a for a in args if isinstance(
+                a, (dict, datapipe.SupervisedWindowSet)))
+            trained.extend(data.items() if isinstance(data, dict)
+                           else [("train", data)])
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, spy)
+    predict_windows = experiment.predict_windows
+
+    def spy_predict(kind, model, ws):
+        forecast.append(ws)
+        return predict_windows(kind, model, ws)
+
+    monkeypatch.setattr(experiment, "predict_windows", spy_predict)
+    prepared, digest = experiment.prepare(cfg)
+    experiment.train_and_score(cfg, prepared, digest, "test")
+    want = {"hybrid": {"train", "val"}}.get(kind, {"train"})
+    assert {name for name, _ in trained} == want
+    assert len(trained) == 3 * len(want)
+    for name, ws in trained:
+        assert ws.X.shape[0] > 1
+        stack = prepared.stacks[name]
+        assert np.shares_memory(ws.X, stack.X) and np.shares_memory(ws.Y, stack.Y)
+    assert [ws.X.shape[0] for ws in forecast] == [10]
+    assert np.shares_memory(forecast[0].X, prepared.stacks["test"].X)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_train_and_score_leaves_the_split_stacks_unchanged(monkeypatch, kind):
+    cfg = _groups_of_four(monkeypatch, kind)
+    prepared, digest = experiment.prepare(cfg)
+
+    def contents():
+        return {name: [a.tobytes() for a in (ws.t, ws.X, ws.Y)]
+                for name, ws in prepared.stacks.items()}
+
+    before = contents()
+    for split in ("val", "test"):
+        experiment.train_and_score(cfg, prepared, digest, split)
+        assert contents() == before
 
 
 class _NeedsArgs(Exception):
