@@ -7,9 +7,10 @@ Every command composes four steps: `prepare`, `train_prepared`,
 Each (antenna, real/imag) stream trains its own predictor, in stacked groups
 of streams that train as one stack, a group of one stream included (see
 `group_size`), and predicts in stacks sized by its windows (see
-`predict_size`). `_run_streams` cuts a run's streams into groups of either
-size and runs them in forked worker processes (see `workers`): one per CPU
-to train, and to predict as many as the work merits (see `predict_jobs`).
+`predict_size`). `_run_streams` cuts a run's streams into groups of at most
+either size, spread evenly over its processes (see `group_sizes`), and runs
+them in forked worker processes (see `workers`): one per CPU to train, and
+to predict as many as the work merits (see `predict_jobs`).
 Predictions are recombined into complex channel vectors for evaluation. All
 randomness flows from the config seeds, so a rerun with the same config is
 bit-identical.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 
 import numpy as np
 
@@ -161,6 +163,21 @@ def group_size(cfg, kind, streams):
     return max(1, min(streams, GROUP_CACHE_BYTES // stream_bytes(cfg, kind)))
 
 
+def group_sizes(streams, size, jobs):
+    """The sizes of the groups, of at most `size` streams each, that
+    `streams` streams are cut into for `jobs` processes, which
+    `workers.run_groups` deals them to round-robin. As few groups as fit
+    (c), all of `size` but the last, when c is 1 or a multiple of `jobs`;
+    else min(streams, jobs * ceil(c / jobs)) groups whose sizes differ by at
+    most one, larger first, so that no process runs more streams than it
+    would in c groups, and most run fewer."""
+    count = -(-streams // size)
+    if count > 1 and count % jobs:
+        count = min(streams, jobs * -(-count // jobs))
+        return [streams // count + (g < streams % count) for g in range(count)]
+    return [min(size, streams - start) for start in range(0, streams, size)]
+
+
 def predict_size(streams, windows, jobs):
     """Streams per prediction stack, of `streams` in all, each predicting
     `windows` windows in `jobs` processes: an equal share of the streams per
@@ -225,18 +242,18 @@ def train_experiment(cfg, series=None):
 
 
 def _run_streams(cfg, prepared, run_group, size, jobs):
-    """`run_group(streams, seeds)` of each stacked group of `size` prepared
-    streams, with their seeds, through `workers.run_groups` in `jobs`
-    processes: the per-stream results that each call returns, joined in
-    stream order."""
+    """`run_group(streams, seeds)` of each stacked group of at most `size`
+    prepared streams, cut by `group_sizes`, with their seeds, through
+    `workers.run_groups` in `jobs` processes: the per-stream results that
+    each call returns, joined in stream order."""
     seeds = [_feature_seed(cfg["seed"], index) for index in range(len(prepared))]
-    starts = range(0, len(prepared), size)
+    bounds = [0, *itertools.accumulate(group_sizes(len(prepared), size, jobs))]
 
     def run(index):
-        cut = slice(starts[index], starts[index] + size)
+        cut = slice(bounds[index], bounds[index + 1])
         return run_group(prepared[cut], seeds[cut])
 
-    return [result for results in workers.run_groups(run, len(starts), jobs)
+    return [result for results in workers.run_groups(run, len(bounds) - 1, jobs)
             for result in results]
 
 

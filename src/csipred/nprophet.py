@@ -7,6 +7,13 @@ future-regressor vector. All parameters train jointly with Adam on Huber loss;
 gradients are hand-derived (every component is linear in its parameters except
 the AR network, which is a standard MLP).
 
+The trend and seasonality terms depend only on a horizon step's time. They
+are computed once per distinct horizon time (see `NpModel.time_terms`) and
+gathered per window: `np_train` builds them once per fit, over the training
+split, so that every stream, batch and epoch shares them, and a forward pass
+without them, as each part of `np_predict_batch` is, builds them once for its
+own origins.
+
 Conventions:
 - trend time is normalized to [0, 1] over the training span;
 - seasonality uses absolute sample indices, with periods given in virtual
@@ -137,6 +144,15 @@ def _mv(A, v):
     return (A @ v[..., None, :, None])[..., 0]
 
 
+def horizon_rows(t_origins, D):
+    """(distinct times (T,), rows (..., D)): the horizon times t + 1..D of
+    origins t (...,), each once and sorted, and the row of each origin's step
+    in them. Keyed by time value, so fractional origins share rows too."""
+    t_abs = np.asarray(t_origins, dtype=float)[..., None] + np.arange(1, D + 1)
+    times, rows = np.unique(t_abs, return_inverse=True)
+    return times, rows.reshape(t_abs.shape)
+
+
 class NpModel:
     """Additive forecaster; see module docstring for conventions.
 
@@ -185,35 +201,59 @@ class NpModel:
             return self.params["trend_dr"]
         return -self.changepoints * self.params["trend_dg"]
 
-    def forward_components(self, t_origins, lags, regressors=None):
+    def time_terms(self, times):
+        """The time terms of the enabled components at distinct horizon
+        times (T,): trend time "tn" (T,) and changepoint indicators "ind"
+        (T, m), and each seasonality's cos and sin bases "bases" (T, k). Row
+        by row these are the elementwise expressions that a time gives, so
+        that gathering rows by `horizon_rows` equals computing them at every
+        step of every window."""
+        cfg = self.cfg
+        terms = {}
+        if cfg.trend_enabled:
+            tn = (times - self.t0) / self.t_span
+            terms["tn"] = tn
+            terms["ind"] = (tn[..., None] >= self.changepoints).astype(float)
+        if cfg.seasonality_enabled:
+            terms["bases"] = []
+            for k, period_days in cfg.seasonalities:
+                period = period_days * cfg.samples_per_day
+                r = np.arange(1, k + 1)
+                ang = 2.0 * np.pi * r * times[..., None] / period
+                terms["bases"].append((np.cos(ang), np.sin(ang)))
+        return terms
+
+    def forward_components(self, t_origins, lags, regressors=None, terms=None):
+        """`terms` is (`time_terms` of distinct times, the row of each horizon
+        step of these origins in them), as `horizon_rows` gives; without it
+        the terms are computed here, once per distinct time of these
+        origins."""
         cfg = self.cfg
         p = self.params
-        # absolute sample index of each horizon step, shape (B, D)
-        t_abs = np.asarray(t_origins, dtype=float)[..., None] + np.arange(1, cfg.D + 1)
+        if terms is None:
+            times, rows = horizon_rows(t_origins, cfg.D)
+            terms = self.time_terms(times), rows
+        table, rows = terms
         comps = {}
-        cache = {"t_abs": t_abs}
+        cache = {}
         if cfg.trend_enabled:
-            tn = (t_abs - self.t0) / self.t_span
-            ind = (tn[..., None] >= self.changepoints).astype(float)
+            tn, ind = table["tn"][rows], table["ind"][rows]
             comps["trend"] = ((p["trend_g0"][..., None] + _mv(ind, p["trend_dg"])) * tn
                               + (p["trend_r0"][..., None] + _mv(ind, self._offset_adj())))
             cache["tn"], cache["ind"] = tn, ind
         else:
-            comps["trend"] = np.zeros(t_abs.shape)
+            comps["trend"] = np.zeros(rows.shape)
         if cfg.seasonality_enabled:
-            F = np.zeros(t_abs.shape)
+            F = np.zeros(rows.shape)
             bases = []
-            for i, (k, period_days) in enumerate(cfg.seasonalities):
-                period = period_days * cfg.samples_per_day
-                r = np.arange(1, k + 1)
-                ang = 2.0 * np.pi * r * t_abs[..., None] / period
-                cos, sin = np.cos(ang), np.sin(ang)
+            for i, (cos, sin) in enumerate(table["bases"]):
+                cos, sin = cos[rows], sin[rows]
                 F = F + (_mv(cos, p[f"season{i}_a"]) + _mv(sin, p[f"season{i}_b"]))
                 bases.append((cos, sin))
             comps["seasonality"] = F
             cache["bases"] = bases
         else:
-            comps["seasonality"] = np.zeros(t_abs.shape)
+            comps["seasonality"] = np.zeros(rows.shape)
         if cfg.ar_enabled:
             z = np.asarray(lags, dtype=float)[..., ::-1]  # most recent lag first
             if z.shape[-1] != cfg.d:
@@ -230,7 +270,7 @@ class NpModel:
             comps["ar"] = h @ mT(p[f"ar_U{cfg.ar_layers + 1}"])
             cache["ar_hs"], cache["ar_pre"] = hs, pre
         else:
-            comps["ar"] = np.zeros(t_abs.shape)
+            comps["ar"] = np.zeros(rows.shape)
         if cfg.regressor_enabled:
             if regressors is None:
                 raise ContractViolation("model expects a future regressor")
@@ -238,11 +278,11 @@ class NpModel:
             comps["regressor"] = reg @ mT(p["reg_W"])
             cache["reg"] = reg
         else:
-            comps["regressor"] = np.zeros(t_abs.shape)
+            comps["regressor"] = np.zeros(rows.shape)
         return comps, cache
 
-    def forward(self, t_origins, lags, regressors=None):
-        comps, cache = self.forward_components(t_origins, lags, regressors)
+    def forward(self, t_origins, lags, regressors=None, terms=None):
+        comps, cache = self.forward_components(t_origins, lags, regressors, terms)
         total = comps["trend"] + comps["seasonality"] + comps["ar"] + comps["regressor"]
         return total, cache
 
@@ -316,11 +356,15 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
             raise ContractViolation("regressor array must be (N, D)")
     model = NpModel(cfg, seed, *trend_span(data))
     stacked = isinstance(seed, list)
+    # Every stream, batch and epoch gathers its time terms from one table.
+    times, steps = horizon_rows(data.t, cfg.D)
+    table = model.time_terms(times)
 
     def batch_loss(idx):
         rows = batch_rows(idx)
         reg = None if regressors is None else regressors[rows]
-        y_hat, cache = model.forward(data.t[idx], data.X[rows], reg)
+        y_hat, cache = model.forward(data.t[idx], data.X[rows], reg,
+                                     (table, steps[idx]))
         dY = huber_grad(data.Y[rows], y_hat, cfg.huber_beta, stacked)
         return (huber_loss(data.Y[rows], y_hat, cfg.huber_beta, stacked),
                 model.grads(dY, cache))

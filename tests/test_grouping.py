@@ -129,6 +129,65 @@ def test_mimo_shape_groups_hold_several_streams():
     assert experiment.group_size(cfg, "np", 32) > 1
 
 
+def _dealt(sizes, jobs):
+    """The streams that each process runs when `workers.run_groups` deals
+    groups of these sizes round-robin to `jobs` processes."""
+    procs = min(jobs, len(sizes))
+    return [sum(sizes[k::procs]) for k in range(procs)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_groups_fit_the_cap_and_load_no_process_more(monkeypatch, jobs):
+    cfg = resolve_config({**TOY, "model": "rnn"})
+    lighter = 0
+    for cap in range(1, 13):
+        monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                            cap * experiment.stream_bytes(cfg, "rnn"))
+        for streams in range(1, 41):
+            size = experiment.group_size(cfg, "rnn", streams)
+            sizes = experiment.group_sizes(streams, size, jobs)
+            fixed = [min(cap, streams - start) for start in range(0, streams, cap)]
+            assert sum(sizes) == streams
+            assert 1 <= min(sizes) and max(sizes) <= cap
+            assert sizes == fixed or max(sizes) - min(sizes) <= 1
+            if jobs == 1:
+                assert sizes == fixed
+            assert max(_dealt(sizes, jobs)) <= max(_dealt(fixed, jobs))
+            lighter += max(_dealt(sizes, jobs)) < max(_dealt(fixed, jobs))
+    assert (lighter > 0) == (jobs > 1)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_benchmark_layouts_on_two_processes(kind):
+    # mimo-cli's 32 np streams fit 11 to a group: 11, 11 and 10 would load
+    # this process with 21 and the child with 11. Every other layout of
+    # both workloads deals evenly already.
+    for overrides in (bench.MIMO, bench.PAPER):
+        cfg = resolve_config({**overrides, "model": kind})
+        streams = 2 * cfg["antenna_count"]
+        size = experiment.group_size(cfg, kind, streams)
+        fixed = [min(size, streams - start) for start in range(0, streams, size)]
+        want = [8] * 4 if (overrides, kind) == (bench.MIMO, "np") else fixed
+        assert experiment.group_sizes(streams, size, 2) == want
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_even_groups_train_the_bytes_of_fixed_groups(tmp_path, monkeypatch,
+                                                     kind):
+    # A cap of 4 cuts TOY's 10 streams into 4, 4 and 2 in one process and
+    # into 3, 3, 2 and 2 in two.
+    cfg = resolve_config({**TOY, "model": kind})
+    monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
+                        4 * experiment.stream_bytes(cfg, kind))
+    assert experiment.group_sizes(10, 4, 1) == [4, 4, 2]
+    assert experiment.group_sizes(10, 4, 2) == [3, 3, 2, 2]
+    _jobs(monkeypatch, 1)
+    one = _train(tmp_path, "one", {"model": kind})
+    _jobs(monkeypatch, 2)
+    assert _train(tmp_path, "two", {"model": kind}) == one
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "hybrid"])
 def test_parameters_that_overflow_exit_3(tmp_path, capsys, kind):
     # One Adam step at this rate moves the weights to about 1e300: the loss
@@ -330,18 +389,18 @@ def _assert_no_children():
 
 class TestJobs:
     """Groups trained and predicted in forked workers: with two workers and
-    groups of 4, 4 and 2 streams, this process runs groups 0 and 2 and a
-    child group 1."""
+    groups of 3, 3, 3 and 1 streams, the same groups as in one process, this
+    process runs groups 0 and 2 and a child groups 1 and 3."""
 
     @staticmethod
-    def three_groups(monkeypatch, kind):
+    def four_groups(monkeypatch, kind):
         cfg = resolve_config({**TOY, "model": kind})
         monkeypatch.setattr(experiment, "GROUP_CACHE_BYTES",
-                            4 * experiment.stream_bytes(cfg, kind))
+                            3 * experiment.stream_bytes(cfg, kind))
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_outputs_do_not_depend_on_jobs(self, tmp_path, monkeypatch, kind):
-        self.three_groups(monkeypatch, kind)
+        self.four_groups(monkeypatch, kind)
         _jobs(monkeypatch, 1)
         one = _train(tmp_path, "one", {"model": kind})
         _jobs(monkeypatch, 2)
@@ -349,15 +408,15 @@ class TestJobs:
         assert two == one
         _assert_no_children()
 
-    @pytest.mark.parametrize("bad", [("ant2_re", "ant4_re"),
-                                     ("ant0_re", "ant2_re")],
+    @pytest.mark.parametrize("bad", [("ant1_im", "ant3_re"),
+                                     ("ant0_re", "ant1_im")],
                              ids=["groups-1-2", "groups-0-1"])
     def test_lowest_diverging_group_decides(self, tmp_path, monkeypatch, capsys,
                                             bad):
         # The groups that start at these features train at a rate whose first
         # step overflows the squared norm of the parameters. The child starts
         # late, so that this process fails first and must wait for group 1.
-        self.three_groups(monkeypatch, "rnn")
+        self.four_groups(monkeypatch, "rnn")
         parent = os.getpid()
         train_feature = experiment.train_feature
 
@@ -382,7 +441,7 @@ class TestJobs:
         assert f"rnn model of feature {bad[0]}:" in lines[0][0]
 
     def test_a_worker_that_dies_exits_4(self, tmp_path, monkeypatch, capsys):
-        self.three_groups(monkeypatch, "rnn")
+        self.four_groups(monkeypatch, "rnn")
         parent = os.getpid()
         train_feature = experiment.train_feature
 
@@ -470,7 +529,7 @@ class TestJobs:
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_evaluation_does_not_depend_on_jobs(self, tmp_path, monkeypatch,
                                                 kind):
-        self.three_groups(monkeypatch, kind)
+        self.four_groups(monkeypatch, kind)
         code, run = _run(tmp_path, "run", {"model": kind})
         assert code == 0
         outputs = []
@@ -509,7 +568,7 @@ class TestJobs:
 
     def test_a_prediction_worker_that_dies_exits_4(self, tmp_path, monkeypatch,
                                                    capsys):
-        self.three_groups(monkeypatch, "rnn")
+        self.four_groups(monkeypatch, "rnn")
         code, run = _run(tmp_path, "run", {"model": "rnn"})
         assert code == 0
         parent = os.getpid()
@@ -537,7 +596,7 @@ class TestJobs:
     def test_a_prediction_worker_out_of_memory_exits_1(self, tmp_path,
                                                        monkeypatch, capsys):
         # Only the child that predicts group 1 runs out; it sends the error.
-        self.three_groups(monkeypatch, "rnn")
+        self.four_groups(monkeypatch, "rnn")
         code, run = _run(tmp_path, "run", {"model": "rnn"})
         assert code == 0
         parent = os.getpid()
@@ -565,7 +624,7 @@ class TestJobs:
         # 2. That child starts late: with two processes this process waits
         # for it before group 2, and with three the child of group 2 fails
         # first.
-        self.three_groups(monkeypatch, "rnn")
+        self.four_groups(monkeypatch, "rnn")
         code, run = _run(tmp_path, "run", {"model": "rnn"})
         assert code == 0
         payload = json.loads((run / "checkpoint.json").read_text())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from csipred import synthchan
+from csipred import nprophet, synthchan
 from csipred.datapipe import fit_scaler, make_windows
 from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import finite_diff_grad, load_params
@@ -246,6 +246,81 @@ class TestModelForward:
         model = NpModel(tiny_config(), seed=0)
         with pytest.raises(ContractViolation):
             model.forward(np.array([5.0]), np.zeros((1, 4)), np.zeros((1, 3)))
+
+
+def _direct_terms(model, t_origins):
+    """The time terms at every horizon step of these origins, each computed
+    where it is used: the oracle of the terms that `forward` gathers from a
+    table of distinct times."""
+    cfg = model.cfg
+    t_abs = np.asarray(t_origins, dtype=float)[..., None] + np.arange(1, cfg.D + 1)
+    terms = {}
+    if cfg.trend_enabled:
+        tn = (t_abs - model.t0) / model.t_span
+        terms["tn"] = tn
+        terms["ind"] = (tn[..., None] >= model.changepoints).astype(float)
+    if cfg.seasonality_enabled:
+        terms["bases"] = []
+        for k, period_days in cfg.seasonalities:
+            period = period_days * cfg.samples_per_day
+            ang = 2.0 * np.pi * np.arange(1, k + 1) * t_abs[..., None] / period
+            terms["bases"].append((np.cos(ang), np.sin(ang)))
+    return terms
+
+
+def _term_bytes(terms):
+    """Each array of a terms dict as (shape, bytes), in a fixed order."""
+    arrays = [terms[k] for k in ("tn", "ind") if k in terms]
+    arrays += [a for pair in terms.get("bases", ()) for a in pair]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestTimeTerms:
+    """`forward` gathers the trend and seasonality terms from one row per
+    distinct horizon time; every gathered term equals the direct
+    computation bit for bit."""
+
+    @pytest.mark.parametrize("origins", ["integer", "fractional"])
+    @pytest.mark.parametrize("streams", [None, 3], ids=["one", "stack"])
+    @pytest.mark.parametrize("off", [None, "trend_enabled", "seasonality_enabled"])
+    def test_gathered_terms_equal_the_direct_computation(self, origins,
+                                                         streams, off):
+        rng = np.random.default_rng(11)
+        cfg = tiny_config(**({} if off is None else {off: False}))
+        seed = 0 if streams is None else list(range(streams))
+        model = NpModel(cfg, seed=seed, t0=-4.0, t_span=350.0)
+        randomize(model, rng)
+        # Strided origins whose horizons overlap, some of them twice, as a
+        # split's are; fractional ones are off the integer grid.
+        t_all = np.concatenate([np.arange(5, 300, 2), np.arange(40, 60)])
+        if origins == "fractional":
+            t_all = t_all + rng.uniform(-1.0, 1.0, t_all.size).round(2)
+        times, rows = nprophet.horizon_rows(t_all, cfg.D)
+        assert np.array_equal(times, np.unique(times))
+        assert np.array_equal(times[rows], t_all[:, None] + np.arange(1, cfg.D + 1))
+        table = model.time_terms(times)
+        shape = (8,) if streams is None else (streams, 8)
+        idx = rng.integers(0, t_all.size, shape)
+        idx.flat[1] = idx.flat[0]  # a batch that repeats a window
+        lags = rng.normal(size=(*shape, cfg.d))
+        reg = rng.normal(size=(*shape, cfg.D))
+        want = _term_bytes(_direct_terms(model, t_all[idx]))
+        # The table that training builds over the split, and the one that a
+        # forward pass builds over its own origins.
+        shared, shared_cache = model.forward(t_all[idx], lags, reg,
+                                             (table, rows[idx]))
+        alone, alone_cache = model.forward(t_all[idx], lags, reg)
+        assert _term_bytes(shared_cache) == want
+        assert _term_bytes(alone_cache) == want
+        assert shared.tobytes() == alone.tobytes()
+        assert len(want) == {None: 6, "trend_enabled": 4,
+                             "seasonality_enabled": 2}[off]
+
+    def test_one_row_per_distinct_time(self):
+        times, rows = nprophet.horizon_rows(np.array([[0.5, 1.5], [2.0, 0.5]]), 3)
+        assert times.tolist() == [1.5, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
+        assert rows.shape == (2, 2, 3)
+        assert rows[0, 0].tolist() == rows[1, 1].tolist() == [0, 1, 3]
 
 
 class TestGradients:
