@@ -106,7 +106,7 @@ def _feature_seed(seed, index):
 # Feature streams train in stacked groups (see `numcore.unstack`): as many
 # streams as keep the arrays that one stacked forward+backward pass holds live
 # within this many bytes, and at least one. At H=16, L=1, B=32 that is 8 rnn,
-# 2 lstm and 1 bilstm streams; at the paper shape (H=200, L=3) one recurrent
+# 2 lstm and 2 bilstm streams; at the paper shape (H=200, L=3) one recurrent
 # stream alone exceeds it. Larger groups gained little more speed and raised
 # the peak RSS of a 16-antenna `csipred` session.
 GROUP_CACHE_BYTES = 5 << 20

@@ -1,5 +1,6 @@
-"""README against the code: its command lines parse, and the names its
-Layout table gives a module exist in that module."""
+"""README against the code: its command lines parse, the names its Layout
+table gives a module exist in that module, and the group sizes it states are
+those that `experiment.group_size` gives."""
 import importlib
 import re
 import shlex
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from csipred import experiment
 from csipred.cli import build_parser
+from csipred.config import resolve_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -53,3 +56,15 @@ def test_layout_names_exist(modules, names):
     loaded = [importlib.import_module(f"csipred.{m}") for m in modules]
     missing = [n for n in names if not any(hasattr(m, n) for m in loaded)]
     assert missing == [], f"{'/'.join(modules)}: {missing}"
+
+
+def test_readme_group_sizes_are_the_code_s():
+    text = " ".join(README.split())
+    found = re.search(r"At H=16, L=1, B=32 that is (\d+) rnn, (\d+) lstm, "
+                      r"(\d+) bilstm and (\d+) np streams", text)
+    assert found, "the group-size sentence is gone from README"
+    cfg = resolve_config({"rnn_hidden": "16", "rnn_layers": "1",
+                          "batch_size": "32"})
+    sizes = [experiment.group_size(cfg, kind, 32)
+             for kind in ("rnn", "lstm", "bilstm", "np")]
+    assert [int(n) for n in found.groups()] == sizes

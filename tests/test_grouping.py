@@ -127,6 +127,21 @@ def test_mimo_shape_groups_hold_several_streams():
                           "rnn_layers": "1", "dropout": "0.0"})
     assert experiment.group_size(cfg, "rnn", 32) > 1
     assert experiment.group_size(cfg, "np", 32) > 1
+    # At L=1 a bilstm stream weighs about what an lstm stream does.
+    assert experiment.group_size(cfg, "lstm", 32) == 2
+    assert experiment.group_size(cfg, "bilstm", 32) == 2
+
+
+@pytest.mark.parametrize("H,L,d,B", [(16, 1, 48, 32), (200, 3, 48, 32),
+                                     (4, 2, 6, 16)])
+def test_bilstm_counts_its_top_reverse_scan_as_one_step(H, L, d, B):
+    # The lstm count, plus the reverse directions of the lower layers, plus
+    # the top layer's one-step reverse scan: 8 arrays of (2, B, H).
+    lower_reverse = 8 * 8 * B * H * (d + 1) * (L - 1)
+    top_reverse = 8 * 8 * B * H * 2
+    assert recurrent.scan_cache_bytes("bilstm", H, L, d, B) == (
+        recurrent.scan_cache_bytes("lstm", H, L, d, B) + lower_reverse
+        + top_reverse)
 
 
 def _dealt(sizes, jobs):
@@ -304,6 +319,32 @@ def test_stacked_model_matches_its_streams():
         for name, value in alone.params.items():
             assert np.array_equal(one.params[name], value)
         assert np.array_equal(y[f], alone.forward(X[f], backward=False)[0])
+
+
+@pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("F", [2, 3])
+@pytest.mark.parametrize("B", [1, 2, 32])
+def test_stacks_of_sixteen_units_give_each_stream_its_bytes(arch, layers, F, B):
+    # B of 1 and 2 take OpenBLAS's small-matrix path, through the scans'
+    # step buffers.
+    seeds = list(range(3, 3 + F))
+    rng = np.random.default_rng(100 * F + B)
+    stack = RecurrentModel(arch, 8, 3, hidden_size=16, layers=layers,
+                           config=TrainConfig(dropout=0.2), seed=seeds)
+    X = rng.normal(size=(F, B, 8))
+    Y = rng.normal(size=(F, B, 3))
+    y = stack.forward(X, backward=False)[0]
+    loss, grads = stack.loss_and_grads(X, Y, training=True,
+                                       rng=numcore.generators(seeds))
+    for f, one in enumerate(unstack(stack)):
+        assert y[f].tobytes() == one.forward(X[f], backward=False)[0].tobytes()
+        loss_f, grads_f = one.loss_and_grads(X[f], Y[f], training=True,
+                                             rng=numcore.generators(seeds[f]))
+        assert loss[f] == loss_f
+        assert grads.keys() == grads_f.keys()
+        for name, g in grads_f.items():
+            assert grads[name][f].tobytes() == g.tobytes(), name
 
 
 def _groups_of_four(monkeypatch, kind):
