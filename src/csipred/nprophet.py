@@ -147,8 +147,14 @@ def _mv(A, v):
 def horizon_rows(t_origins, D):
     """(distinct times (T,), rows (..., D)): the horizon times t + 1..D of
     origins t (...,), each once and sorted, and the row of each origin's step
-    in them. Keyed by time value, so fractional origins share rows too."""
+    in them. Keyed by time value, so fractional origins share rows too.
+    Where no time repeats and they come sorted, as for origins that increase
+    by D or more (windows cut at a stride of at least D), these are the times
+    as they come and their positions, which is what `np.unique` returns."""
     t_abs = np.asarray(t_origins, dtype=float)[..., None] + np.arange(1, D + 1)
+    flat = t_abs.ravel()
+    if np.all(flat[1:] > flat[:-1]):
+        return flat, np.arange(flat.size).reshape(t_abs.shape)
     times, rows = np.unique(t_abs, return_inverse=True)
     return times, rows.reshape(t_abs.shape)
 

@@ -24,6 +24,12 @@ from .numcore import (GRAD_CLIP_NORM, clip_grad_norm,  # noqa: F401
 ARCHITECTURES = ("rnn", "lstm", "bilstm")
 # v1 held 12 per-gate arrays per LSTM direction; v2 held float lists.
 FORMAT = "csipred-recurrent-v3"
+# An lstm step scales and shifts its gates by (4H,) constants. Broadcast once
+# per scan to the step's shape, they took 4-10% off a forward pass at H=16-100
+# and B=1-32, whatever the stream count. Steps of more bytes than this keep
+# them (4H,): two more step-sized operands cost about 1% at H=200, B=31 and
+# B=256.
+STEP_CONSTANTS_BYTES = 128 * 1024
 
 
 @dataclass
@@ -56,27 +62,42 @@ def _dropout_mask(p, shape, rng):
 # G = 1 for the Elman cell and G = 4 for the LSTM, whose gate rows are
 # stacked f, i, g, o. The time loops keep only the work that depends on the
 # recurrence (Appleyard et al. 2016, arXiv:1604.01946). `_project` writes the
-# input projection of every step into the scan's gate buffer with one GEMM;
-# each step then adds its recurrent GEMM and applies the activations in
-# place. Each scan returns its states S (T+1, B, H), time-major with
-# S[0] = 0, and `backward()`, which turns the caches in place into the
-# factors that map a step's state and cell gradients to its pre-activation
-# gradient da. It returns the (T, B, G*H) buffer that will hold da and
-# `step(t, ds, carry)`, which writes da at step t and returns the carry for
-# step t-1. `_bptt` runs that loop and then gets the weight gradients and dX
-# as single GEMMs over all T*B rows. The caches are consumed, so a scan is
-# differentiated at most once. They are allocated once per scan, because
-# per-step arrays interleaved with (B, G*H) temporaries fragment the heap.
-# So are the step buffers that each step writes its recurrent GEMM and other
-# temporaries into (`np.matmul(..., out=)`), and the lstm's gate constants,
-# broadcast once to the step's shape: every step op then gets operands of
-# its own shape, with the same values and BLAS calls as fresh temporaries.
-# Between the passes a scan keeps no array that its backward pass can
-# recompute with one elementwise op: the lstm keeps Z, S and C, and
-# `backward()` recomputes tanh(c) from C. `RecurrentModel.loss_and_grads`
-# drops each layer's caches once its backward pass has run.
-# `rnn_cell_forward` and `lstm_cell_forward` compute one step gate by gate;
-# they are the independent reference the scans are tested against.
+# input projection of every step into a (T, B, G*H) buffer with one GEMM;
+# each step then adds its recurrent GEMM and applies the activations.
+#
+# A scan keeps what its caller reads, and nothing more (`keep`):
+# - "caches", for training: its states S (T+1, B, H), time-major with
+#   S[0] = 0, the lstm's gates Z and cells C besides, and `backward()`.
+# - "states", the forward-only pass of a lower layer: the states S[1:] that
+#   the layer above reads, and no backward pass.
+# - "last", the forward-only pass of a top layer: its last state (1, B, H)
+#   alone, the one the head reads.
+# A forecast thus holds one projection buffer and the layers' states.
+#
+# Each cell's step math is written once. A step runs on contiguous
+# (..., B, G*H) operands: a kept array's own step views where they are
+# contiguous (one stream, or none), else step buffers allocated once per
+# scan, which the kept arrays copy after each step (`_step_views`). A stack's
+# step view is F blocks T*B rows apart, and elementwise ops on it took up to
+# twice the time of the same ops on a contiguous array; the copy costs less.
+# The recurrent GEMM and the other temporaries go into step buffers too
+# (`np.matmul(..., out=)`), with the same values and BLAS calls as fresh
+# temporaries.
+#
+# `backward()` turns the caches in place into the factors that map a step's
+# state and cell gradients to its pre-activation gradient da. It returns the
+# (T, B, G*H) buffer that will hold da and `step(t, ds, carry)`, which writes
+# da at step t and returns the carry for step t-1. `_bptt` runs that loop and
+# then gets the weight gradients and dX as single GEMMs over all T*B rows.
+# The caches are consumed, so a scan is differentiated at most once. They are
+# allocated once per scan, because per-step arrays interleaved with (B, G*H)
+# temporaries fragment the heap. Between the passes a scan keeps no array
+# that its backward pass can recompute with one elementwise op: the lstm
+# keeps Z, S and C, and `backward()` recomputes tanh(c) from C.
+# `RecurrentModel.loss_and_grads` drops each layer's caches once its backward
+# pass has run. `rnn_cell_forward` and `lstm_cell_forward` compute one step
+# gate by gate; they are the independent reference the scans are tested
+# against.
 #
 # Every array may carry a leading stream axis (see `numcore.unstack`): the
 # parameters (F, G*H, n_in) and so on, the inputs (F, B, T, n) and the caches
@@ -101,6 +122,22 @@ def _steps(a, axis=-3):
     return a.swapaxes(0, axis)
 
 
+def _step_views(views, buf, n):
+    """The n views that a scan's steps work on for an array, given as the list
+    of its step views, and the views that copy them after each step, or None.
+    The array's own views where they are contiguous; else `buf` (..., B, k)
+    n times, copied into them. With views None (an array that the scan does
+    not keep), `buf` n times and no copies. The views are returned as given,
+    so a step that reads and writes one step view in place passes the same
+    object twice: for two views of the same memory numpy checks the overlap,
+    about 0.5 us a call."""
+    if views is None:
+        return [buf] * n, None
+    if views[0].flags.c_contiguous:
+        return views, None
+    return [buf] * n, views
+
+
 def _project(x, p, Z, scale=1.0):
     """Z[t] = x_t @ W.T + b for every step t, in one GEMM; returns V.T.
 
@@ -123,17 +160,23 @@ def rnn_cell_forward(x_t, s_prev, W, V, b):
     return np.tanh(x_t @ W.T + s_prev @ V.T + b)
 
 
-def _rnn_scan(x, p):
+def _rnn_scan(x, p, keep="caches"):
     *lead, B, T, _ = x.shape
     H = p["V"].shape[-1]
     S = np.zeros((*lead, T + 1, B, H))
-    St = _steps(S)
-    VT = _project(x, p, S[..., 1:, :, :])  # pre-activations, turned into states
+    VT = _project(x, p, S[..., 1:, :, :])  # pre-activations, then kept states
+    St = list(_steps(S))
+    ss, kept = _step_views(None if keep == "last" else St,
+                           np.zeros((*lead, B, H)), T + 1)
     sv = np.empty((*lead, B, H))            # the step's recurrent GEMM
     for t in range(T):
-        s = St[t + 1]
-        s += np.matmul(St[t], VT, out=sv)
+        s = ss[t + 1]
+        np.add(St[t + 1], np.matmul(ss[t], VT, out=sv), out=s)
         np.tanh(s, out=s)
+        if kept is not None:
+            np.copyto(kept[t + 1], s)
+    if keep != "caches":
+        return S[..., 1:, :, :] if keep == "states" else ss[T][..., None, :, :]
 
     def backward():
         A = np.square(S[..., 1:, :, :])
@@ -169,37 +212,50 @@ def lstm_cell_forward(x_t, prev: LstmState, w: dict) -> LstmState:
     return LstmState(s=s, c=c)
 
 
-def _lstm_scan(x, p):
+def _lstm_scan(x, p, keep="caches"):
     *lead, B, T, _ = x.shape
     H = p["V"].shape[-1]
     # sigmoid(a) = 1/2 + tanh(a/2)/2, so with the f, i and o rows halved (an
     # exact scaling) one tanh over all 4H columns, times `scale` plus
     # `1 - scale`, gives the four gates.
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
-    Z = np.empty((*lead, T, B, 4 * H))  # gate activations f, i, g, o
-    S = np.zeros((*lead, T + 1, B, H))
-    C = np.zeros((*lead, T + 1, B, H))
-    VT = _project(x, p, Z, scale)
-    # The step's operands, shaped as the step: (4H,) constants broadcast
-    # over a step view that is strided across streams took up to 3x the time.
-    scale = np.broadcast_to(scale, (*lead, B, 4 * H)).copy()
     shift = 1.0 - scale
-    zv = np.empty((*lead, B, 4 * H))    # the step's recurrent GEMM
+    train = keep == "caches"
+    Z = np.empty((*lead, T, B, 4 * H))  # projections; training: gates f, i, g, o
+    VT = _project(x, p, Z, scale)
+    # after the projection, whose input rows are then freed
+    S = None if keep == "last" else np.zeros((*lead, T + 1, B, H))
+    C = np.zeros((*lead, T + 1, B, H)) if train else None
+    zv = np.empty((*lead, B, 4 * H))    # the step's recurrent GEMM, then gates
+    if zv.nbytes <= STEP_CONSTANTS_BYTES:
+        scale = np.broadcast_to(scale, zv.shape).copy()
+        shift = 1.0 - scale
+    Zt, St, Ct = (None if A is None else list(_steps(A)) for A in (Z, S, C))
+    zs, z_kept = _step_views(Zt if train else None, zv, T)
+    ss, s_kept = _step_views(St, np.zeros((*lead, B, H)), T + 1)
+    cs, c_kept = _step_views(Ct, np.zeros((*lead, B, H)), T + 1)
     ig = np.empty((*lead, B, H))        # i * g
     tc = np.empty((*lead, B, H))        # tanh of the new cell state
-    Zt, St, Ct = (_steps(a) for a in (Z, S, C))
     for t in range(T):
-        z = Zt[t]
-        z += np.matmul(St[t], VT, out=zv)
+        z = zs[t]
+        np.add(Zt[t], np.matmul(ss[t], VT, out=zv), out=z)
         np.tanh(z, out=z)
         z *= scale
         z += shift
         f, i, g, o = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
-        c = Ct[t + 1]
-        np.multiply(f, Ct[t], out=c)
+        c, s = cs[t + 1], ss[t + 1]
+        np.multiply(f, cs[t], out=c)
         c += np.multiply(i, g, out=ig)
         np.tanh(c, out=tc)
-        np.multiply(o, tc, out=St[t + 1])
+        np.multiply(o, tc, out=s)
+        if z_kept is not None:
+            np.copyto(z_kept[t], z)
+        if c_kept is not None:
+            np.copyto(c_kept[t + 1], c)
+        if s_kept is not None:
+            np.copyto(s_kept[t + 1], s)
+    if not train:
+        return S[..., 1:, :, :] if keep == "states" else ss[T][..., None, :, :]
 
     def backward():
         # Z: the factors of (dc, dc, dc, ds) in da, that is C_{t-1} f (1-f),
@@ -211,7 +267,7 @@ def _lstm_scan(x, p):
         # is overwritten, rather than kept through the forward pass: a
         # (T, B, H) array less in every scan that waits for its backward pass.
         TC = np.tanh(C[..., 1:, :, :])
-        TCt = _steps(TC)
+        TCt, Ct = _steps(TC), _steps(C)
         f, i, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
         tmp = np.subtract(1.0, f)
         tmp *= f
@@ -281,33 +337,42 @@ def _bptt(dS, x, p, S, backward):
     return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2), grads
 
 
-def _direction(x, p, scan):
-    """One scan over x: its states (B, T, H) and their backward pass."""
+def _direction(x, p, scan, keep="caches"):
+    """One scan over x: the states (B, T', H) it keeps (see the scan comment
+    block) and their backward pass, None unless `keep` is "caches"."""
+    if keep != "caches":
+        return np.swapaxes(scan(x, p, keep), -3, -2), None
     S, backward = scan(x, p)
     return (np.swapaxes(S[..., 1:, :, :], -3, -2),
             lambda dS: _bptt(dS, x, p, S, backward))
 
 
-def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False):
+def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
+                   backward=True):
     """Two-direction pass; combined output per step is s_fwd (x) s_bwd.
 
     Returns Y and (Sf, Sb, back), where back(dY) -> (dX, grads) with the
     grads of p_fwd and p_bwd keyed "f_" and "b_" + name. With `last_step`
     (a top layer, whose last step alone the head reads) the reverse
     direction scans x_{T-1} alone, and Y, Sb and dY hold step T-1 only.
+    Without `backward` the pass is forward-only: back is None, and with
+    `last_step` Sf holds step T-1 only too.
     """
     if x.shape[-2] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
     if combine not in ("hadamard", "concat"):
         raise ContractViolation(f"unknown bilstm combine mode {combine!r}")
-    Sf, back_f = _direction(x, p_fwd, _lstm_scan)
+    keep = "caches" if backward else "last" if last_step else "states"
+    Sf, back_f = _direction(x, p_fwd, _lstm_scan, keep)
     Sb_r, back_b = _direction(x[..., -1:, :] if last_step else x[..., ::-1, :],
-                              p_bwd, _lstm_scan)
+                              p_bwd, _lstm_scan, keep)
     Sb = Sb_r[..., ::-1, :]
     Tb = Sb.shape[-2]  # the steps the reverse direction covers: T or 1
     Sf_out = Sf[..., -Tb:, :]
     Y = (Sf_out * Sb if combine == "hadamard"
          else np.concatenate([Sf_out, Sb], axis=-1))
+    if not backward:
+        return Y, (Sf, Sb, None)
 
     def back(dY):
         H = Sf.shape[-1]
@@ -401,7 +466,8 @@ class RecurrentModel:
     # -- forward / backward over a batch of windows ------------------------
 
     def forward(self, X, training=False, rng=None, backward=True):
-        """Returns y and, if `backward`, each layer's backward pass and mask."""
+        """Returns y and, if `backward`, each layer's backward pass and mask;
+        else the scans keep no caches (see the scan comment block)."""
         X = np.asarray(X, dtype=float)
         lead = self.params["out_b"].shape[:-1]
         if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != self.d:
@@ -412,12 +478,16 @@ class RecurrentModel:
         backs = []
         p_drop = self.config.dropout
         for k in range(self.layers):
+            top = k == self.layers - 1
             if self.arch == "bilstm":
-                seq, (_, _, back) = bilstm_forward(
+                seq, (*_, back) = bilstm_forward(
                     h, self._layer_params(k, "f_"), self._layer_params(k, "b_"),
-                    self.bilstm_combine, last_step=k == self.layers - 1)
+                    self.bilstm_combine, last_step=top, backward=backward)
+                del _  # the directions' states, which `back` keeps if it must
             else:
-                seq, back = _direction(h, self._layer_params(k), _SCANS[self.arch])
+                seq, back = _direction(
+                    h, self._layer_params(k), _SCANS[self.arch],
+                    "caches" if backward else "last" if top else "states")
             mask = None
             if training and p_drop > 0.0 and k < self.layers - 1:
                 mask = _dropout_mask(p_drop, seq.shape, rng)

@@ -106,6 +106,27 @@ def test_prediction_in_parts_equals_one_pass(arch, n, parts):
     assert y.tobytes() == whole.tobytes()
 
 
+def test_a_paper_shape_bilstm_part_keeps_no_backward_caches():
+    """A forecast holds one projection buffer (T, B, 4H) and layer states:
+    while the reverse direction of a middle layer projects, its input, the
+    rows that feed the projection GEMM and the forward direction's states,
+    all about (T, B, H). With the training scans' caches it is about twice
+    that: the forward direction's gates, states and cells live on while the
+    reverse direction projects."""
+    T, B, H = 48, PREDICT_WINDOWS, 200
+    model = RecurrentModel("bilstm", T, 24, hidden_size=H, layers=3, seed=1)
+    model.trained = True
+    X = np.random.default_rng(13).normal(size=(B, T))
+    tracemalloc.start()
+    try:
+        predict_batch(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = 8 * (T + 1) * B * H
+    assert peak < 8 * T * B * 4 * H + 4 * state
+
+
 def test_prediction_peak_does_not_grow_with_the_windows():
     model = RecurrentModel("lstm", 24, 6, hidden_size=16, layers=1, seed=7)
     model.trained = True

@@ -322,6 +322,30 @@ class TestTimeTerms:
         assert rows.shape == (2, 2, 3)
         assert rows[0, 0].tolist() == rows[1, 1].tolist() == [0, 1, 3]
 
+    @pytest.mark.parametrize("stride", ["1", "D-1", "D", "D+1", "2D"])
+    @pytest.mark.parametrize("origins", ["integer", "fractional", "unsorted",
+                                         "stack"])
+    def test_rows_are_those_of_unique(self, stride, origins):
+        # Origins that increase by D or more take a path without np.unique;
+        # it must give unique's arrays, dtype and bytes.
+        D = 6
+        step = {"1": 1, "D-1": D - 1, "D": D, "D+1": D + 1, "2D": 2 * D}[stride]
+        rng = np.random.default_rng(step)
+        t = 3.0 + step * np.arange(40)
+        if origins == "fractional":
+            t = t + 0.25
+        elif origins == "unsorted":
+            t = rng.permutation(t)
+        elif origins == "stack":
+            t = np.stack([t, t + 1.5])
+        t_abs = t[..., None] + np.arange(1, D + 1)
+        want_times, want_rows = np.unique(t_abs, return_inverse=True)
+        times, rows = nprophet.horizon_rows(t, D)
+        assert times.dtype == want_times.dtype and rows.dtype == want_rows.dtype
+        assert times.tobytes() == want_times.tobytes()
+        assert rows.shape == t_abs.shape
+        assert rows.tobytes() == want_rows.reshape(t_abs.shape).tobytes()
+
 
 class TestGradients:
     @pytest.mark.parametrize("discontinuous,ar_linear",

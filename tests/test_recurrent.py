@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from csipred import synthchan
 from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import (finite_diff_grad, huber_grad, huber_loss,
-                             load_params, mT)
+                             load_params, mT, predict_in_parts, unstack)
 from csipred.recurrent import (LstmState, RecurrentModel, TrainConfig,
                                _direction, _dropout_mask, _lstm_scan, _rnn_scan,
                                bilstm_forward, lstm_cell_forward, predict_batch,
@@ -538,6 +539,50 @@ class TestInferenceMemory:
                 tracemalloc.stop()
             assert np.array_equal(y, model.forward(X)[0])
         assert peaks[1] < 1.05 * peaks[0]
+
+class TestForwardOnlyPass:
+    """`forward(backward=False)`, and so every forecast, runs scans that keep
+    no backward caches and step on contiguous buffers; each gives the bytes
+    of the training scans and, in a stack, of each stream's own pass."""
+
+    @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
+    @pytest.mark.parametrize("F", [None, 1, 2, 3, 16],
+                             ids=["plain", "F1", "F2", "F3", "F16"])
+    def test_forecasts_are_the_training_pass_bytes(self, arch, F):
+        # B of 257 and 300 predict in two parts; the training pass runs on
+        # the same parts.
+        combines = ("hadamard", "concat") if arch == "bilstm" else ("hadamard",)
+        lead = () if F is None else (F,)
+        rng = np.random.default_rng(17)
+        for H, L, B, combine in itertools.product(
+                (3, 16, 32), (1, 2, 3), (1, 2, 11, 32, 257, 300), combines):
+            model = RecurrentModel(arch, 8, 3, hidden_size=H, layers=L,
+                                   bilstm_combine=combine,
+                                   seed=3 if F is None else list(range(3, 3 + F)))
+            model.trained = True
+            X = rng.normal(size=(*lead, B, 8))
+            y = predict_batch(model, X)
+            want = predict_in_parts(model, lambda s: model.forward(X[..., s, :])[0], X)
+            assert y.tobytes() == want.tobytes(), (H, L, B, combine)
+
+    @pytest.mark.parametrize("arch,combine", [("rnn", "hadamard"),
+                                              ("lstm", "hadamard"),
+                                              ("bilstm", "hadamard"),
+                                              ("bilstm", "concat")])
+    @pytest.mark.parametrize("F", [2, 3, 16])
+    def test_a_stack_gives_each_stream_its_own_bytes(self, arch, combine, F):
+        rng = np.random.default_rng(F)
+        for B, L in itertools.product((1, 2, 11), (1, 2)):
+            stack = RecurrentModel(arch, 8, 3, hidden_size=16, layers=L,
+                                   bilstm_combine=combine,
+                                   seed=list(range(5, 5 + F)))
+            X = rng.normal(size=(F, B, 8))
+            y, (backs, _) = stack.forward(X, backward=False)
+            assert backs == []
+            for f, one in enumerate(unstack(stack)):
+                alone = one.forward(X[f], backward=False)[0]
+                assert y[f].tobytes() == alone.tobytes(), (B, L, f)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
