@@ -467,30 +467,25 @@ def prepare_dataset(series: CsiSeries, d, D, fractions=FRACTIONS,
                     stride=1):
     """Full preprocessing: clean, split, separate re/im, normalize, window.
 
-    The scaler for every feature is fitted on the training split only; windows
-    are built per split so none straddles a boundary. Each split is
-    normalized and windowed for all feature streams at once, into the stacks
-    of a PreparedDataset. Returns it plus a digest over all window arrays,
-    stream by stream (fairness contract).
+    Every feature's scaler is fitted by `fit_scaler` on its training split
+    only; windows are built per split so none straddles a boundary. Each
+    split is normalized stream by stream with those scalers and windowed for
+    all feature streams at once, into the stacks of a PreparedDataset.
+    Returns it plus a digest over all window arrays, stream by stream
+    (fairness contract).
     """
     cleaned, _ = clean(series)
     min_seg = d + D + 3
     segments = split_chronological(cleaned, fractions, min_segment=min_seg)
     split_feats = [complex_to_features(seg) for seg in segments]
-    train = np.stack([feat.values for feat in split_feats[0]])
-    lo, hi = train.min(axis=1), train.max(axis=1)
-    if (hi - lo <= 0.0).any():
-        raise DegenerateScaleError("constant feature: zero range on training split")
-    shift, half_range = lo[:, None], (hi - lo)[:, None] / 2.0
+    scalers = [fit_scaler(feat.values) for feat in split_feats[0]]
     stacks = [make_windows(
-        (np.stack([feat.values for feat in feats]) - shift) / half_range - 1.0,
+        np.stack([sc.transform(feat.values) for sc, feat in zip(scalers, feats)]),
         d, D, start_index=seg.start_index, stride=stride)
         for feats, seg in zip(split_feats, segments)]
     digest = hashlib.sha256()
-    for k, ws in itertools.product(range(len(train)), stacks):
+    for k, ws in itertools.product(range(len(scalers)), stacks):
         digest.update(ws.X[k])
         digest.update(ws.Y[k])
-    scalers = [Scaler(shift=float(s), half_range=float(h))
-               for s, h in zip(lo, half_range[:, 0])]
     return PreparedDataset(split_feats[0], scalers, dict(zip(
         ("train", "val", "test"), stacks))), digest.hexdigest()

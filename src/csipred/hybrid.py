@@ -1,9 +1,9 @@
 """Two-stage hybrid predictor: recurrent forecasts feed the additive model.
 
-Stage 1 trains a recurrent model on the training windows. Stage 2 runs it
+Stage 1 is a recurrent model, trained on the training windows and then run
 over every window of each split it is given to produce D-step forecasts.
-Stage 3 trains the additive model with the training forecasts attached as a
-known-future regressor, so it learns to correct the recurrent output.
+Stage 2 is the additive model, trained with the training forecasts attached
+as a known-future regressor, so it learns to correct the recurrent output.
 """
 from __future__ import annotations
 
@@ -53,32 +53,31 @@ def build_hybrid(splits, rnn_model: RecurrentModel, np_cfg: NpConfig, seed=0,
     With the split stacks of a `datapipe.PreparedDataset`, a stacked recurrent
     model and a list of seeds, both stages train stacked: the HybridModel
     holds the stacked stages and one provenance per stream, and the histories
-    are per stream. Stage 1 forecasts stream by stream, and both stages
-    predict in parts of at most `numcore.PREDICT_WINDOWS` windows, so that
-    inference memory grows neither with the group nor with the split. Each
-    stage refuses training windows of another shape than its own: `np_cfg`
-    must name their d and D, as `rnn_model` does. The additive config is
-    checked before stage 1 trains, so a mismatch costs no training.
+    are per stream. Stage 1 forecasts each split's stack in one
+    `predict_batch` call, as `hybrid_predict_batch` does, which gives each
+    stream the bytes of its own forecast. Both stages predict in parts of at
+    most `numcore.PREDICT_WINDOWS` windows per stream, so inference memory
+    does not grow with the split; a stacked part holds those windows of
+    every stream, so it grows with the group, whose size
+    `experiment.GROUP_CACHE_BYTES` bounds. Each stage refuses training
+    windows of another shape than its own: `np_cfg` must name their d and D,
+    as `rnn_model` does. The additive config is checked before stage 1
+    trains, so a mismatch costs no training.
     """
     if "train" not in splits:
         raise ContractViolation("splits must include a 'train' set")
     train = splits["train"]
     check_windows(train, np_cfg.d, np_cfg.D)
     rnn_history = train_recurrent(rnn_model, train, seed=seed)
-    stacked = isinstance(seed, list)
-    stage1 = unstack(rnn_model)
-
-    def forecasts(X):
-        if not stacked:
-            return predict_batch(rnn_model, X)
-        return np.stack([predict_batch(m, x) for m, x in zip(stage1, X)])
-
-    regressors = {name: forecasts(ws.X) for name, ws in splits.items()}
+    regressors = {name: predict_batch(rnn_model, ws.X)
+                  for name, ws in splits.items()}
     np_cfg = replace(np_cfg, regressor_enabled=True)
     np_model, np_history = np_train(train, np_cfg, seed=seed,
                                     regressors=regressors["train"])
+    stacked = isinstance(seed, list)
     provenance = [make_provenance(s, dataset_digest, m, np_cfg)
-                  for s, m in zip(seed if stacked else [seed], stage1)]
+                  for s, m in zip(seed if stacked else [seed],
+                                  unstack(rnn_model))]
     model = HybridModel(rnn=rnn_model, np_model=np_model,
                         provenance=provenance if stacked else provenance[0])
     return model, rnn_history, np_history, regressors

@@ -13,11 +13,13 @@ two outputs:
 however small the prediction (`experiment.FORK_WORK` is lowered to 1). The
 list: every model family at the benchmark's mimo-cli and paper-shape
 overrides; every family on a test split of more than `PREDICT_WINDOWS`
-windows per stream, and on five antennas of a few dozen windows each;
-`compare`; `tune` over a `dataset` axis; and `evaluate` and `predict` of
-each malformed checkpoint body of `test_cli.py`. It takes about ten seconds
-on two CPUs. pytest does not collect it: its name does not start with
-`test_`.
+windows per stream, and on five antennas of a few dozen windows each; the
+hybrid with `hybrid_source=bilstm` at the mimo-cli overrides and on the five
+antennas, whose stage 1 trains in stacks of two streams, a source that
+neither benchmark workload runs; `compare`; `tune` over a `dataset` axis;
+and `evaluate` and `predict` of each malformed checkpoint body of
+`test_cli.py`. It takes about ten seconds on two CPUs. pytest does not
+collect it: its name does not start with `test_`.
 """
 from __future__ import annotations
 
@@ -86,13 +88,17 @@ def use(label, run_dir):
         "--out", f"{label}-pred.csv")
 
 
+def trained(name, values):
+    """train under the config `values`, then `evaluate` and `predict`."""
+    cfg = _write_config(f"{name}.cfg", values)
+    run(f"{name} train", "train", "--config", cfg, "--out", name)
+    use(name, name)
+
+
 def families(label, overrides):
     """train, evaluate and predict of every family under `overrides`."""
     for family in FAMILIES:
-        name = f"{label}-{family}"
-        cfg = _write_config(f"{name}.cfg", {**overrides, "model": family})
-        run(f"{name} train", "train", "--config", cfg, "--out", name)
-        use(name, name)
+        trained(f"{label}-{family}", {**overrides, "model": family})
 
 
 def malformed():
@@ -124,10 +130,14 @@ def main(argv=None):
         gen = _write_config("mimo-gen.cfg", {k: MIMO[k] for k in (
             "antenna_count", "sample_count")})
         run("mimo gen-data", "gen-data", "--config", gen, "--out", "mimo.csv")
-        families("mimo", {**MIMO, "dataset": "mimo.csv"})
+        mimo = {**MIMO, "dataset": "mimo.csv"}
+        families("mimo", mimo)
         families("paper", PAPER)
         families("long", LONG)
         families("five", FIVE)
+        for label, overrides in (("mimo", mimo), ("five", FIVE)):
+            trained(f"{label}-hybrid-bilstm", {**overrides, "model": "hybrid",
+                                               "hybrid_source": "bilstm"})
         compare = _write_config("compare.cfg", {**FIVE, "compare_seeds": "0,1"})
         run("compare", "compare", "--config", compare, "--out", "compare")
         for name, seed in (("a'b.csv", 1), ("c.csv", 2)):

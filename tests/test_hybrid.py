@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation
 from csipred.hybrid import HybridModel, build_hybrid, hybrid_predict_batch
 from csipred.nprophet import NpConfig, NpModel
-from csipred.numcore import flatten, load_params
+from csipred.numcore import flatten, load_params, unstack
 from csipred.recurrent import RecurrentModel, TrainConfig
 
 
@@ -154,3 +155,50 @@ class TestRebuildDeterminism:
             runs.append(model.to_dict())
         assert json.dumps(runs[0], sort_keys=True) == json.dumps(
             runs[1], sort_keys=True)
+
+
+def stacked_splits(F, n=600, d=8, D=4):
+    """Train, val and test window stacks of F sinusoids of other periods."""
+    y = np.stack([synthchan.generate_sinusoid(1.0, 30.0 + 7 * f, n)
+                  for f in range(F)])
+    cuts = (0, int(0.7 * n), int(0.85 * n), n)
+    return {name: make_windows(y[:, a:b], d, D, start_index=a, stride=2)
+            for name, a, b in zip(("train", "val", "test"), cuts, cuts[1:])}
+
+
+class TestStacks:
+    @pytest.mark.parametrize("arch", ["rnn", "bilstm"])
+    @pytest.mark.parametrize("F", [1, 2, 3])
+    def test_a_stack_gives_each_stream_its_own_bytes(self, arch, F):
+        """A stacked hybrid gives each stream the regressors, parameters,
+        histories and provenance of the hybrid built on that stream alone."""
+        splits = stacked_splits(F)
+        seeds = list(range(5, 5 + F))
+
+        def stage1(seed):
+            return RecurrentModel(arch, 8, 4, hidden_size=6, layers=2,
+                                  config=TrainConfig(epochs=2, batch_size=16,
+                                                     dropout=0.2), seed=seed)
+
+        np_cfg = replace(small_np_cfg(), epochs=2)
+        model, rnn_hists, np_hists, regressors = build_hybrid(
+            splits, stage1(seeds), np_cfg, seed=seeds, dataset_digest="dg")
+        assert len(model.provenance) == len(rnn_hists) == len(np_hists) == F
+        rows = zip(unstack(model.rnn), unstack(model.np_model), model.provenance,
+                   rnn_hists, np_hists)
+        for f, (rnn, np_model, provenance, rnn_hist, np_hist) in enumerate(rows):
+            own = {name: replace(ws, X=ws.X[f], Y=ws.Y[f])
+                   for name, ws in splits.items()}
+            alone, rnn_alone, np_alone, reg_alone = build_hybrid(
+                own, stage1(seeds[f]), np_cfg, seed=seeds[f],
+                dataset_digest="dg")
+            assert regressors.keys() == reg_alone.keys() == splits.keys()
+            for name, reg in reg_alone.items():
+                assert regressors[name][f].tobytes() == reg.tobytes(), name
+            for stage, stage_alone in ((rnn, alone.rnn),
+                                       (np_model, alone.np_model)):
+                assert stage.params.keys() == stage_alone.params.keys()
+                for name, value in stage_alone.params.items():
+                    assert stage.params[name].tobytes() == value.tobytes(), name
+            assert rnn_hist == rnn_alone and np_hist == np_alone
+            assert provenance == alone.provenance

@@ -3,11 +3,13 @@ a layer's scan caches go once they are used, and prediction memory of every
 model family depends on PREDICT_WINDOWS, not on the number of windows."""
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csipred import recurrent
+from csipred import hybrid, recurrent
+from csipred.datapipe import make_windows
 from csipred.nprophet import NpConfig, NpModel, np_predict_batch
 from csipred.numcore import PREDICT_WINDOWS, fit
 from csipred.recurrent import RecurrentModel, TrainConfig, predict_batch
@@ -186,3 +188,44 @@ def test_additive_prediction_peak_does_not_grow_with_the_windows():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("arch", ["rnn", "bilstm"])
+def test_a_stack_forecast_for_stage_2_peaks_at_its_streams_sum(arch,
+                                                              monkeypatch):
+    """`build_hybrid` forecasts each split's stack in one `predict_batch`
+    call, at the mimo shape (d=48, D=24, H=16, L=1). A stack of F streams
+    holds the parts of each: its peak is at most F times that of one stream's
+    forecast, plus 64 KiB for the arrays that do not grow with F."""
+    F, n, d, D = 3, 2000, 48, 24
+    series = np.sin(np.arange(n) / (7.0 + np.arange(F)[:, None]))
+    # 306 train windows per stream, two parts; 66 val windows, one part.
+    splits = {"train": make_windows(series[:, :1600], d, D, stride=5),
+              "val": make_windows(series[:, 1600:], d, D, 1600, stride=5)}
+    peaks = []
+
+    def traced(model, X):
+        tracemalloc.start()
+        try:
+            out = predict_batch(model, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(hybrid, "predict_batch", traced)
+
+    def build(rows, seed):
+        rnn = RecurrentModel(arch, d, D, hidden_size=16, layers=1,
+                             config=TrainConfig(epochs=1), seed=seed)
+        own = {name: replace(ws, X=ws.X[rows], Y=ws.Y[rows])
+               for name, ws in splits.items()}
+        hybrid.build_hybrid(own, rnn, NpConfig(d=d, D=D, epochs=1), seed=seed)
+
+    build(slice(None), list(range(F)))
+    stack = peaks[:]
+    peaks.clear()
+    build(0, 0)
+    assert len(stack) == len(peaks) == len(splits)
+    for peak, one in zip(stack, peaks):
+        assert peak <= F * one + (64 << 10)
