@@ -233,17 +233,26 @@ class NpModel:
         """`terms` is (`time_terms` of distinct times, the row of each horizon
         step of these origins in them), as `horizon_rows` gives; without it
         the terms are computed here, once per distinct time of these
-        origins."""
+        origins. Rows that are 0, 1, 2, ... in order, as `horizon_rows` gives
+        for origins at least D apart, take the table's rows as they are,
+        reshaped, rather than gathering a copy of them."""
         cfg = self.cfg
         p = self.params
         if terms is None:
             times, rows = horizon_rows(t_origins, cfg.D)
             terms = self.time_terms(times), rows
         table, rows = terms
+        flat = rows.reshape(-1)
+        in_order = np.array_equal(flat, np.arange(flat.size))
+
+        def gather(a):
+            if in_order:
+                return a[:flat.size].reshape(*rows.shape, *a.shape[1:])
+            return a[rows]
         comps = {}
         cache = {}
         if cfg.trend_enabled:
-            tn, ind = table["tn"][rows], table["ind"][rows]
+            tn, ind = gather(table["tn"]), gather(table["ind"])
             comps["trend"] = ((p["trend_g0"][..., None] + _mv(ind, p["trend_dg"])) * tn
                               + (p["trend_r0"][..., None] + _mv(ind, self._offset_adj())))
             cache["tn"], cache["ind"] = tn, ind
@@ -253,7 +262,7 @@ class NpModel:
             F = np.zeros(rows.shape)
             bases = []
             for i, (cos, sin) in enumerate(table["bases"]):
-                cos, sin = cos[rows], sin[rows]
+                cos, sin = gather(cos), gather(sin)
                 F = F + (_mv(cos, p[f"season{i}_a"]) + _mv(sin, p[f"season{i}_b"]))
                 bases.append((cos, sin))
             comps["seasonality"] = F

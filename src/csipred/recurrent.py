@@ -30,6 +30,13 @@ FORMAT = "csipred-recurrent-v3"
 # them (4H,): two more step-sized operands cost about 1% at H=200, B=31 and
 # B=256.
 STEP_CONSTANTS_BYTES = 128 * 1024
+# A forecast's lstm scan projects its inputs a run of steps at a time into one
+# buffer of at most PROJECT_BYTES, not all T steps into a (T, B, 4H) buffer
+# (78.6 MB for a 256-window part at H=200). Runs of PROJECT_ROWS rows or more
+# gave the bytes of one GEMM (OpenBLAS 0.3.31, AVX-512; H of 16-200, B of
+# 1-256, input width 1 or H), so no run is shorter, whatever the budget.
+PROJECT_BYTES = 8 << 20
+PROJECT_ROWS = 256
 
 
 @dataclass
@@ -63,16 +70,21 @@ def _dropout_mask(p, shape, rng):
 # stacked f, i, g, o. The time loops keep only the work that depends on the
 # recurrence (Appleyard et al. 2016, arXiv:1604.01946). `_project` writes the
 # input projection of every step into a (T, B, G*H) buffer with one GEMM;
-# each step then adds its recurrent GEMM and applies the activations.
+# each step then adds its recurrent GEMM and applies the activations. A
+# forecast's lstm scan projects a run of steps at a time (`_project_runs`).
 #
 # A scan keeps what its caller reads, and nothing more (`keep`):
-# - "caches", for training: its states S (T+1, B, H), time-major with
-#   S[0] = 0, the lstm's gates Z and cells C besides, and `backward()`.
+# - "caches", for training the top layer: its states S (T+1, B, H),
+#   time-major with S[0] = 0, the lstm's gates Z and cells C besides, and
+#   `backward()`.
+# - "gates", for training a lower layer: the lstm keeps its gates Z alone;
+#   its states S go to the layer above, which keeps them only where it reads
+#   them unmasked. The rnn's states are its gates, so it keeps S.
 # - "states", the forward-only pass of a lower layer: the states S[1:] that
 #   the layer above reads, and no backward pass.
 # - "last", the forward-only pass of a top layer: its last state (1, B, H)
 #   alone, the one the head reads.
-# A forecast thus holds one projection buffer and the layers' states.
+# A forecast thus holds one run's projection buffer and the layers' states.
 #
 # Each cell's step math is written once. A step runs on contiguous
 # (..., B, G*H) operands: a kept array's own step views where they are
@@ -86,18 +98,25 @@ def _dropout_mask(p, shape, rng):
 #
 # `backward()` turns the caches in place into the factors that map a step's
 # state and cell gradients to its pre-activation gradient da. It returns the
-# (T, B, G*H) buffer that will hold da and `step(t, ds, carry)`, which writes
-# da at step t and returns the carry for step t-1. `_bptt` runs that loop and
-# then gets the weight gradients and dX as single GEMMs over all T*B rows.
-# The caches are consumed, so a scan is differentiated at most once. They are
-# allocated once per scan, because per-step arrays interleaved with (B, G*H)
+# (T, B, G*H) buffer that will hold da, `step(t, ds, carry)`, which writes
+# da at step t and returns the carry for step t-1, and the states S. `_bptt`
+# runs that loop and then gets the weight gradients, and dX where the layer
+# below needs it, as single GEMMs over all T*B rows. The caches are
+# consumed, so a scan is differentiated at most once. They are allocated
+# once per scan, because per-step arrays interleaved with (B, G*H)
 # temporaries fragment the heap. Between the passes a scan keeps no array
-# that its backward pass can recompute with one elementwise op: the lstm
-# keeps Z, S and C, and `backward()` recomputes tanh(c) from C.
-# `RecurrentModel.loss_and_grads` drops each layer's caches once its backward
-# pass has run. `rnn_cell_forward` and `lstm_cell_forward` compute one step
-# gate by gate; they are the independent reference the scans are tested
-# against.
+# that its backward pass can rebuild from what it keeps, bit for bit:
+# `backward()` recomputes tanh(c) from C with one elementwise op, and for a
+# lower lstm layer it first rebuilds C from Z with the forward's own step
+# recurrence (`_lstm_cells`: i g for all steps, then a multiply and an add
+# per step) and S = o tanh(C) with one more multiply. A lower layer waits for the backward
+# passes of every layer above it, so between the passes it holds its gates
+# and input alone. The top layer keeps S and C: its backward pass runs at
+# once, so rebuilding them saves nothing at the peak, and at one layer (the
+# mimo shape) it cost 8% of a pass. `RecurrentModel.loss_and_grads` drops
+# each layer's caches once its backward pass has run. `rnn_cell_forward`
+# and `lstm_cell_forward` compute one step gate by gate; they are the
+# independent reference the scans are tested against.
 #
 # Every array may carry a leading stream axis (see `numcore.unstack`): the
 # parameters (F, G*H, n_in) and so on, the inputs (F, B, T, n) and the caches
@@ -110,8 +129,9 @@ def _rows_with_ones(x):
     """x (B, T, n) as rows (T*B, n+1) of [x_t, 1], ordered by step, then
     window; the ones column carries the bias through the GEMMs."""
     *lead, B, T, n = x.shape
-    xb = np.ones((*lead, T, B, n + 1))
+    xb = np.empty((*lead, T, B, n + 1))
     xb[..., :n] = np.swapaxes(x, -3, -2)
+    xb[..., n] = 1.0
     return xb.reshape(*lead, T * B, n + 1)
 
 
@@ -138,17 +158,38 @@ def _step_views(views, buf, n):
     return [buf] * n, views
 
 
-def _project(x, p, Z, scale=1.0):
-    """Z[t] = x_t @ W.T + b for every step t, in one GEMM; returns V.T.
-
-    The gate columns of both are multiplied by `scale`. V.T is a contiguous
-    copy: with OpenBLAS a GEMM on the transposed view is up to 4x slower for
-    batches of a few windows.
-    """
-    *lead, T, B, GH = Z.shape
+def _weights(p, scale=1.0):
+    """[W.T; b] (n_in+1, G*H), the weights of `_rows_with_ones` rows, and V.T,
+    their gate columns multiplied by `scale`. V.T is a contiguous copy: with
+    OpenBLAS a GEMM on the transposed view is up to 4x slower for batches of
+    a few windows."""
     Wb = np.concatenate([mT(p["W"]), p["b"][..., None, :]], axis=-2) * scale
+    return Wb, np.multiply(mT(p["V"]), scale, order="C")
+
+
+def _project(x, Wb, Z):
+    """Z[t] = [x_t, 1] @ Wb for every step t of x (..., B, T, n), into Z
+    (..., T, B, G*H) with one GEMM; returns Z's step views."""
+    *lead, T, B, GH = Z.shape
     np.matmul(_rows_with_ones(x), Wb, out=Z.reshape(*lead, T * B, GH))
-    return np.multiply(mT(p["V"]), scale, order="C")
+    return list(_steps(Z))
+
+
+def _project_runs(x, Wb):
+    """`_project`'s step views, one step at a time, projected a run of steps
+    at a time into one buffer: equal runs, as few as fit PROJECT_BYTES, but
+    none of fewer than PROJECT_ROWS rows. A step's view is valid until the
+    next run is projected."""
+    *lead, B, T, _ = x.shape
+    GH = Wb.shape[-1]
+    width = int(np.prod(lead)) * B * GH  # a step's projections
+    steps = max(PROJECT_BYTES // (Wb.itemsize * width), 1)
+    runs = max(1, min(-(-T // steps), T // -(-PROJECT_ROWS // B)))
+    ends = [T * k // runs for k in range(runs + 1)]
+    buf = np.empty(width * -(-T // runs))
+    for t0, t1 in zip(ends, ends[1:]):
+        Z = buf[:width * (t1 - t0)].reshape(*lead, t1 - t0, B, GH)
+        yield from _project(x[..., t0:t1, :], Wb, Z)
 
 
 def rnn_cell_forward(x_t, s_prev, W, V, b):
@@ -164,7 +205,8 @@ def _rnn_scan(x, p, keep="caches"):
     *lead, B, T, _ = x.shape
     H = p["V"].shape[-1]
     S = np.zeros((*lead, T + 1, B, H))
-    VT = _project(x, p, S[..., 1:, :, :])  # pre-activations, then kept states
+    Wb, VT = _weights(p)
+    _project(x, Wb, S[..., 1:, :, :])  # pre-activations, then kept states
     St = list(_steps(S))
     ss, kept = _step_views(None if keep == "last" else St,
                            np.zeros((*lead, B, H)), T + 1)
@@ -175,7 +217,7 @@ def _rnn_scan(x, p, keep="caches"):
         np.tanh(s, out=s)
         if kept is not None:
             np.copyto(kept[t + 1], s)
-    if keep != "caches":
+    if keep in ("states", "last"):
         return S[..., 1:, :, :] if keep == "states" else ss[T][..., None, :, :]
 
     def backward():
@@ -186,7 +228,7 @@ def _rnn_scan(x, p, keep="caches"):
         def step(t, ds, carry):
             At[t] *= ds
             return carry
-        return A, step
+        return A, step, S
     return S, backward
 
 
@@ -212,6 +254,21 @@ def lstm_cell_forward(x_t, prev: LstmState, w: dict) -> LstmState:
     return LstmState(s=s, c=c)
 
 
+def _lstm_cells(Z, H):
+    """The cells C (..., T+1, B, H), C[0] = 0, of the gates Z (..., T, B, 4H)
+    that a forward pass kept: its step recurrence c = f c_prev + i g, with
+    i g taken for all steps at once and added to f c_prev rather than the
+    other way round, which gives the same bits."""
+    *lead, T, B, _ = Z.shape
+    C = np.zeros((*lead, T + 1, B, H))
+    np.multiply(Z[..., H:2 * H], Z[..., 2 * H:3 * H], out=C[..., 1:, :, :])
+    Ct, ft = _steps(C), _steps(Z[..., :H])
+    fc = np.empty((*lead, B, H))
+    for t in range(T):
+        Ct[t + 1] += np.multiply(ft[t], Ct[t], out=fc)
+    return C
+
+
 def _lstm_scan(x, p, keep="caches"):
     *lead, B, T, _ = x.shape
     H = p["V"].shape[-1]
@@ -220,25 +277,29 @@ def _lstm_scan(x, p, keep="caches"):
     # `1 - scale`, gives the four gates.
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
     shift = 1.0 - scale
-    train = keep == "caches"
-    Z = np.empty((*lead, T, B, 4 * H))  # projections; training: gates f, i, g, o
-    VT = _project(x, p, Z, scale)
-    # after the projection, whose input rows are then freed
+    train = keep in ("caches", "gates")
+    Wb, VT = _weights(p, scale)
+    if train:  # projections, then gates f, i, g, o
+        Z = np.empty((*lead, T, B, 4 * H))
+        projected = _project(x, Wb, Z)
+    else:
+        Z, projected = None, _project_runs(x, Wb)
+    # after a training scan's projection, whose input rows are then freed
     S = None if keep == "last" else np.zeros((*lead, T + 1, B, H))
-    C = np.zeros((*lead, T + 1, B, H)) if train else None
+    C = np.zeros((*lead, T + 1, B, H)) if keep == "caches" else None
     zv = np.empty((*lead, B, 4 * H))    # the step's recurrent GEMM, then gates
     if zv.nbytes <= STEP_CONSTANTS_BYTES:
         scale = np.broadcast_to(scale, zv.shape).copy()
         shift = 1.0 - scale
-    Zt, St, Ct = (None if A is None else list(_steps(A)) for A in (Z, S, C))
-    zs, z_kept = _step_views(Zt if train else None, zv, T)
+    St, Ct = (None if A is None else list(_steps(A)) for A in (S, C))
+    zs, z_kept = _step_views(projected if train else None, zv, T)
     ss, s_kept = _step_views(St, np.zeros((*lead, B, H)), T + 1)
     cs, c_kept = _step_views(Ct, np.zeros((*lead, B, H)), T + 1)
     ig = np.empty((*lead, B, H))        # i * g
     tc = np.empty((*lead, B, H))        # tanh of the new cell state
-    for t in range(T):
+    for t, zp in enumerate(projected):
         z = zs[t]
-        np.add(Zt[t], np.matmul(ss[t], VT, out=zv), out=z)
+        np.add(zp, np.matmul(ss[t], VT, out=zv), out=z)
         np.tanh(z, out=z)
         z *= scale
         z += shift
@@ -256,6 +317,7 @@ def _lstm_scan(x, p, keep="caches"):
             np.copyto(s_kept[t + 1], s)
     if not train:
         return S[..., 1:, :, :] if keep == "states" else ss[T][..., None, :, :]
+    kept = (S, C) if keep == "caches" else None  # "gates": rebuilt from Z
 
     def backward():
         # Z: the factors of (dc, dc, dc, ds) in da, that is C_{t-1} f (1-f),
@@ -266,9 +328,13 @@ def _lstm_scan(x, p, keep="caches"):
         # peak RSS at the paper shape. tanh(c) is recomputed here, before C
         # is overwritten, rather than kept through the forward pass: a
         # (T, B, H) array less in every scan that waits for its backward pass.
+        S, C = kept if kept is not None else (None, _lstm_cells(Z, H))
         TC = np.tanh(C[..., 1:, :, :])
-        TCt, Ct = _steps(TC), _steps(C)
         f, i, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
+        if S is None:  # s = o tanh(c), as the forward step computes it
+            S = np.zeros_like(C)
+            np.multiply(o, TC, out=S[..., 1:, :, :])
+        TCt, Ct = _steps(TC), _steps(C)
         tmp = np.subtract(1.0, f)
         tmp *= f
         tmp *= C[..., :-1, :, :]
@@ -304,20 +370,20 @@ def _lstm_scan(x, p, keep="caches"):
             np.multiply(gates[t], dg, out=gates[t])
             dc *= Ct[t]
             return dc
-        return Z, step
+        return Z, step, S
     return S, backward
 
 
-def _bptt(dS, x, p, S, backward):
-    """Reverse-time pass over one direction: (dX, grads of W, V and b).
+def _bptt(dS, x, p, A, step, S, dx=True):
+    """Reverse-time pass over one direction: (dX, grads of W, V and b), with
+    dX None unless `dx`.
 
     dS (B, T', H) is the state gradient of the last T' <= T steps; the steps
     before them get only the one that flows back through the recurrence (a
-    top layer's head reads its last step alone). Consumes the scan's caches
-    through `backward()`; the loop keeps only the da update and ds = da @ V,
-    and the rest runs once over all T*B rows.
+    top layer's head reads its last step alone). A, `step` and the states S
+    are what the scan's `backward()` returns; the loop keeps only the da
+    update and ds = da @ V, and the rest runs once over all T*B rows.
     """
-    A, step = backward()
     *lead, B, T, n_in = x.shape
     V = p["V"]
     t0 = T - dS.shape[-2]
@@ -334,39 +400,57 @@ def _bptt(dS, x, p, S, backward):
     grads = {"W": dWb[..., :-1],
              "V": mT(A) @ S[..., :-1, :, :].reshape(*lead, T * B, -1),
              "b": dWb[..., -1]}
+    if not dx:
+        return None, grads
     return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2), grads
+
+
+def _keep(top, backward):
+    """What a layer's scans keep (see the scan comment block)."""
+    if backward:
+        return "caches" if top else "gates"
+    return "last" if top else "states"
 
 
 def _direction(x, p, scan, keep="caches"):
     """One scan over x: the states (B, T', H) it keeps (see the scan comment
-    block) and their backward pass, None unless `keep` is "caches"."""
-    if keep != "caches":
+    block) and, if it keeps caches or gates, `back(dS, dx=True)`, its
+    backward pass; else None."""
+    if keep in ("states", "last"):
         return np.swapaxes(scan(x, p, keep), -3, -2), None
-    S, backward = scan(x, p)
+    S, backward = scan(x, p, keep)
     return (np.swapaxes(S[..., 1:, :, :], -3, -2),
-            lambda dS: _bptt(dS, x, p, S, backward))
+            lambda dS, dx=True: _bptt(dS, x, p, *backward(), dx))
 
 
 def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
                    backward=True):
     """Two-direction pass; combined output per step is s_fwd (x) s_bwd.
 
-    Returns Y and (Sf, Sb, back), where back(dY) -> (dX, grads) with the
-    grads of p_fwd and p_bwd keyed "f_" and "b_" + name. With `last_step`
-    (a top layer, whose last step alone the head reads) the reverse
-    direction scans x_{T-1} alone, and Y, Sb and dY hold step T-1 only.
-    Without `backward` the pass is forward-only: back is None, and with
-    `last_step` Sf holds step T-1 only too.
+    Returns Y and (Sf, Sb, back), where back(dY, dx=True) -> (dX, grads) with
+    the grads of p_fwd and p_bwd keyed "f_" and "b_" + name, and dX None
+    unless `dx`. With `last_step` (a top layer, whose last step alone the
+    head reads) the reverse direction scans x_{T-1} alone, and Y, Sb and dY
+    hold step T-1 only. Without `backward` the pass is forward-only: back is
+    None, and with `last_step` Sf holds step T-1 only too. Else a lower
+    layer (no `last_step`) keeps only its gates (see the scan comment block),
+    and `back` rebuilds both directions' states before it combines dY with
+    them.
     """
     if x.shape[-2] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
     if combine not in ("hadamard", "concat"):
         raise ContractViolation(f"unknown bilstm combine mode {combine!r}")
-    keep = "caches" if backward else "last" if last_step else "states"
-    Sf, back_f = _direction(x, p_fwd, _lstm_scan, keep)
-    Sb_r, back_b = _direction(x[..., -1:, :] if last_step else x[..., ::-1, :],
-                              p_bwd, _lstm_scan, keep)
-    Sb = Sb_r[..., ::-1, :]
+    keep = _keep(last_step, backward)
+    x_r = x[..., -1:, :] if last_step else x[..., ::-1, :]
+    if backward:
+        Sf, backward_f = _lstm_scan(x, p_fwd, keep)
+        Sb, backward_b = _lstm_scan(x_r, p_bwd, keep)
+        Sf, Sb = (np.swapaxes(S[..., 1:, :, :], -3, -2) for S in (Sf, Sb))
+    else:
+        Sf, Sb = (_direction(xd, p, _lstm_scan, keep)[0]
+                  for xd, p in ((x, p_fwd), (x_r, p_bwd)))
+    Sb = Sb[..., ::-1, :]
     Tb = Sb.shape[-2]  # the steps the reverse direction covers: T or 1
     Sf_out = Sf[..., -Tb:, :]
     Y = (Sf_out * Sb if combine == "hadamard"
@@ -374,15 +458,21 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
     if not backward:
         return Y, (Sf, Sb, None)
 
-    def back(dY):
-        H = Sf.shape[-1]
-        if combine == "hadamard":
-            dSf, dSb = dY * Sb, dY * Sf_out
-        else:
-            dSf, dSb = dY[..., :H], dY[..., H:]
-        dX, gf = back_f(dSf)
-        dXr, gb = back_b(dSb[..., ::-1, :])
-        dX[..., -Tb:, :] += dXr[..., ::-1, :]
+    def back(dY, dx=True):
+        f, b = backward_f(), backward_b()  # (A, step, S) of each direction
+        H = dY.shape[-1] // 2
+        # each direction's state gradient, made just before its pass
+        dSf = (dY * np.swapaxes(b[2][..., :0:-1, :, :], -3, -2)
+               if combine == "hadamard" else dY[..., :H])
+        dX, gf = _bptt(dSf, x, p_fwd, *f, dx)
+        Sf = f[2]
+        del f, dSf  # all that the forward direction's pass held but Sf
+        dSb = (dY * np.swapaxes(Sf[..., -Tb:, :, :], -3, -2)
+               if combine == "hadamard" else dY[..., H:])
+        del Sf
+        dXr, gb = _bptt(dSb[..., ::-1, :], x_r, p_bwd, *b, dx)
+        if dx:
+            dX[..., -Tb:, :] += dXr[..., ::-1, :]
         return dX, {**{"f_" + k: v for k, v in gf.items()},
                     **{"b_" + k: v for k, v in gb.items()}}
     return Y, (Sf, Sb, back)
@@ -395,9 +485,11 @@ def scan_cache_bytes(arch, hidden, layers, lag_depth, batch):
     temporary of the lstm, 8 in all), and one state gradient dS. The top
     bilstm layer's reverse direction scans x_{T-1} alone, so its 8 arrays
     count as (2, B, H). Every layer counts TC, though only the layer in its
-    backward pass holds one: the count, and so the group sizes, stay those
-    measured when every scan kept its TC. A scan's step buffers, a few
-    (B, G*H) arrays, are not counted."""
+    backward pass holds one, and every lstm layer counts S and C, though a
+    lower layer holds only Z until its backward pass rebuilds them: the
+    count is kept on purpose, so that the group sizes stay those measured
+    when every scan kept all of them. A scan's step buffers, a few (B, G*H)
+    arrays, are not counted."""
     steps = lag_depth + 1
     per_layer = {"rnn": 2, "lstm": 8, "bilstm": 16}[arch]
     arrays = steps * (layers * per_layer + 1)
@@ -485,13 +577,13 @@ class RecurrentModel:
                     self.bilstm_combine, last_step=top, backward=backward)
                 del _  # the directions' states, which `back` keeps if it must
             else:
-                seq, back = _direction(
-                    h, self._layer_params(k), _SCANS[self.arch],
-                    "caches" if backward else "last" if top else "states")
+                seq, back = _direction(h, self._layer_params(k),
+                                       _SCANS[self.arch], _keep(top, backward))
             mask = None
             if training and p_drop > 0.0 and k < self.layers - 1:
                 mask = _dropout_mask(p_drop, seq.shape, rng)
                 seq = seq * mask
+                mask = mask != 0.0  # the backward pass rebuilds 0 or 1/(1-p)
             if backward:
                 backs.append((back, mask))
             del back  # else its scan caches are freed before the next layer
@@ -514,8 +606,8 @@ class RecurrentModel:
             # pass has run, before the pass of the layer below
             back, mask = backs.pop()
             if mask is not None:
-                d_seq = d_seq * mask
-            d_seq, g = back(d_seq)
+                d_seq = d_seq * (mask / (1.0 - self.config.dropout))
+            d_seq, g = back(d_seq, k > 0)  # no dX for the windows
             del back
             grads.update({f"L{k}_{name}": val for name, val in g.items()})
         return loss, grads

@@ -16,7 +16,9 @@ overrides; every family on a test split of more than `PREDICT_WINDOWS`
 windows per stream, and on five antennas of a few dozen windows each; the
 hybrid with `hybrid_source=bilstm` at the mimo-cli overrides and on the five
 antennas, whose stage 1 trains in stacks of two streams, a source that
-neither benchmark workload runs; `compare`; `tune` over a `dataset` axis;
+neither benchmark workload runs; lstm and bilstm at two layers and no
+dropout at the paper-shape overrides, where the layer above reads a lower
+layer's states unmasked; `compare`; `tune` over a `dataset` axis;
 and `evaluate` and `predict` of each malformed checkpoint body of
 `test_cli.py`. It takes about ten seconds on two CPUs. pytest does not
 collect it: its name does not start with `test_`.
@@ -49,6 +51,10 @@ LONG = {**TINY, "antenna_count": "2", "sample_count": "3000"}
 # Ten streams of 31 test windows: stacks of several streams.
 FIVE = {**TINY, "antenna_count": "5", "sample_count": "1000",
         "window_stride": "3"}
+# Two layers without dropout: the top layer reads the lower one's states S
+# unmasked, so they live until its backward pass, unlike under PAPER's
+# three layers and dropout 0.2.
+UNMASKED = {**PAPER, "rnn_layers": "2", "dropout": "0.0"}
 
 
 def _write_config(name, values):
@@ -138,6 +144,8 @@ def main(argv=None):
         for label, overrides in (("mimo", mimo), ("five", FIVE)):
             trained(f"{label}-hybrid-bilstm", {**overrides, "model": "hybrid",
                                                "hybrid_source": "bilstm"})
+        for family in ("lstm", "bilstm"):
+            trained(f"unmasked-{family}", {**UNMASKED, "model": family})
         compare = _write_config("compare.cfg", {**FIVE, "compare_seeds": "0,1"})
         run("compare", "compare", "--config", compare, "--out", "compare")
         for name, seed in (("a'b.csv", 1), ("c.csv", 2)):

@@ -316,6 +316,33 @@ class TestTimeTerms:
         assert len(want) == {None: 6, "trend_enabled": 4,
                              "seasonality_enabled": 2}[off]
 
+    @pytest.mark.parametrize("stride", ["1", "D-1", "D", "2D"])
+    @pytest.mark.parametrize("streams", [None, 3], ids=["one", "stack"])
+    def test_forecasts_of_in_order_rows_equal_gathered_ones(self, stride,
+                                                            streams):
+        """Origins D or more apart give each horizon step its own row, in
+        order, and the forward pass reshapes the table rather than gathering
+        it. Its forecasts equal those of the same windows in shuffled order,
+        whose rows are gathered, and its terms the direct computation."""
+        rng = np.random.default_rng(23)
+        cfg = tiny_config()
+        step = {"1": 1, "D-1": cfg.D - 1, "D": cfg.D, "2D": 2 * cfg.D}[stride]
+        seed = 0 if streams is None else list(range(streams))
+        model = NpModel(cfg, seed=seed, t0=-4.0, t_span=900.0)
+        randomize(model, rng)
+        n = 40
+        # a stack's streams follow each other in time, so its rows run on
+        t = 5.0 + step * np.arange(n * (streams or 1)).reshape(-1, n)
+        t = t[0] if streams is None else t
+        lags = rng.normal(size=(*t.shape, cfg.d))
+        reg = rng.normal(size=(*t.shape, cfg.D))
+        y, cache = model.forward(t, lags, reg)
+        perm = rng.permutation(n)
+        shuffled, _ = model.forward(t[..., perm], lags[..., perm, :],
+                                    reg[..., perm, :])
+        assert y.tobytes() == shuffled[..., np.argsort(perm), :].tobytes()
+        assert _term_bytes(cache) == _term_bytes(_direct_terms(model, t))
+
     def test_one_row_per_distinct_time(self):
         times, rows = nprophet.horizon_rows(np.array([[0.5, 1.5], [2.0, 0.5]]), 3)
         assert times.tolist() == [1.5, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]

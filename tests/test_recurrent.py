@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csipred import synthchan
+from csipred import recurrent, synthchan
 from csipred.datapipe import make_windows
 from csipred.errors import ContractViolation, DivergenceError
 from csipred.numcore import (finite_diff_grad, huber_grad, huber_loss,
@@ -564,6 +564,40 @@ class TestForwardOnlyPass:
             y = predict_batch(model, X)
             want = predict_in_parts(model, lambda s: model.forward(X[..., s, :])[0], X)
             assert y.tobytes() == want.tobytes(), (H, L, B, combine)
+
+    @pytest.mark.parametrize("arch,combine", [("lstm", "hadamard"),
+                                              ("bilstm", "hadamard"),
+                                              ("bilstm", "concat")])
+    @pytest.mark.parametrize("F", [None, 3], ids=["plain", "F3"])
+    def test_runs_of_projections_are_the_training_pass_bytes(
+            self, arch, combine, F, monkeypatch):
+        # A 64 KiB budget cuts the 48 steps into several runs, none of fewer
+        # than PROJECT_ROWS rows; the training pass projects them at once.
+        monkeypatch.setattr(recurrent, "PROJECT_BYTES", 64 << 10)
+        runs = []
+
+        def project(x, Wb, Z):
+            runs.append(x.shape[-2] * x.shape[-3])  # the run's rows
+            return original(x, Wb, Z)
+
+        original = recurrent._project
+        monkeypatch.setattr(recurrent, "_project", project)
+        lead = () if F is None else (F,)
+        rng = np.random.default_rng(19)
+        for H, B in itertools.product((16, 32), (1, 2, 11, 31, 64, 256)):
+            model = RecurrentModel(arch, 48, 3, hidden_size=H, layers=2,
+                                   bilstm_combine=combine,
+                                   seed=3 if F is None else list(range(3, 3 + F)))
+            model.trained = True
+            X = rng.normal(size=(*lead, B, 48))
+            runs.clear()
+            y = predict_batch(model, X)
+            # runs of a whole scan: 48 steps, or the top reverse direction's 1
+            whole = (48 * B, B)
+            assert all(r >= recurrent.PROJECT_ROWS or r in whole for r in runs)
+            if B >= 11:
+                assert 48 * B not in runs, (H, B)
+            assert y.tobytes() == model.forward(X)[0].tobytes(), (H, B)
 
     @pytest.mark.parametrize("arch,combine", [("rnn", "hadamard"),
                                               ("lstm", "hadamard"),
