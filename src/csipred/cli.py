@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -58,10 +59,40 @@ def _out_file(path) -> Path:
     return out
 
 
+# A str of at least this many characters in a payload's dicts (a checkpoint
+# parameter blob) is written as a piece of its own, not inside the one
+# `json.dumps` of the rest.
+JSON_BLOB_CHARS = 1 << 16
+
+
+def _without_blobs(value, blobs, marker):
+    """`value` with each str of JSON_BLOB_CHARS or more in its dicts moved to
+    `blobs` and `marker` in its place; the dicts in sorted key order, the
+    order of `json.dumps(..., sort_keys=True)` and so of `blobs`."""
+    if isinstance(value, dict):
+        return {k: _without_blobs(value[k], blobs, marker)
+                for k in sorted(value)}
+    if isinstance(value, str) and len(value) >= JSON_BLOB_CHARS:
+        blobs.append(value)
+        return marker
+    return value
+
+
 def _write_json(path, payload):
-    # Compact `dumps` is the one form CPython encodes in C; `json.dump` and
-    # any `indent` fall back to the pure-Python encoder.
-    write_text(path, [json.dumps(payload, sort_keys=True) + "\n"])
+    """`json.dumps(payload, sort_keys=True)` and a newline, written to `path`
+    without the whole text ever in memory: the payload is dumped once with
+    a marker in place of each long str, and the text between the markers
+    and each str are written in turn. The marker holds a random nonce, so no
+    str of the payload is one. Compact `dumps` is the one form CPython
+    encodes in C; `json.dump` and any `indent` fall back to the pure-Python
+    encoder."""
+    blobs, marker = [], "\0" + os.urandom(16).hex()
+    parts = json.dumps(_without_blobs(payload, blobs, marker),
+                       sort_keys=True).split(json.dumps(marker))
+    # lazily: each blob's text is made as it is written
+    pieces = zip(parts, map(json.encoder.encode_basestring_ascii, blobs))
+    write_text(path, itertools.chain(itertools.chain.from_iterable(pieces),
+                                     [parts[-1], "\n"]))
 
 
 def cmd_gen_data(args):

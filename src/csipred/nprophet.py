@@ -303,10 +303,16 @@ class NpModel:
 
     # -- backward ----------------------------------------------------------
 
-    def grads(self, dY, cache):
+    def grads(self, dY, cache, out=None):
+        """Gradients keyed like `params`. With `out`, views keyed like
+        `params` (`fit` passes those of its gradient buffer), each is written
+        into its view and `out` is returned; else each is a new array."""
         cfg = self.cfg
         p = self.params
         g = {}
+
+        def gemm(name, a, b):  # into its view where one is given
+            g[name] = np.matmul(a, b, out=None if out is None else out[name])
         if cfg.trend_enabled:
             tn, ind = cache["tn"], cache["ind"]
             g["trend_g0"] = (dY * tn).sum(axis=(-2, -1))[..., None]
@@ -325,17 +331,25 @@ class NpModel:
         if cfg.ar_enabled:
             hs, pre = cache["ar_hs"], cache["ar_pre"]
             L = cfg.ar_layers
-            g[f"ar_U{L + 1}"] = mT(dY) @ hs[L]
+            gemm(f"ar_U{L + 1}", mT(dY), hs[L])
             dh = dY @ p[f"ar_U{L + 1}"]
             for i in range(L, 0, -1):
                 da = dh if cfg.ar_linear else dh * (pre[i - 1] > 0)
-                g[f"ar_U{i}"] = mT(da) @ hs[i - 1]
+                gemm(f"ar_U{i}", mT(da), hs[i - 1])
                 g[f"ar_b{i}"] = da.sum(axis=-2)
                 dh = da @ p[f"ar_U{i}"]
         if cfg.regressor_enabled:
-            g["reg_W"] = mT(dY) @ cache["reg"]
-        # the parameters of disabled components get zero gradients
-        return {k: g[k] if k in g else np.zeros_like(v) for k, v in p.items()}
+            gemm("reg_W", mT(dY), cache["reg"])
+        if out is None:
+            # the parameters of disabled components get zero gradients
+            return {k: g[k] if k in g else np.zeros_like(v)
+                    for k, v in p.items()}
+        for k, view in out.items():
+            if k not in g:
+                view[...] = 0.0
+            elif g[k] is not view:
+                view[...] = g[k]
+        return out
 
     # -- persistence -------------------------------------------------------
 
@@ -375,14 +389,15 @@ def np_train(data: SupervisedWindowSet, cfg: NpConfig, seed=0, regressors=None):
     times, steps = horizon_rows(data.t, cfg.D)
     table = model.time_terms(times)
 
-    def batch_loss(idx):
+    def batch_loss(idx, grads):
         rows = batch_rows(idx)
         reg = None if regressors is None else regressors[rows]
         y_hat, cache = model.forward(data.t[idx], data.X[rows], reg,
                                      (table, steps[idx]))
         dY = huber_grad(data.Y[rows], y_hat, cfg.huber_beta, stacked)
-        return (huber_loss(data.Y[rows], y_hat, cfg.huber_beta, stacked),
-                model.grads(dY, cache))
+        loss = huber_loss(data.Y[rows], y_hat, cfg.huber_beta, stacked)
+        model.grads(dY, cache, grads)
+        return loss
 
     return model, fit(model, batch_loss, len(data), cfg, generators(seed))
 

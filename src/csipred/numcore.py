@@ -277,23 +277,28 @@ def fit(model, loss_and_grads, n, cfg, rng):
     """Minibatch Adam over `n` examples; returns the per-epoch mean loss.
 
     Each epoch walks one `rng.permutation(n)` in batches of `cfg.batch_size`;
-    `loss_and_grads(idx)` returns (loss, grads keyed like `model.params`). A
-    non-finite loss raises `DivergenceError` before that batch's step; else the
-    grads are clipped to global norm `cfg.grad_clip` and Adam steps at a rate
-    that decays by `cfg.lr_decay` per epoch. A step after which the squared
-    norm of the parameters overflows raises `DivergenceError` too. Marks the
-    model trained at the end.
+    `loss_and_grads(idx, grads)` returns the batch's loss and writes every
+    gradient into `grads`, views keyed and shaped like `model.params` into
+    one gradient buffer. Every batch gets the same views, and a gradient that
+    is not written holds what the previous batch left there. A non-finite
+    loss raises `DivergenceError` before that batch's step; else the grads
+    are clipped to global norm `cfg.grad_clip` and Adam steps at a rate that
+    decays by `cfg.lr_decay` per epoch. A step after which the squared norm
+    of the parameters overflows raises `DivergenceError` too. Marks the model
+    trained at the end.
 
     A stacked model comes with a list of F generators, one per stream, and
     gets back a list of F histories. Each stream walks its own permutations:
     `loss_and_grads` gets idx (F, b), one batch per stream, and returns F
-    losses and stacked grads. Each stream's grads are clipped to their own
-    norm, and one Adam steps all of them. On divergence the error names the
-    lowest-index stream that diverged at the first batch where any did.
+    losses; its views are stacked (F, *shape). Each stream's grads are
+    clipped to their own norm, and one Adam steps all of them. On divergence
+    the error names the lowest-index stream that diverged at the first batch
+    where any did.
 
     At entry `model.params` becomes named views into one new (F, P) buffer
     whose row f holds stream f's parameters, in the order of `flatten`; for
-    one model (F = 1) the views have the model's own shapes.
+    one model (F = 1) the views have the model's own shapes. The gradient
+    views are laid out alike in a buffer of their own.
     """
     stacked = isinstance(rng, list)
     rngs = rng if stacked else [rng]
@@ -306,6 +311,8 @@ def fit(model, loss_and_grads, n, cfg, rng):
     # No name may keep the arrays packed here alive: they are as large as buf.
     model.params = (unflatten(buf, {k: a[0] for k, a in model.params.items()})
                     if stacked else unflatten(flat, model.params))
+    grads = (unflatten(gbuf, {k: a[0] for k, a in model.params.items()})
+             if stacked else unflatten(grad, model.params))
     opt = Adam(flat.size)
     histories = [[] for _ in range(F)]
     lr = cfg.learning_rate
@@ -316,15 +323,12 @@ def fit(model, loss_and_grads, n, cfg, rng):
             idx = order[:, b0:b0 + cfg.batch_size]
             # A diverging batch overflows; the check below reports it once.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(idx if stacked else idx[0])
+                loss = loss_and_grads(idx if stacked else idx[0], grads)
             loss = np.reshape(loss, F)
             batch = b0 // cfg.batch_size
             if not np.isfinite(loss).all():
                 f = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise DivergenceError(epoch, batch, float(loss[f]), f)
-            np.concatenate([grads[k].reshape(F, -1) for k in model.params],
-                           axis=1, out=gbuf)
-            del grads  # else they live through the next batch's pass
             for row in gbuf:
                 clipped = clip_grad_norm(row, cfg.grad_clip)
                 if clipped is not row:

@@ -98,23 +98,32 @@ def _dropout_mask(p, shape, rng):
 #
 # `backward()` turns the caches in place into the factors that map a step's
 # state and cell gradients to its pre-activation gradient da. It returns the
-# (T, B, G*H) buffer that will hold da, `step(t, ds, carry)`, which writes
-# da at step t and returns the carry for step t-1, and the states S. `_bptt`
-# runs that loop and then gets the weight gradients, and dX where the layer
-# below needs it, as single GEMMs over all T*B rows. The caches are
-# consumed, so a scan is differentiated at most once. They are allocated
-# once per scan, because per-step arrays interleaved with (B, G*H)
-# temporaries fragment the heap. Between the passes a scan keeps no array
-# that its backward pass can rebuild from what it keeps, bit for bit:
-# `backward()` recomputes tanh(c) from C with one elementwise op, and for a
-# lower lstm layer it first rebuilds C from Z with the forward's own step
-# recurrence (`_lstm_cells`: i g for all steps, then a multiply and an add
-# per step) and S = o tanh(C) with one more multiply. A lower layer waits for the backward
-# passes of every layer above it, so between the passes it holds its gates
-# and input alone. The top layer keeps S and C: its backward pass runs at
+# list of the (T, B, G*H) buffer that will hold da, `step(t, ds, carry)`,
+# which writes da at step t and returns the carry for step t-1, and the
+# states S. `_bptt` takes that list, runs the loop and then gets the weight
+# gradients, and dX where the layer below needs it, as single GEMMs over all
+# T*B rows. The caches are consumed, so a scan is differentiated at most
+# once. They are allocated once per scan, because per-step arrays
+# interleaved with (B, G*H) temporaries fragment the heap, and each goes as
+# soon as nothing reads it again: a layer's `back` calls `backward()` once
+# and holds it no more; `_bptt` empties the list, so that its own frame
+# holds the caches alone, and drops `step`, with the lstm's TC, C and step
+# buffers, when its loop ends, before the weight GEMMs. So a BiLSTM layer's
+# forward direction is freed, Sf aside, before its reverse direction's
+# pass, and every layer's caches before the layer below runs.
+#
+# Between the passes a scan keeps no array that its backward pass can
+# rebuild from what it keeps, bit for bit: `backward()` recomputes tanh(c)
+# from C with one elementwise op, and for a lower lstm layer it first
+# rebuilds C from Z with the forward's own step recurrence (`_lstm_cells`:
+# i g for all steps, then a multiply and an add per step) and S = o tanh(C)
+# with one more multiply. A lower layer waits for the backward passes of
+# every layer above it, so between the passes it holds its gates and input
+# alone. The top layer keeps S and C: its backward pass runs at
 # once, so rebuilding them saves nothing at the peak, and at one layer (the
 # mimo shape) it cost 8% of a pass. `RecurrentModel.loss_and_grads` drops
-# each layer's caches once its backward pass has run. `rnn_cell_forward`
+# each layer's `back` once it has run, and writes each gradient into the
+# views of `fit`'s gradient buffer where it is given them. `rnn_cell_forward`
 # and `lstm_cell_forward` compute one step gate by gate; they are the
 # independent reference the scans are tested against.
 #
@@ -228,7 +237,7 @@ def _rnn_scan(x, p, keep="caches"):
         def step(t, ds, carry):
             At[t] *= ds
             return carry
-        return A, step, S
+        return [A, step, S]
     return S, backward
 
 
@@ -370,20 +379,24 @@ def _lstm_scan(x, p, keep="caches"):
             np.multiply(gates[t], dg, out=gates[t])
             dc *= Ct[t]
             return dc
-        return Z, step, S
+        return [Z, step, S]
     return S, backward
 
 
-def _bptt(dS, x, p, A, step, S, dx=True):
+def _bptt(dS, x, p, caches, dx=True, out=None):
     """Reverse-time pass over one direction: (dX, grads of W, V and b), with
     dX None unless `dx`.
 
     dS (B, T', H) is the state gradient of the last T' <= T steps; the steps
     before them get only the one that flows back through the recurrence (a
-    top layer's head reads its last step alone). A, `step` and the states S
-    are what the scan's `backward()` returns; the loop keeps only the da
-    update and ds = da @ V, and the rest runs once over all T*B rows.
+    top layer's head reads its last step alone). `caches` is the list
+    [A, step, S] that the scan's `backward()` returns, emptied here so that
+    this frame holds them alone; the loop keeps only the da update and
+    ds = da @ V, and the rest runs once over all T*B rows. The grads are
+    written into `out`, views named W, V and b, where it is given.
     """
+    A, step, S = caches
+    caches.clear()
     *lead, B, T, n_in = x.shape
     V = p["V"]
     t0 = T - dS.shape[-2]
@@ -395,11 +408,21 @@ def _bptt(dS, x, p, A, step, S, dx=True):
         carry = step(t, ds, carry)
         if t:
             ds_next = np.matmul(At[t], V, out=dsv)
+    # the factors that `step` holds (an lstm's TC, C and its dc and dg
+    # buffers) go before the GEMMs
+    del step, carry
     A = A.reshape(*lead, T * B, -1)
     dWb = mT(A) @ _rows_with_ones(x)
-    grads = {"W": dWb[..., :-1],
-             "V": mT(A) @ S[..., :-1, :, :].reshape(*lead, T * B, -1),
-             "b": dWb[..., -1]}
+    S = S[..., :-1, :, :].reshape(*lead, T * B, -1)
+    if out is None:
+        grads = {"W": dWb[..., :-1], "V": mT(A) @ S, "b": dWb[..., -1]}
+    else:
+        grads = out
+        np.copyto(out["W"], dWb[..., :-1])
+        np.copyto(out["b"], dWb[..., -1])
+        del dWb
+        np.matmul(mT(A), S, out=out["V"])
+    del S
     if not dx:
         return None, grads
     return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2), grads
@@ -414,24 +437,29 @@ def _keep(top, backward):
 
 def _direction(x, p, scan, keep="caches"):
     """One scan over x: the states (B, T', H) it keeps (see the scan comment
-    block) and, if it keeps caches or gates, `back(dS, dx=True)`, its
-    backward pass; else None."""
+    block) and, if it keeps caches or gates, `back(dS, dx=True, out=None)`,
+    its backward pass (see `_bptt`), to be called once; else None."""
     if keep in ("states", "last"):
         return np.swapaxes(scan(x, p, keep), -3, -2), None
     S, backward = scan(x, p, keep)
-    return (np.swapaxes(S[..., 1:, :, :], -3, -2),
-            lambda dS, dx=True: _bptt(dS, x, p, *backward(), dx))
+    backward = [backward]
+
+    def back(dS, dx=True, out=None):
+        # popped, so that once it has run only `_bptt` holds the caches
+        return _bptt(dS, x, p, backward.pop()(), dx, out)
+    return np.swapaxes(S[..., 1:, :, :], -3, -2), back
 
 
 def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
                    backward=True):
     """Two-direction pass; combined output per step is s_fwd (x) s_bwd.
 
-    Returns Y and (Sf, Sb, back), where back(dY, dx=True) -> (dX, grads) with
-    the grads of p_fwd and p_bwd keyed "f_" and "b_" + name, and dX None
-    unless `dx`. With `last_step` (a top layer, whose last step alone the
-    head reads) the reverse direction scans x_{T-1} alone, and Y, Sb and dY
-    hold step T-1 only. Without `backward` the pass is forward-only: back is
+    Returns Y and (Sf, Sb, back), where back(dY, dx=True, out=None) ->
+    (dX, grads), to be called once, with the grads of p_fwd and p_bwd keyed
+    "f_" and "b_" + name (written into `out`, views so keyed, if given), and
+    dX None unless `dx`. With `last_step` (a top layer, whose last step
+    alone the head reads) the reverse direction scans x_{T-1} alone, and Y,
+    Sb and dY hold step T-1 only. Without `backward` the pass is forward-only: back is
     None, and with `last_step` Sf holds step T-1 only too. Else a lower
     layer (no `last_step`) keeps only its gates (see the scan comment block),
     and `back` rebuilds both directions' states before it combines dY with
@@ -447,6 +475,8 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
         Sf, backward_f = _lstm_scan(x, p_fwd, keep)
         Sb, backward_b = _lstm_scan(x_r, p_bwd, keep)
         Sf, Sb = (np.swapaxes(S[..., 1:, :, :], -3, -2) for S in (Sf, Sb))
+        scans = [backward_f, backward_b]
+        del backward_f, backward_b
     else:
         Sf, Sb = (_direction(xd, p, _lstm_scan, keep)[0]
                   for xd, p in ((x, p_fwd), (x_r, p_bwd)))
@@ -458,19 +488,25 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
     if not backward:
         return Y, (Sf, Sb, None)
 
-    def back(dY, dx=True):
-        f, b = backward_f(), backward_b()  # (A, step, S) of each direction
+    def back(dY, dx=True, out=None):
+        # [A, step, S] of each direction; the scans' backward passes are
+        # popped, so that `_bptt` alone holds a direction's caches
+        f, b = scans.pop(0)(), scans.pop()()
         H = dY.shape[-1] // 2
+        outs = [None if out is None else {k: out[pre + k] for k in "WVb"}
+                for pre in ("f_", "b_")]
         # each direction's state gradient, made just before its pass
         dSf = (dY * np.swapaxes(b[2][..., :0:-1, :, :], -3, -2)
                if combine == "hadamard" else dY[..., :H])
-        dX, gf = _bptt(dSf, x, p_fwd, *f, dx)
         Sf = f[2]
-        del f, dSf  # all that the forward direction's pass held but Sf
+        dX, gf = _bptt(dSf, x, p_fwd, f, dx, outs[0])
+        # `_bptt` freed the forward direction's caches; of them Sf is left,
+        # for the reverse direction's state gradient
+        del dSf
         dSb = (dY * np.swapaxes(Sf[..., -Tb:, :, :], -3, -2)
                if combine == "hadamard" else dY[..., H:])
         del Sf
-        dXr, gb = _bptt(dSb[..., ::-1, :], x_r, p_bwd, *b, dx)
+        dXr, gb = _bptt(dSb[..., ::-1, :], x_r, p_bwd, b, dx, outs[1])
         if dx:
             dX[..., -Tb:, :] += dXr[..., ::-1, :]
         return dX, {**{"f_" + k: v for k, v in gf.items()},
@@ -592,13 +628,20 @@ class RecurrentModel:
         y = last @ mT(self.params["out_W"]) + self.params["out_b"][..., None, :]
         return y, (backs, last)
 
-    def loss_and_grads(self, X, Y, training=False, rng=None):
+    def loss_and_grads(self, X, Y, training=False, rng=None, grads=None):
+        """(loss, grads keyed like `params`). With `grads`, views keyed
+        like `params` (`fit` passes those of its gradient buffer), every
+        gradient is written into its view and `grads` is returned; else
+        each is a new array."""
         Y = np.asarray(Y, dtype=float)
         y_hat, (backs, last) = self.forward(X, training=training, rng=rng)
         stacked = isinstance(self.seed, list)
         loss = huber_loss(Y, y_hat, self.config.huber_beta, stacked)
         dY = huber_grad(Y, y_hat, self.config.huber_beta, stacked)
-        grads = {"out_W": mT(dY) @ last, "out_b": dY.sum(axis=-2)}
+        fresh = grads is None
+        grads = {} if fresh else grads
+        grads["out_W"] = np.matmul(mT(dY), last, out=grads.get("out_W"))
+        grads["out_b"] = np.sum(dY, axis=-2, out=grads.get("out_b"))
         del last  # for rnn and lstm a view of the top layer's states S
         d_seq = (dY @ self.params["out_W"])[..., None, :]  # step T-1 alone
         for k in reversed(range(self.layers)):
@@ -607,9 +650,13 @@ class RecurrentModel:
             back, mask = backs.pop()
             if mask is not None:
                 d_seq = d_seq * (mask / (1.0 - self.config.dropout))
-            d_seq, g = back(d_seq, k > 0)  # no dX for the windows
+            pre = f"L{k}_"
+            out = None if fresh else {name[len(pre):]: grads[name]
+                                      for name in self.params
+                                      if name.startswith(pre)}
+            d_seq, g = back(d_seq, k > 0, out)  # no dX for the windows
             del back
-            grads.update({f"L{k}_{name}": val for name, val in g.items()})
+            grads.update({pre + name: val for name, val in g.items()})
         return loss, grads
 
     # -- flat-parameter helpers (gradient verification) --------------------
@@ -651,10 +698,10 @@ def train_recurrent(model: RecurrentModel, data: SupervisedWindowSet, seed=0):
     check_windows(data, model.d, model.D)
     rng = generators(seed)
 
-    def batch_loss(idx):
+    def batch_loss(idx, grads):
         rows = batch_rows(idx)
         return model.loss_and_grads(data.X[rows], data.Y[rows], training=True,
-                                    rng=rng)
+                                    rng=rng, grads=grads)[0]
 
     return fit(model, batch_loss, len(data), model.config, rng)
 

@@ -7,18 +7,20 @@ import json
 import os
 import shutil
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csipred import datapipe, experiment, workers
+from csipred import cli, datapipe, experiment, workers
 from csipred.cli import build_parser, main
 from csipred.config import (config_digest, format_config,
                             parse_config_file, parse_seasonalities,
                             resolve_config)
 from csipred.errors import ConfigError
+from csipred.recurrent import RecurrentModel
 
 FAST = {
     "sample_count": "600",
@@ -1069,6 +1071,55 @@ class TestLineEnds:
                                 for p in sorted(out.rglob("*")) if p.is_file()}))
         assert len(runs[0][1]) == 6
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+class TestWriteJson:
+    """`cli._write_json` streams its payload: the bytes are those of one
+    `json.dumps(payload, sort_keys=True)`, but no string holds them all."""
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"b": {}, "a": [1, {"z": {}, "y": -0.0}], "c": None, "d": True},
+        {"\u00e9t\u00e9": "na\u00efve \u2603", "q": "a\"b\\c\n\t\x01",
+         "k": {"b": "xyz", "a": "\x00abc"},
+         "f": [1.5e-300, 0.1, 1e16, float("inf"), float("nan")],
+         "n": {"x": {"y": {"z": {"": ""}}}}, "i": 10 ** 30},
+        [{"b": 1, "a": 2}, "s"],
+        {2: "yyyy", 1: {"b": "zzzz", "a": 0.5}},
+        "top-level \u00fc",
+    ])
+    @pytest.mark.parametrize("blob_chars", [3, cli.JSON_BLOB_CHARS])
+    def test_bytes_are_one_sorted_dumps(self, tmp_path, monkeypatch, payload,
+                                        blob_chars):
+        """With 3, every str of 3 characters or more is written alone."""
+        monkeypatch.setattr(cli, "JSON_BLOB_CHARS", blob_chars)
+        path = tmp_path / "out.json"
+        cli._write_json(path, payload)
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_a_paper_shape_checkpoint_is_never_one_string(self, tmp_path):
+        """Two paper-shape bilstm streams (34 MB of base64): writing them
+        holds a few of the largest blob (1.7 MB), not the payload."""
+        features = {f"ant0_{part}": {
+            "model": RecurrentModel("bilstm", 48, 24, hidden_size=200,
+                                    layers=3, seed=s).to_dict(),
+            "scaler": {"shift": 0.5, "half_range": 2.0}}
+            for s, part in enumerate(("re", "im"))}
+        payload = {"format": "x", "features": features}
+        size = sum(len(b) for f in features.values()
+                   for b in f["model"]["params"].values())
+        assert size > 30e6
+        path = tmp_path / "checkpoint.json"
+        tracemalloc.start()
+        try:
+            cli._write_json(path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 5
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_report_of_a_dataset_path_with_a_comma(tmp_path):

@@ -229,13 +229,14 @@ class _Quadratic:
         self.trained = False
         self.bad, self.at, self.seen = bad, at, []
 
-    def loss_and_grads(self, idx):
+    def loss_and_grads(self, idx, grads):
         w = self.params["w"]
         loss = np.sum(w * w, axis=1)
         if len(self.seen) >= self.at:
             loss[list(self.bad)] = np.nan
         self.seen.append(w.copy())
-        return loss, {"w": 2.0 * w}
+        np.multiply(2.0, w, out=grads["w"])
+        return loss
 
 
 class TestStackedFit:

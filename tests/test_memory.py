@@ -1,6 +1,7 @@
-"""What a training step and a prediction keep alive: a batch's gradients and
-a layer's scan caches go once they are used, and prediction memory of every
-model family depends on PREDICT_WINDOWS, not on the number of windows."""
+"""What a training step and a prediction keep alive: a batch's gradients go
+straight into `fit`'s buffer, a layer's scan caches go once they are used,
+and prediction memory of every model family depends on PREDICT_WINDOWS, not
+on the number of windows."""
 import inspect
 import tracemalloc
 import weakref
@@ -12,26 +13,163 @@ import pytest
 from csipred import hybrid, recurrent
 from csipred.datapipe import make_windows
 from csipred.nprophet import NpConfig, NpModel, np_predict_batch
-from csipred.numcore import PREDICT_WINDOWS, fit
+from csipred.numcore import PREDICT_WINDOWS, fit, generators, unflatten
 from csipred.recurrent import RecurrentModel, TrainConfig, predict_batch
 
 
 def test_fit_releases_a_batch_gradients_before_the_next_batch():
+    """No batch allocates gradient arrays to release: every batch gets the
+    same views of one buffer, and the gradients `loss_and_grads` returns
+    are those views."""
     rng = np.random.default_rng(0)
     X, Y = rng.normal(size=(12, 6)), rng.normal(size=(12, 3))
     model = RecurrentModel("rnn", 6, 3, hidden_size=4, layers=1,
                            config=TrainConfig(epochs=2, batch_size=4))
-    previous, calls = [], []
+    calls = []
 
-    def batch_loss(idx):
-        calls.append([ref() is None for ref in previous])
-        loss, grads = model.loss_and_grads(X[idx], Y[idx])
-        previous[:] = [weakref.ref(grads["out_W"])]
-        return loss, grads
+    def batch_loss(idx, grads):
+        loss, returned = model.loss_and_grads(X[idx], Y[idx], grads=grads)
+        calls.append((grads, {k: v for k, v in grads.items()}))
+        assert returned is grads
+        assert all(returned[k] is v for k, v in calls[0][1].items())
+        return loss
 
     fit(model, batch_loss, len(X), model.config, np.random.default_rng(1))
     assert len(calls) == 6
-    assert calls[1:] == [[True]] * 5
+    assert all(grads is calls[0][0] for grads, _ in calls)
+    views = list(calls[0][1].values())
+    assert views[0].base is not None
+    assert all(v.base is views[0].base for v in views)
+    assert sum(v.size for v in views) == views[0].base.size
+    assert not any(np.shares_memory(v, p) for v in views
+                   for p in model.params.values())
+
+
+def _grad_views(model, streams):
+    """A new gradient buffer (streams, P) filled with NaN, and views of it
+    like those that `fit` passes."""
+    P = sum(a.size for a in model.params.values()) // streams
+    buf = np.full((streams, P), np.nan)
+    if not isinstance(model.seed, list):
+        return buf, unflatten(buf[0], model.params)
+    return buf, unflatten(buf, {k: a[0] for k, a in model.params.items()})
+
+
+def _np_pass(model, F, out=None):
+    rng = np.random.default_rng(21)
+    lead = (F,) if F else ()
+    t = np.arange(6) * 30.0 + 48.0
+    t = np.broadcast_to(t, (*lead, 6))
+    X = rng.normal(size=(*lead, 6, model.cfg.d))
+    y_hat, cache = model.forward(t, X, rng.normal(size=(*lead, 6, model.cfg.D)))
+    dY = y_hat - rng.normal(size=y_hat.shape)
+    return model.grads(dY, cache, out)
+
+
+@pytest.mark.parametrize("streams", [0, 3])
+@pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "concat", "np",
+                                  "np-partial"])
+def test_gradients_written_into_views_equal_returned_ones(kind, streams):
+    """What `RecurrentModel.loss_and_grads` and `NpModel.grads` write into
+    `fit`'s gradient views is, byte for byte, what they return without
+    views, for one model and a stack of 3, and they write every view."""
+    seed = list(range(streams)) if streams else 0
+    if kind.startswith("np"):
+        cfg = NpConfig(d=8, D=4, n_changepoints=3, ar_layers=2, ar_hidden=5,
+                       regressor_enabled=True,
+                       seasonality_enabled=kind == "np")
+        model = NpModel(cfg, seed, t0=0.0, t_span=400.0)
+        for value in model.params.values():
+            value[...] = 0.1 * np.random.default_rng(22).normal(size=value.shape)
+
+        def run(out=None):
+            return _np_pass(model, streams, out)
+    else:
+        arch = "bilstm" if kind == "concat" else kind
+        model = RecurrentModel(arch, 8, 3, hidden_size=5, layers=2,
+                               bilstm_combine=("concat" if kind == "concat"
+                                               else "hadamard"),
+                               config=TrainConfig(dropout=0.2), seed=seed)
+        rng = np.random.default_rng(23)
+        lead = (streams,) if streams else ()
+        X, Y = rng.normal(size=(*lead, 4, 8)), rng.normal(size=(*lead, 4, 3))
+
+        def run(out=None):
+            return model.loss_and_grads(X, Y, training=True,
+                                        rng=generators(seed), grads=out)[1]
+    fresh = run()
+    buf, views = _grad_views(model, max(streams, 1))
+    written = run(views)
+    assert written is views
+    assert not np.isnan(buf).any()
+    assert fresh.keys() == model.params.keys()
+    for name, value in fresh.items():
+        assert views[name].shape == value.shape
+        assert views[name].tobytes() == value.tobytes(), name
+
+
+def _closure(fn):
+    """The variables that the function `fn` reads from enclosing scopes."""
+    return inspect.getclosurevars(fn).nonlocals
+
+
+@pytest.mark.parametrize("arch,alive", [("lstm", [3, 2, 1]),
+                                        ("bilstm", [6, 5, 4, 3, 2, 1])])
+def test_each_direction_gates_go_once_its_pass_has_run(arch, alive,
+                                                        monkeypatch):
+    """At the start of each direction's backward pass, the gates Z of every
+    direction whose pass has run are freed; for a BiLSTM layer, the forward
+    direction's before the reverse direction's pass."""
+    gates, counts = [], []
+
+    def scan(x, p, keep="caches"):
+        S, backward = original_scan(x, p, keep)
+        gates.append(weakref.ref(_closure(backward)["Z"]))
+        return S, backward
+
+    def bptt(*args, **kwargs):
+        counts.append(sum(ref() is not None for ref in gates))
+        return original_bptt(*args, **kwargs)
+
+    original_scan, original_bptt = recurrent._lstm_scan, recurrent._bptt
+    monkeypatch.setitem(recurrent._SCANS, "lstm", scan)
+    monkeypatch.setattr(recurrent, "_lstm_scan", scan)
+    monkeypatch.setattr(recurrent, "_bptt", bptt)
+    rng = np.random.default_rng(2)
+    model = RecurrentModel(arch, 8, 3, hidden_size=5, layers=3,
+                           config=TrainConfig(dropout=0.2), seed=3)
+    model.loss_and_grads(rng.normal(size=(4, 8)), rng.normal(size=(4, 3)),
+                         training=True, rng=np.random.default_rng(4))
+    assert counts == alive
+
+
+@pytest.mark.parametrize("arch", ["lstm", "bilstm"])
+def test_backward_factors_go_before_the_weight_gradients(arch, monkeypatch):
+    """`_bptt` frees the cells C and the factors TC that its reverse-time
+    loop reads before its first weight-gradient GEMM, whose [x_t, 1] rows
+    `_rows_with_ones` builds."""
+    pending, freed = [], []
+
+    def bptt(dS, x, p, caches, *args, **kwargs):
+        held = _closure(caches[1])
+        pending.append([weakref.ref(held[k].base) for k in ("TCt", "Ct")])
+        del held
+        return original_bptt(dS, x, p, caches, *args, **kwargs)
+
+    def rows_with_ones(x):
+        if pending:
+            freed.append([ref() is None for ref in pending.pop()])
+        return original_rows(x)
+
+    original_bptt, original_rows = recurrent._bptt, recurrent._rows_with_ones
+    monkeypatch.setattr(recurrent, "_bptt", bptt)
+    monkeypatch.setattr(recurrent, "_rows_with_ones", rows_with_ones)
+    rng = np.random.default_rng(2)
+    model = RecurrentModel(arch, 8, 3, hidden_size=5, layers=3,
+                           config=TrainConfig(dropout=0.2), seed=3)
+    model.loss_and_grads(rng.normal(size=(4, 8)), rng.normal(size=(4, 3)),
+                         training=True, rng=np.random.default_rng(4))
+    assert freed == [[True, True]] * (6 if arch == "bilstm" else 3)
 
 
 @pytest.mark.parametrize("arch", ["rnn", "lstm", "bilstm"])
@@ -73,20 +211,28 @@ def test_layer_caches_go_before_the_layer_below_runs(arch, monkeypatch):
 def test_a_paper_shape_bilstm_pass_keeps_lower_layers_gates_alone():
     """Between a lower layer's forward and backward pass it holds its gates,
     its input and a boolean dropout mask; its backward pass rebuilds its
-    cells and states. A pass at the paper shape (H=200, L=3, B=32, d=48,
-    dropout 0.2) peaked at 92.8 MB of traced allocations when every layer
-    kept Z, S and C and a float mask, and at 73.2 MB with this."""
+    cells and states. Each direction's caches go once its pass has run, and
+    its factors before its weight GEMMs. A pass at the paper shape (H=200,
+    L=3, B=32, d=48, dropout 0.2) peaked at 92.8 MB of traced allocations
+    when every layer kept Z, S and C and a float mask, at 73.2 MB with the
+    gates alone, and at 68.3 MB with this; written into views of a gradient
+    buffer allocated before it, as `fit` gives it, at 65.4 MB."""
     model = RecurrentModel("bilstm", 48, 24, hidden_size=200, layers=3,
                            config=TrainConfig(dropout=0.2), seed=1)
     rng = np.random.default_rng(14)
     X, Y = rng.normal(size=(32, 48)), rng.normal(size=(32, 24))
-    tracemalloc.start()
-    try:
-        model.loss_and_grads(X, Y, training=True, rng=np.random.default_rng(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 78e6
+    views = _grad_views(model, 1)[1]
+    peaks = []
+    for grads in (None, views):
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(X, Y, training=True,
+                                 rng=np.random.default_rng(2), grads=grads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 69.5e6
+    assert peaks[1] < 66.5e6
 
 
 @pytest.mark.parametrize("H,B,lead", [(200, 32, ()), (16, 11, (3,))])

@@ -217,11 +217,12 @@ class TestFit:
         model = SimpleNamespace(params={"w": np.ones(3)}, trained=False)
         seen = []
 
-        def loss_and_grads(idx):
+        def loss_and_grads(idx, grads):
             w = model.params["w"]
             seen.append(w.copy())
             loss = np.nan if len(seen) >= 6 else float(np.sum(w * w))
-            return loss, {"w": 2.0 * w}
+            np.multiply(2.0, w, out=grads["w"])
+            return loss
 
         cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=4)
         with pytest.raises(DivergenceError) as exc:
