@@ -304,30 +304,36 @@ class NpModel:
     # -- backward ----------------------------------------------------------
 
     def grads(self, dY, cache, out=None):
-        """Gradients keyed like `params`. With `out`, views keyed like
-        `params` (`fit` passes those of its gradient buffer), each is written
-        into its view and `out` is returned; else each is a new array."""
+        """Gradients keyed like `params`, written into `out`, arrays so keyed
+        (`fit` passes the views of its gradient buffer), or into new arrays;
+        returns them."""
         cfg = self.cfg
         p = self.params
-        g = {}
+        g = {k: np.empty_like(v) for k, v in p.items()} if out is None else out
+        written = set()
 
-        def gemm(name, a, b):  # into its view where one is given
-            g[name] = np.matmul(a, b, out=None if out is None else out[name])
+        def put(name, value):
+            g[name][...] = value
+            written.add(name)
+
+        def gemm(name, a, b):
+            np.matmul(a, b, out=g[name])
+            written.add(name)
         if cfg.trend_enabled:
             tn, ind = cache["tn"], cache["ind"]
-            g["trend_g0"] = (dY * tn).sum(axis=(-2, -1))[..., None]
-            g["trend_r0"] = dY.sum(axis=(-2, -1))[..., None]
+            put("trend_g0", (dY * tn).sum(axis=(-2, -1))[..., None])
+            put("trend_r0", dY.sum(axis=(-2, -1))[..., None])
             dg = np.einsum("...bd,...bdm->...m", dY * tn, ind)
             dr = np.einsum("...bd,...bdm->...m", dY, ind)
             if cfg.discontinuous_growth:
-                g["trend_dg"] = dg
-                g["trend_dr"] = dr
+                put("trend_dg", dg)
+                put("trend_dr", dr)
             else:
-                g["trend_dg"] = dg - self.changepoints * dr
+                put("trend_dg", dg - self.changepoints * dr)
         if cfg.seasonality_enabled:
             for i, (cos, sin) in enumerate(cache["bases"]):
-                g[f"season{i}_a"] = np.einsum("...bd,...bdk->...k", dY, cos)
-                g[f"season{i}_b"] = np.einsum("...bd,...bdk->...k", dY, sin)
+                put(f"season{i}_a", np.einsum("...bd,...bdk->...k", dY, cos))
+                put(f"season{i}_b", np.einsum("...bd,...bdk->...k", dY, sin))
         if cfg.ar_enabled:
             hs, pre = cache["ar_hs"], cache["ar_pre"]
             L = cfg.ar_layers
@@ -336,20 +342,15 @@ class NpModel:
             for i in range(L, 0, -1):
                 da = dh if cfg.ar_linear else dh * (pre[i - 1] > 0)
                 gemm(f"ar_U{i}", mT(da), hs[i - 1])
-                g[f"ar_b{i}"] = da.sum(axis=-2)
+                put(f"ar_b{i}", da.sum(axis=-2))
                 dh = da @ p[f"ar_U{i}"]
         if cfg.regressor_enabled:
             gemm("reg_W", mT(dY), cache["reg"])
-        if out is None:
-            # the parameters of disabled components get zero gradients
-            return {k: g[k] if k in g else np.zeros_like(v)
-                    for k, v in p.items()}
-        for k, view in out.items():
-            if k not in g:
+        # the parameters of disabled components get zero gradients
+        for k, view in g.items():
+            if k not in written:
                 view[...] = 0.0
-            elif g[k] is not view:
-                view[...] = g[k]
-        return out
+        return g
 
     # -- persistence -------------------------------------------------------
 

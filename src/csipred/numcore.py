@@ -279,13 +279,14 @@ def fit(model, loss_and_grads, n, cfg, rng):
     Each epoch walks one `rng.permutation(n)` in batches of `cfg.batch_size`;
     `loss_and_grads(idx, grads)` returns the batch's loss and writes every
     gradient into `grads`, views keyed and shaped like `model.params` into
-    one gradient buffer. Every batch gets the same views, and a gradient that
-    is not written holds what the previous batch left there. A non-finite
-    loss raises `DivergenceError` before that batch's step; else the grads
-    are clipped to global norm `cfg.grad_clip` and Adam steps at a rate that
-    decays by `cfg.lr_decay` per epoch. A step after which the squared norm
-    of the parameters overflows raises `DivergenceError` too. Marks the model
-    trained at the end.
+    one gradient buffer. Every batch gets the same views. They start as NaN,
+    and a view that the first batch leaves all NaN, unwritten, raises
+    `ContractViolation`. A non-finite loss raises `DivergenceError` before
+    that batch's step; else the grads are clipped to global norm
+    `cfg.grad_clip` and Adam steps at a rate that decays by `cfg.lr_decay`
+    per epoch. A step after which the squared norm of the parameters
+    overflows raises `DivergenceError` too. Marks the model trained at the
+    end.
 
     A stacked model comes with a list of F generators, one per stream, and
     gets back a list of F histories. Each stream walks its own permutations:
@@ -304,7 +305,7 @@ def fit(model, loss_and_grads, n, cfg, rng):
     rngs = rng if stacked else [rng]
     F = len(rngs)
     P = sum(a.size for a in model.params.values()) // F
-    flat, grad = np.empty(F * P), np.empty(F * P)
+    flat, grad = np.empty(F * P), np.full(F * P, np.nan)
     buf, gbuf = flat.reshape(F, P), grad.reshape(F, P)
     np.concatenate([a.reshape(F, -1) for a in model.params.values()], axis=1,
                    out=buf)
@@ -329,6 +330,12 @@ def fit(model, loss_and_grads, n, cfg, rng):
             if not np.isfinite(loss).all():
                 f = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise DivergenceError(epoch, batch, float(loss[f]), f)
+            if not epoch and not b0:
+                unwritten = [k for k, v in grads.items()
+                             if v.size and np.isnan(v).all()]
+                if unwritten:
+                    raise ContractViolation(
+                        f"loss_and_grads wrote no gradient for {unwritten}")
             for row in gbuf:
                 clipped = clip_grad_norm(row, cfg.grad_clip)
                 if clipped is not row:

@@ -122,8 +122,10 @@ def _dropout_mask(p, shape, rng):
 # alone. The top layer keeps S and C: its backward pass runs at
 # once, so rebuilding them saves nothing at the peak, and at one layer (the
 # mimo shape) it cost 8% of a pass. `RecurrentModel.loss_and_grads` drops
-# each layer's `back` once it has run, and writes each gradient into the
-# views of `fit`'s gradient buffer where it is given them. `rnn_cell_forward`
+# each layer's `back` once it has run. Every gradient is written once, into
+# an array it is given: `fit`'s gradient buffer views, or new arrays that
+# `loss_and_grads` or a layer's `back` makes when called without them (as
+# the gradient checks call them). `rnn_cell_forward`
 # and `lstm_cell_forward` compute one step gate by gate; they are the
 # independent reference the scans are tested against.
 #
@@ -383,17 +385,16 @@ def _lstm_scan(x, p, keep="caches"):
     return S, backward
 
 
-def _bptt(dS, x, p, caches, dx=True, out=None):
-    """Reverse-time pass over one direction: (dX, grads of W, V and b), with
-    dX None unless `dx`.
+def _bptt(dS, x, p, caches, dx, out):
+    """Reverse-time pass over one direction: writes the grads of W, V and b
+    into `out`, arrays so named, and returns dX, None unless `dx`.
 
     dS (B, T', H) is the state gradient of the last T' <= T steps; the steps
     before them get only the one that flows back through the recurrence (a
     top layer's head reads its last step alone). `caches` is the list
     [A, step, S] that the scan's `backward()` returns, emptied here so that
     this frame holds them alone; the loop keeps only the da update and
-    ds = da @ V, and the rest runs once over all T*B rows. The grads are
-    written into `out`, views named W, V and b, where it is given.
+    ds = da @ V, and the rest runs once over all T*B rows.
     """
     A, step, S = caches
     caches.clear()
@@ -413,19 +414,19 @@ def _bptt(dS, x, p, caches, dx=True, out=None):
     del step, carry
     A = A.reshape(*lead, T * B, -1)
     dWb = mT(A) @ _rows_with_ones(x)
-    S = S[..., :-1, :, :].reshape(*lead, T * B, -1)
-    if out is None:
-        grads = {"W": dWb[..., :-1], "V": mT(A) @ S, "b": dWb[..., -1]}
-    else:
-        grads = out
-        np.copyto(out["W"], dWb[..., :-1])
-        np.copyto(out["b"], dWb[..., -1])
-        del dWb
-        np.matmul(mT(A), S, out=out["V"])
+    np.copyto(out["W"], dWb[..., :-1])
+    np.copyto(out["b"], dWb[..., -1])
+    del dWb
+    np.matmul(mT(A), S[..., :-1, :, :].reshape(*lead, T * B, -1), out=out["V"])
     del S
     if not dx:
-        return None, grads
-    return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2), grads
+        return None
+    return np.swapaxes((A @ p["W"]).reshape(*lead, T, B, n_in), -3, -2)
+
+
+def _empty_like(p, prefix=""):
+    """New arrays to write the grads of p into, keyed prefix + name."""
+    return {prefix + k: np.empty_like(v) for k, v in p.items()}
 
 
 def _keep(top, backward):
@@ -438,15 +439,18 @@ def _keep(top, backward):
 def _direction(x, p, scan, keep="caches"):
     """One scan over x: the states (B, T', H) it keeps (see the scan comment
     block) and, if it keeps caches or gates, `back(dS, dx=True, out=None)`,
-    its backward pass (see `_bptt`), to be called once; else None."""
+    its backward pass, to be called once; else None. `back` returns dX (see
+    `_bptt`) and the grads of p, written into `out` (arrays keyed like p) or
+    into new arrays."""
     if keep in ("states", "last"):
         return np.swapaxes(scan(x, p, keep), -3, -2), None
     S, backward = scan(x, p, keep)
     backward = [backward]
 
     def back(dS, dx=True, out=None):
+        out = _empty_like(p) if out is None else out
         # popped, so that once it has run only `_bptt` holds the caches
-        return _bptt(dS, x, p, backward.pop()(), dx, out)
+        return _bptt(dS, x, p, backward.pop()(), dx, out), out
     return np.swapaxes(S[..., 1:, :, :], -3, -2), back
 
 
@@ -456,14 +460,14 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
 
     Returns Y and (Sf, Sb, back), where back(dY, dx=True, out=None) ->
     (dX, grads), to be called once, with the grads of p_fwd and p_bwd keyed
-    "f_" and "b_" + name (written into `out`, views so keyed, if given), and
-    dX None unless `dx`. With `last_step` (a top layer, whose last step
-    alone the head reads) the reverse direction scans x_{T-1} alone, and Y,
-    Sb and dY hold step T-1 only. Without `backward` the pass is forward-only: back is
-    None, and with `last_step` Sf holds step T-1 only too. Else a lower
-    layer (no `last_step`) keeps only its gates (see the scan comment block),
-    and `back` rebuilds both directions' states before it combines dY with
-    them.
+    "f_" and "b_" + name, written into `out` (arrays so keyed) or into new
+    arrays, and dX None unless `dx`. With `last_step` (a top layer, whose
+    last step alone the head reads) the reverse direction scans x_{T-1}
+    alone, and Y, Sb and dY hold step T-1 only. Without `backward` the pass
+    is forward-only: back is None, and with `last_step` Sf holds step T-1
+    only too. Else a lower layer (no `last_step`) keeps only its gates (see
+    the scan comment block), and `back` rebuilds both directions' states
+    before it combines dY with them.
     """
     if x.shape[-2] == 0:
         raise ContractViolation("bilstm_forward: empty sequence")
@@ -489,28 +493,28 @@ def bilstm_forward(x, p_fwd, p_bwd, combine="hadamard", last_step=False,
         return Y, (Sf, Sb, None)
 
     def back(dY, dx=True, out=None):
+        if out is None:
+            out = {**_empty_like(p_fwd, "f_"), **_empty_like(p_bwd, "b_")}
         # [A, step, S] of each direction; the scans' backward passes are
         # popped, so that `_bptt` alone holds a direction's caches
         f, b = scans.pop(0)(), scans.pop()()
         H = dY.shape[-1] // 2
-        outs = [None if out is None else {k: out[pre + k] for k in "WVb"}
-                for pre in ("f_", "b_")]
         # each direction's state gradient, made just before its pass
         dSf = (dY * np.swapaxes(b[2][..., :0:-1, :, :], -3, -2)
                if combine == "hadamard" else dY[..., :H])
         Sf = f[2]
-        dX, gf = _bptt(dSf, x, p_fwd, f, dx, outs[0])
+        dX = _bptt(dSf, x, p_fwd, f, dx, {k: out["f_" + k] for k in p_fwd})
         # `_bptt` freed the forward direction's caches; of them Sf is left,
         # for the reverse direction's state gradient
         del dSf
         dSb = (dY * np.swapaxes(Sf[..., -Tb:, :, :], -3, -2)
                if combine == "hadamard" else dY[..., H:])
         del Sf
-        dXr, gb = _bptt(dSb[..., ::-1, :], x_r, p_bwd, b, dx, outs[1])
+        dXr = _bptt(dSb[..., ::-1, :], x_r, p_bwd, b, dx,
+                    {k: out["b_" + k] for k in p_bwd})
         if dx:
             dX[..., -Tb:, :] += dXr[..., ::-1, :]
-        return dX, {**{"f_" + k: v for k, v in gf.items()},
-                    **{"b_" + k: v for k, v in gb.items()}}
+        return dX, out
     return Y, (Sf, Sb, back)
 
 
@@ -629,19 +633,17 @@ class RecurrentModel:
         return y, (backs, last)
 
     def loss_and_grads(self, X, Y, training=False, rng=None, grads=None):
-        """(loss, grads keyed like `params`). With `grads`, views keyed
-        like `params` (`fit` passes those of its gradient buffer), every
-        gradient is written into its view and `grads` is returned; else
-        each is a new array."""
+        """(loss, grads keyed like `params`), every gradient written into
+        `grads`, arrays keyed like `params` (`fit` passes the views of its
+        gradient buffer), or into new arrays."""
         Y = np.asarray(Y, dtype=float)
         y_hat, (backs, last) = self.forward(X, training=training, rng=rng)
         stacked = isinstance(self.seed, list)
         loss = huber_loss(Y, y_hat, self.config.huber_beta, stacked)
         dY = huber_grad(Y, y_hat, self.config.huber_beta, stacked)
-        fresh = grads is None
-        grads = {} if fresh else grads
-        grads["out_W"] = np.matmul(mT(dY), last, out=grads.get("out_W"))
-        grads["out_b"] = np.sum(dY, axis=-2, out=grads.get("out_b"))
+        grads = _empty_like(self.params) if grads is None else grads
+        np.matmul(mT(dY), last, out=grads["out_W"])
+        np.sum(dY, axis=-2, out=grads["out_b"])
         del last  # for rnn and lstm a view of the top layer's states S
         d_seq = (dY @ self.params["out_W"])[..., None, :]  # step T-1 alone
         for k in reversed(range(self.layers)):
@@ -651,12 +653,11 @@ class RecurrentModel:
             if mask is not None:
                 d_seq = d_seq * (mask / (1.0 - self.config.dropout))
             pre = f"L{k}_"
-            out = None if fresh else {name[len(pre):]: grads[name]
-                                      for name in self.params
-                                      if name.startswith(pre)}
-            d_seq, g = back(d_seq, k > 0, out)  # no dX for the windows
+            d_seq, _ = back(d_seq, k > 0,  # no dX for the windows
+                            {name[len(pre):]: view
+                             for name, view in grads.items()
+                             if name.startswith(pre)})
             del back
-            grads.update({pre + name: val for name, val in g.items()})
         return loss, grads
 
     # -- flat-parameter helpers (gradient verification) --------------------

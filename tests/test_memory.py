@@ -69,10 +69,11 @@ def _np_pass(model, F, out=None):
 @pytest.mark.parametrize("streams", [0, 3])
 @pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "concat", "np",
                                   "np-partial"])
-def test_gradients_written_into_views_equal_returned_ones(kind, streams):
-    """What `RecurrentModel.loss_and_grads` and `NpModel.grads` write into
-    `fit`'s gradient views is, byte for byte, what they return without
-    views, for one model and a stack of 3, and they write every view."""
+def test_gradients_fill_every_view_they_are_given(kind, streams):
+    """`RecurrentModel.loss_and_grads` and `NpModel.grads` write every
+    gradient into the views they are given, as `fit` gives them, for one
+    model and a stack of 3, and return those views; the parameters of a
+    disabled component get zeros."""
     seed = list(range(streams)) if streams else 0
     if kind.startswith("np"):
         cfg = NpConfig(d=8, D=4, n_changepoints=3, ar_layers=2, ar_hidden=5,
@@ -82,7 +83,7 @@ def test_gradients_written_into_views_equal_returned_ones(kind, streams):
         for value in model.params.values():
             value[...] = 0.1 * np.random.default_rng(22).normal(size=value.shape)
 
-        def run(out=None):
+        def run(out):
             return _np_pass(model, streams, out)
     else:
         arch = "bilstm" if kind == "concat" else kind
@@ -94,18 +95,14 @@ def test_gradients_written_into_views_equal_returned_ones(kind, streams):
         lead = (streams,) if streams else ()
         X, Y = rng.normal(size=(*lead, 4, 8)), rng.normal(size=(*lead, 4, 3))
 
-        def run(out=None):
+        def run(out):
             return model.loss_and_grads(X, Y, training=True,
                                         rng=generators(seed), grads=out)[1]
-    fresh = run()
     buf, views = _grad_views(model, max(streams, 1))
-    written = run(views)
-    assert written is views
+    assert run(views) is views
     assert not np.isnan(buf).any()
-    assert fresh.keys() == model.params.keys()
-    for name, value in fresh.items():
-        assert views[name].shape == value.shape
-        assert views[name].tobytes() == value.tobytes(), name
+    if kind == "np-partial":
+        assert not any(views[k].any() for k in views if k.startswith("season"))
 
 
 def _closure(fn):
@@ -212,27 +209,25 @@ def test_a_paper_shape_bilstm_pass_keeps_lower_layers_gates_alone():
     """Between a lower layer's forward and backward pass it holds its gates,
     its input and a boolean dropout mask; its backward pass rebuilds its
     cells and states. Each direction's caches go once its pass has run, and
-    its factors before its weight GEMMs. A pass at the paper shape (H=200,
-    L=3, B=32, d=48, dropout 0.2) peaked at 92.8 MB of traced allocations
-    when every layer kept Z, S and C and a float mask, at 73.2 MB with the
-    gates alone, and at 68.3 MB with this; written into views of a gradient
-    buffer allocated before it, as `fit` gives it, at 65.4 MB."""
+    its factors before its weight GEMMs, and the gradients are written into
+    views of a gradient buffer allocated before the pass, as `fit` gives
+    them. A pass at the paper shape (H=200, L=3, B=32, d=48, dropout 0.2)
+    peaked at 92.8 MB of traced allocations when every layer kept Z, S and
+    C and a float mask, at 73.2 MB with the gates alone and fresh gradient
+    arrays, and at 65.4 MB with this."""
     model = RecurrentModel("bilstm", 48, 24, hidden_size=200, layers=3,
                            config=TrainConfig(dropout=0.2), seed=1)
     rng = np.random.default_rng(14)
     X, Y = rng.normal(size=(32, 48)), rng.normal(size=(32, 24))
     views = _grad_views(model, 1)[1]
-    peaks = []
-    for grads in (None, views):
-        tracemalloc.start()
-        try:
-            model.loss_and_grads(X, Y, training=True,
-                                 rng=np.random.default_rng(2), grads=grads)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 69.5e6
-    assert peaks[1] < 66.5e6
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(X, Y, training=True,
+                             rng=np.random.default_rng(2), grads=views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 66.5e6
 
 
 @pytest.mark.parametrize("H,B,lead", [(200, 32, ()), (16, 11, (3,))])

@@ -236,6 +236,19 @@ class TestFit:
         assert np.array_equal(model.params["w"], seen[-1])  # none for batch 2
         assert not model.trained
 
+    def test_an_unwritten_gradient_raises_before_any_step(self):
+        model = SimpleNamespace(params={"w": np.ones(3), "v": np.ones(2)},
+                                trained=False)
+
+        def loss_and_grads(idx, grads):
+            grads["w"][...] = 1.0  # "v" left out
+            return 1.0
+
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4)
+        with pytest.raises(ContractViolation, match=r"\['v'\]"):
+            fit(model, loss_and_grads, 10, cfg, np.random.default_rng(0))
+        assert np.array_equal(model.params["w"], np.ones(3))
+
 
 class TestParamCodec:
     def fresh(self):
