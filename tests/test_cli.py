@@ -1088,11 +1088,15 @@ class TestWriteJson:
         {2: "yyyy", 1: {"b": "zzzz", "a": 0.5}},
         "top-level \u00fc",
     ])
-    @pytest.mark.parametrize("blob_chars", [3, cli.JSON_BLOB_CHARS])
+    # None keeps the default; no name of `cli` is read at import, so that
+    # tests/identity_outputs.py, which imports this module, runs against an
+    # older csipred too
+    @pytest.mark.parametrize("blob_chars", [3, None])
     def test_bytes_are_one_sorted_dumps(self, tmp_path, monkeypatch, payload,
                                         blob_chars):
         """With 3, every str of 3 characters or more is written alone."""
-        monkeypatch.setattr(cli, "JSON_BLOB_CHARS", blob_chars)
+        if blob_chars is not None:
+            monkeypatch.setattr(cli, "JSON_BLOB_CHARS", blob_chars)
         path = tmp_path / "out.json"
         cli._write_json(path, payload)
         expected = json.dumps(payload, sort_keys=True) + "\n"
